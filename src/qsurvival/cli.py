@@ -41,39 +41,9 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 # config file + flag merging
 
-_COERCERS = {
-    "n": int,
-    "points": int,
-    "realizations": int,
-    "threads": int,
-    "count": int,
-    "seed": int,
-    "max_qubits": int,
-    "omega": float,
-    "g": float,
-    "delta": float,
-    "sigma": float,
-    "tmin": float,
-    "tmax": float,
-    "eps": float,
-    "kappa2": float,
-    "kappa2_min": float,
-    "kappa2_max": float,
-    "kappa2_points": int,
-    "threshold": float,
-    "observation_time": float,
-    "resolution": float,
-    "half_width": float,
-    "sizes": str,
-    "model": str,
-    "method": str,
-    "format": str,
-    "out": str,
-    "env": str,
-    "offdiag": str,
-    "density": str,
-    "empirical": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-}
+# config values accepted for on/off flags
+_FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
+               "0": False, "false": False, "no": False, "off": False}
 
 
 def _read_config_file(path: str) -> dict:
@@ -93,18 +63,53 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
-def _merge_config(args: argparse.Namespace) -> argparse.Namespace:
+def _option_actions(parser: argparse.ArgumentParser) -> dict:
+    """dest -> argparse action, for every option of every subcommand."""
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        command: {a.dest: a for a in sub._actions if not isinstance(a, argparse._HelpAction)}
+        for command, sub in subparsers.choices.items()
+    }
+
+
+def _coerce(action: argparse.Action, key: str, raw: str):
+    """Config value typed and checked as the flag ``action`` would be."""
+    if action.nargs == 0:  # store_true flag
+        if raw.lower() not in _FLAG_WORDS:
+            raise ConfigError(f"config key {key}: {raw!r} is not one of {', '.join(_FLAG_WORDS)}")
+        return _FLAG_WORDS[raw.lower()]
+    try:
+        value = raw if action.type is None else action.type(raw)
+    except ValueError as exc:
+        raise ConfigError(f"config key {key}: invalid value {raw!r}") from exc
+    if action.choices is not None and value not in action.choices:
+        choices = ", ".join(map(str, action.choices))
+        raise ConfigError(f"config key {key}: {raw!r} is not one of {choices}")
+    return value
+
+
+def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
+    """Fill options the command line left unset from ``args.config``.
+
+    Every value goes through the subcommand's own argparse ``type`` and
+    ``choices``, also where a flag overrides it. A key no subcommand defines
+    is an error; a key that only other subcommands define draws a warning and
+    is ignored, so one file can serve several subcommands.
+    """
     if not getattr(args, "config", None):
         return args
+    actions = _option_actions(parser)
     for key, raw in _read_config_file(args.config).items():
-        if not hasattr(args, key):
+        action = actions[args.command].get(key)
+        if action is None:
+            if not any(key in options for options in actions.values()):
+                raise ConfigError(f"{args.config}: unknown config key {key!r}")
+            print(f"warning: config key {key!r} is not used by {args.command!r}; ignored",
+                  file=sys.stderr)
             continue
+        value = _coerce(action, key, raw)
         if getattr(args, key) is None:
-            coerce = _COERCERS.get(key, str)
-            try:
-                setattr(args, key, coerce(raw))
-            except ValueError as exc:
-                raise ConfigError(f"config key {key}: {exc}") from exc
+            setattr(args, key, value)
     return args
 
 
@@ -168,10 +173,14 @@ def write_json(path: str, doc: dict):
     _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _emit_series(args, times, series: dict, meta: dict):
+def _emit_series(args, times, series: dict, meta: dict, sidecar: bool = False):
+    """CSV (plus, with ``sidecar``, the meta as ``<stem>.annotations.json``) or JSON."""
     fmt = args.format or "csv"
     if fmt == "csv":
         write_series_csv(args.out, times, series)
+        if sidecar:
+            stem, _ = os.path.splitext(args.out)
+            write_json(f"{stem}.annotations.json", dict(meta, version=__version__))
     elif fmt == "json":
         write_series_json(args.out, times, series, meta)
     else:
@@ -220,6 +229,18 @@ def _model_spec(args) -> ham.HamiltonianSpec:
         if isinstance(exc, ConfigError):
             raise
         raise ConfigError(str(exc)) from exc
+
+
+def _pole_fields(pole_set: lee.PoleSet) -> dict:
+    fields = {"real_poles": [{"location": p.location, "residue": p.residue} for p in pole_set.real]}
+    if pole_set.second_sheet is not None:
+        z, r = pole_set.second_sheet.location, pole_set.second_sheet.residue
+        fields["second_sheet_pole"] = {
+            "location": [z.real, z.imag],
+            "residue": [r.real, r.imag],
+            "residual": pole_set.second_sheet.residual,
+        }
+    return fields
 
 
 def _lee_params(args) -> lee.LeeParams:
@@ -286,32 +307,13 @@ def cmd_lee(args) -> int:
     _require(args, ["out"])
     params = _lee_params(args)
     times = _grid(args)
-    method = args.method or "residue_cut"
-    series = {"survival": lee.survival(params, times, method=method).values}
+    curve = lee.survival(params, times, method=args.method or "residue_cut")
     annotations = {"van_hove_rate": lee.van_hove_rate(params)}
     if isinstance(params.density, lee.UniformBox):
-        pole_set = lee.poles(params)
-        annotations["real_poles"] = [
-            {"location": p.location, "residue": p.residue} for p in pole_set.real
-        ]
-        if pole_set.second_sheet is not None:
-            z, r = pole_set.second_sheet.location, pole_set.second_sheet.residue
-            annotations["second_sheet_pole"] = {
-                "location": [z.real, z.imag],
-                "residue": [r.real, r.imag],
-            }
-    meta = {"spec": repr(params), "seed": None, "method": method, "annotations": annotations}
-    if (args.format or "csv") == "json":
-        _emit_series(args, times, series, meta)
-    else:
-        write_series_csv(args.out, times, series)
-        write_json(_sidecar(args.out, "annotations"), dict(meta, version=__version__))
+        annotations.update(_pole_fields(lee.poles(params)))
+    meta = {"spec": repr(params), "seed": None, "method": curve.method, "annotations": annotations}
+    _emit_series(args, times, {"survival": curve.values}, meta, sidecar=True)
     return EXIT_OK
-
-
-def _sidecar(path: str, tag: str) -> str:
-    stem, _ = os.path.splitext(path)
-    return f"{stem}.{tag}.json"
 
 
 def cmd_poles(args) -> int:
@@ -324,21 +326,7 @@ def cmd_poles(args) -> int:
     rows = []
     for k2 in np.geomspace(k_min, k_max, k_pts):
         params = lee.LeeParams(args.omega, args.delta, float(k2))
-        pole_set = lee.poles(params)
-        row = {
-            "kappa2": float(k2),
-            "real_poles": [
-                {"location": p.location, "residue": p.residue} for p in pole_set.real
-            ],
-        }
-        if pole_set.second_sheet is not None:
-            z, r = pole_set.second_sheet.location, pole_set.second_sheet.residue
-            row["second_sheet_pole"] = {
-                "location": [z.real, z.imag],
-                "residue": [r.real, r.imag],
-                "residual": pole_set.second_sheet.residual,
-            }
-        rows.append(row)
+        rows.append({"kappa2": float(k2), **_pole_fields(lee.poles(params))})
     write_json(args.out, {"meta": {"omega": args.omega, "delta": args.delta, "version": __version__}, "sweep": rows})
     return EXIT_OK
 
@@ -376,11 +364,7 @@ def cmd_bound(args) -> int:
         "variance": variance,
         "zeno_time": None if math.isinf(tau) else tau,
     }
-    if (args.format or "csv") == "json":
-        _emit_series(args, times, series, meta)
-    else:
-        write_series_csv(args.out, times, series)
-        write_json(_sidecar(args.out, "annotations"), dict(meta, version=__version__))
+    _emit_series(args, times, series, meta, sidecar=True)
     return EXIT_OK
 
 
@@ -559,7 +543,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args)
+        args = _merge_config(args, parser)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

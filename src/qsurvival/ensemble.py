@@ -9,7 +9,6 @@ dense eigensolve, which is what makes the 10^4-qubit runs desk-scale.
 
 from __future__ import annotations
 
-import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 
@@ -33,16 +32,8 @@ def _is_arrowhead(spec: ham.HamiltonianSpec) -> bool:
 
 
 def _arrowhead_matrix(spec: ham.HamiltonianSpec, stream: int) -> sp.csr_matrix:
-    model = spec.model
-    rng = ham.stream_rng(spec.seed, stream)
-    n = model.n
-    diag = np.empty(n)
-    diag[0] = model.omega
-    diag[1:] = model.omega + rng.uniform(-model.delta, model.delta, size=n - 1)
-    if isinstance(model.off_diag, ham.GaussianCouplings):
-        g = rng.normal(0.0, model.sigma / math.sqrt(n), size=n - 1)
-    else:
-        g = rng.uniform(-model.off_diag.half_width, model.off_diag.half_width, size=n - 1)
+    n = spec.model.n
+    diag, g = ham.draw_arrowhead(spec.model, ham.stream_rng(spec.seed, stream))
     rows = np.concatenate([np.arange(n), np.zeros(n - 1, dtype=int), np.arange(1, n)])
     cols = np.concatenate([np.arange(n), np.arange(1, n), np.zeros(n - 1, dtype=int)])
     data = np.concatenate([diag, g, g])

@@ -24,6 +24,7 @@ __all__ = [
     "HamiltonianSpec",
     "stream_rng",
     "build_chain",
+    "draw_arrowhead",
     "sample_experimental",
     "sample_rosenzweig_porter",
     "sample_goe",
@@ -148,6 +149,20 @@ def _draw_couplings(rng: np.random.Generator, law, count: int, sigma: float, n: 
     raise TypeError(f"unknown coupling law: {type(law).__name__}")
 
 
+def draw_arrowhead(model: Experimental, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal (length n) and first-row couplings (length n - 1) of one draw
+    of the experimental model: the environment splittings, then the couplings.
+
+    This is the start of the draw order of :func:`sample_experimental`; for
+    the diagonal environment it is the whole draw.
+    """
+    n = model.n
+    diag = np.full(n, float(model.omega))
+    diag[1:] = model.omega + rng.uniform(-model.delta, model.delta, size=n - 1)
+    g = _draw_couplings(rng, model.off_diag, n - 1, model.sigma, n)
+    return diag, g
+
+
 def sample_experimental(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
     """Draw one realization of the experimentally motivated model.
 
@@ -168,8 +183,8 @@ def sample_experimental(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
     h[0, 0] = model.omega
     if n == 1:
         return h
-    h[np.arange(1, n), np.arange(1, n)] = model.omega + rng.uniform(-model.delta, model.delta, size=n - 1)
-    g = _draw_couplings(rng, model.off_diag, n - 1, model.sigma, n)
+    diag, g = draw_arrowhead(model, rng)
+    np.fill_diagonal(h, diag)
     h[0, 1:] = g
     h[1:, 0] = g
     if model.env is Environment.FULL and n > 2:

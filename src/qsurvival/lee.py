@@ -28,6 +28,7 @@ from scipy.optimize import brentq
 from scipy.special import j1 as _scipy_j1
 
 from .series import SurvivalSeries
+from .spectral import phase_sum
 
 __all__ = [
     "UniformBox",
@@ -253,9 +254,10 @@ def _real_poles_cached(params: LeeParams) -> tuple[RealPole, ...]:
     s_root = brentq(logged, _LOG_OFFSET_FLOOR, s_hi, xtol=1e-15, rtol=8.9e-16)
     offset = math.exp(s_root)
     u = d + offset
-    # residue 1/(1 + w k2 L'(x)); L'(x) = 2 d / (u^2 - d^2) evaluated stably
-    lam_prime = 2.0 * d / (offset * (2.0 * d + offset))
-    residue = 1.0 / (1.0 + w * k2 * lam_prime)
+    # residue 1/(1 + w k2 L'(x)) with L'(x) = 2 d / q, q = u^2 - d^2 evaluated
+    # stably; written as q / (q + 2 w k2 d) so that q underflowing to 0 gives 0
+    q = offset * (2.0 * d + offset)
+    residue = q / (q + 2.0 * w * k2 * d)
     return (RealPole(w - u, residue, offset), RealPole(w + u, residue, offset))
 
 
@@ -419,16 +421,14 @@ def amplitude_residue_cut(params: LeeParams, t):
     _require_box(params, "amplitude_residue_cut")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_times(t_arr)
-    out = np.zeros(t_arr.size, dtype=complex)
-    for pole in real_poles(params):
-        out += pole.residue * np.exp(-1j * pole.location * t_arr)
+    rp = real_poles(params)
+    freqs = np.array([p.location for p in rp])
+    weights = np.array([p.residue for p in rp])
     if params.kappa2 > 0.0:
         x, wq = _cut_nodes(params, float(t_arr.max()))
-        weight = wq * _cut_weight(params, x)
-        step = max(1, int(4e6) // max(x.size, 1))
-        for lo in range(0, t_arr.size, step):
-            phases = np.exp(-1j * np.outer(t_arr[lo : lo + step], x))
-            out[lo : lo + step] += phases @ weight
+        freqs = np.concatenate([freqs, x])
+        weights = np.concatenate([weights, wq * _cut_weight(params, x)])
+    out = phase_sum(freqs, weights, t_arr)
     return complex(out[0]) if np.asarray(t).ndim == 0 else out
 
 
@@ -462,14 +462,13 @@ def _seam_data(params: LeeParams, edge: float, pole_depth: float, s_max: float):
 def _second_sheet_terms(params: LeeParams, times: np.ndarray):
     """Per-time pole and seam contributions (the t-independent seam integrand
     is evaluated once and reused across the whole grid)."""
-    real_term = np.zeros(times.size, dtype=complex)
-    for pole in real_poles(params):
-        real_term += pole.residue * np.exp(-1j * pole.location * times)
+    rp = real_poles(params)
+    real_term = phase_sum([p.location for p in rp], [p.residue for p in rp], times)
     if params.kappa2 == 0.0:
         zeros = np.zeros(times.size, dtype=complex)
         return real_term, zeros, zeros
     res = second_sheet_pole(params)
-    resonance = res.residue * np.exp(-1j * res.location * times)
+    resonance = phase_sum([res.location], [res.residue], times)
     depth = abs(res.location.imag)
     w, d, k2 = params.omega, params.delta, params.kappa2
     s_max = max(1e8, 1e3 * depth, 1e4 * w)
@@ -606,9 +605,7 @@ def amplitude_direct(
     achieved = disagreement + max(tail1, tail2)
     if achieved > tol:
         raise QuadratureError("line heights disagree beyond tolerance", achieved)
-    base = complex(w_rest * cmath.exp(-1j * x_rest * t))
-    if xs.size:
-        base += complex(np.sum(rs * np.exp(-1j * xs * t)))
+    base = complex(phase_sum(np.append(xs, x_rest), np.append(rs, w_rest), t)[0])
     return base + (2.0 * a2 - a1)
 
 
@@ -637,7 +634,8 @@ def survival(params: LeeParams, times, method: str = "residue_cut") -> SurvivalS
     """Survival probability on a grid by the chosen route.
 
     For the semicircle density every route reduces to the same function and
-    the curve is evaluated in closed form through J1 (``amplitude_direct``
+    the curve is evaluated in closed form through J1, whatever ``method``
+    asks for; the series is then tagged ``closed-form`` (``amplitude_direct``
     with the Stieltjes level shift remains available as a cross-check).
     ``direct`` re-runs the line quadrature at every grid point; prefer
     ``residue_cut`` or ``second_sheet`` for long dense grids.
@@ -647,7 +645,7 @@ def survival(params: LeeParams, times, method: str = "residue_cut") -> SurvivalS
     if isinstance(params.density, WignerSemicircle):
         values = _wigner_closed_form(params, times)
         return SurvivalSeries(
-            times, np.clip(values, 0.0, 1.0), model="lee(wigner)", method=method
+            times, np.clip(values, 0.0, 1.0), model="lee(wigner)", method="closed-form"
         )
     if method == "residue_cut":
         amp = amplitude_residue_cut(params, times)

@@ -117,38 +117,36 @@ def suggested_observation_time(decomp: SpectralDecomposition, p: float, target_r
     return target_returns / kac_frequency(decomp, p)
 
 
+_SCAN_CHUNK = 262144  # even, so every chunk starts on an even grid index
+
+
 def _grid_values(decomp, times):
     return np.abs(survival_amplitude(decomp, times)) ** 2
 
 
-def _count_on_grid(decomp, p, total_time, step) -> int:
+def _sign_changes(vals, prev) -> int:
+    if prev is not None:
+        vals = np.concatenate([[prev], vals])
+    return int(np.sum(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0))
+
+
+def _count_on_grid(decomp, p, total_time, step) -> tuple[int, int]:
+    """Sign changes of p(t) - p on the grid k * step, 0 <= k * step <= T, and
+    on its even-indexed samples, i.e. the grid at twice the step.
+
+    One streamed pass: (2j) * step equals j * (2 step) exactly in floating
+    point, so the subsampled count is the count on the coarse grid itself.
+    """
     n_pts = int(math.floor(total_time / step)) + 1
-    count = 0
-    chunk = 262144
-    prev_val = None
-    for lo in range(0, n_pts, chunk):
-        hi = min(lo + chunk, n_pts)
-        times = np.arange(lo, hi) * step
-        vals = _grid_values(decomp, times) - p
-        if prev_val is not None:
-            vals = np.concatenate([[prev_val], vals])
-        count += int(np.sum(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0))
-        prev_val = vals[-1]
-    return count
-
-
-def _refine_crossing(decomp, p, lo, hi, tol):
-    f_lo = float(_grid_values(decomp, np.array([lo]))[0]) - p
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= tol:
-            return mid
-        f_mid = float(_grid_values(decomp, np.array([mid]))[0]) - p
-        if f_lo * f_mid <= 0.0:
-            hi = mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
+    count = coarse = 0
+    prev = prev_even = None
+    for lo in range(0, n_pts, _SCAN_CHUNK):
+        vals = _grid_values(decomp, np.arange(lo, min(lo + _SCAN_CHUNK, n_pts)) * step) - p
+        even = vals[0::2]
+        count += _sign_changes(vals, prev)
+        coarse += _sign_changes(even, prev_even)
+        prev, prev_even = vals[-1], even[-1]
+    return count, coarse
 
 
 def count_crossings(
@@ -157,17 +155,16 @@ def count_crossings(
     total_time: float,
     resolution: float,
     check_stability: bool = True,
-    refine: bool = True,
 ) -> float:
     """Empirical crossing rate: count / (2 * total_time).
 
     ``resolution`` is the scan step; it must satisfy
     step <= 0.1 / (spectral span) or the call refuses with the required
-    value. With ``check_stability`` the count is re-done at half the step and
-    the call refuses if it moves by 1% or more. ``refine`` bisects each
-    bracket to 1e-8 * step; a strict sign change always brackets a true
-    crossing, so refinement pins locations while tangential touches (no sign
-    change) are counted as zero either way.
+    value. With ``check_stability`` the curve is scanned once at half the
+    step; the count there is compared with the count on its every other
+    sample (the grid at ``resolution``) and the call refuses if they differ
+    by 1% or more. A strict sign change always brackets a true crossing;
+    tangential touches (no sign change) count as zero.
     """
     if total_time <= 0.0:
         raise ValueError("total_time must be positive")
@@ -179,24 +176,12 @@ def count_crossings(
         raise ResolutionTooCoarse(
             f"grid step {resolution:g} too coarse; need <= {_STEP_SPAN_FACTOR / span:g}"
         )
-    count = _count_on_grid(merged, p, total_time, resolution)
-    if check_stability:
-        count_half = _count_on_grid(merged, p, total_time, resolution / 2.0)
-        reference = max(count, count_half, 1)
-        if abs(count_half - count) / reference >= _CROSSING_STABILITY_TOL:
-            raise ResolutionTooCoarse(
-                f"crossing count unstable under step halving ({count} vs {count_half})"
-            )
-        count = count_half
-    if refine and count:
-        # brackets located on the fine grid; bisection pins each crossing time
-        step = resolution / (2.0 if check_stability else 1.0)
-        n_pts = int(math.floor(total_time / step)) + 1
-        times = np.arange(n_pts) * step
-        vals = _grid_values(merged, times) - p
-        idx = np.nonzero(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0)[0]
-        for i in idx:
-            _refine_crossing(merged, p, times[i], times[i + 1], 1e-8 * step)
+    step = resolution / 2.0 if check_stability else resolution
+    count, coarse = _count_on_grid(merged, p, total_time, step)
+    if check_stability and abs(count - coarse) / max(count, coarse, 1) >= _CROSSING_STABILITY_TOL:
+        raise ResolutionTooCoarse(
+            f"crossing count unstable under step halving ({coarse} vs {count})"
+        )
     return count / (2.0 * total_time)
 
 

@@ -18,6 +18,7 @@ __all__ = [
     "EigensolverError",
     "LevelShiftSingularity",
     "decompose",
+    "phase_sum",
     "survival_amplitude",
     "survival_probability",
     "energy_variance",
@@ -85,18 +86,26 @@ def decompose(h: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, weights, h.shape[0])
 
 
+def phase_sum(freqs, weights, times) -> np.ndarray:
+    """sum_j weights_j exp(-i freqs_j t) at each time of ``times``.
+
+    Frequencies and weights may be complex. The (times x terms) phase matrix
+    is built in chunks of times to bound memory.
+    """
+    freqs = np.asarray(freqs)
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    out = np.empty(times.size, dtype=complex)
+    step = max(1, int(4e6) // max(freqs.size, 1))
+    for lo in range(0, times.size, step):
+        chunk = times[lo : lo + step, None] * freqs[None, :]
+        out[lo : lo + step] = np.exp(-1j * chunk) @ weights
+    return out
+
+
 def survival_amplitude(decomp: SpectralDecomposition, t):
     """Amplitude sum_i w_i exp(-i eps_i t); scalar or array ``t``."""
-    t_arr = np.asarray(t, dtype=float)
-    scalar = t_arr.ndim == 0
-    t_arr = np.atleast_1d(t_arr)
-    out = np.empty(t_arr.size, dtype=complex)
-    # chunk the (times x levels) phase matrix to bound memory
-    step = max(1, int(4e6) // max(decomp.eigenvalues.size, 1))
-    for lo in range(0, t_arr.size, step):
-        chunk = t_arr[lo : lo + step, None] * decomp.eigenvalues[None, :]
-        out[lo : lo + step] = np.exp(-1j * chunk) @ decomp.weights
-    return complex(out[0]) if scalar else out
+    out = phase_sum(decomp.eigenvalues, decomp.weights, t)
+    return complex(out[0]) if np.ndim(t) == 0 else out
 
 
 def survival_probability(

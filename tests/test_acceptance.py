@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_experimental_spec
+from random_specs import random_experimental_spec
 from qsurvival import closedform, fock_oracle, lee, perturbation, recurrence, spectral
 from qsurvival import hamiltonian as ham
 from qsurvival.ensemble import ensemble_mean
@@ -211,7 +211,7 @@ class TestAcceptance:
                 taus[(n, p)] = 1.0 / nu_formula
                 total_time = min(recurrence.suggested_observation_time(d, p), 6e4)
                 nu_signchange = recurrence.count_crossings(
-                    d, p, total_time, resolution, check_stability=False, refine=False
+                    d, p, total_time, resolution, check_stability=False
                 )
                 returns = nu_signchange / 2.0
                 worst_return = max(worst_return, abs(math.log(returns / nu_formula)))

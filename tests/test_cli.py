@@ -6,7 +6,7 @@ import pytest
 from qsurvival import hamiltonian as ham
 from qsurvival import spectral
 from qsurvival.cli import main
-from qsurvival.ensemble import ensemble_mean, realization_survival
+from qsurvival.ensemble import _arrowhead_matrix, ensemble_mean, realization_survival
 
 
 class TestEnsembleRunner:
@@ -18,6 +18,13 @@ class TestEnsembleRunner:
             spectral.decompose(ham.build(spec, stream=2)), times
         ).values
         assert np.max(np.abs(fast - dense)) < 1e-8
+
+    @pytest.mark.parametrize("law", [ham.GaussianCouplings(), ham.UniformCouplings(0.2)])
+    def test_sparse_matrix_is_the_sampled_matrix(self, law):
+        spec = ham.HamiltonianSpec(ham.Experimental(40, 1.0, 0.1, 0.05, law), seed=17)
+        for stream in (0, 3):
+            sparse = _arrowhead_matrix(spec, stream).toarray()
+            assert sparse.tobytes() == ham.build(spec, stream).tobytes()
 
     def test_mean_is_mean_of_stack(self):
         spec = ham.HamiltonianSpec(ham.Experimental(20, 1.0, 0.1, 0.3), seed=5)
@@ -175,6 +182,70 @@ class TestValidationAndConfig:
         assert main(["chain", "--config", str(config), "--out", str(out), "--points", "7"]) == 0
         header, data = read_csv(out)
         assert data.shape[0] == 7  # flag wins over the file's 12
+
+    @pytest.mark.parametrize("command", ["lee", "bound"])
+    def test_config_format_outside_choices_exits_2(self, command, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("format = xml\n")
+        model = (["--omega", "1", "--delta", "0.1", "--kappa2", "1e-2"] if command == "lee"
+                 else ["--model", "chain", "--n", "4", "--omega", "1", "--g", "0.5"])
+        out = tmp_path / "x.csv"
+        code = main([command, "--config", str(config), *model, "--tmax", "5", "--points", "4",
+                     "--out", str(out)])
+        assert code == 2
+        assert not out.exists()
+
+    @pytest.mark.parametrize("line", ["method = foo", "points = 7.5", "kappa2 = big"])
+    def test_config_bad_value_exits_2(self, line, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(line + "\n")
+        code = main(["lee", "--config", str(config), "--omega", "1", "--delta", "0.1",
+                     "--kappa2", "1e-2", "--tmax", "5", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+
+    def test_config_unknown_key_exits_2(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("sigam = 9\n")
+        code = main(["chain", "--config", str(config), "--omega", "1", "--g", "0.5",
+                     "--tmax", "5", "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert "sigam" in capsys.readouterr().err
+
+    def test_config_key_of_another_subcommand_warns(self, tmp_path, capsys):
+        config = tmp_path / "run.cfg"
+        config.write_text("sizes = 4\nomega = 1\ng = 0.5\ntmax = 5\npoints = 6\neps = 0.1\n")
+        out = tmp_path / "x.csv"
+        assert main(["chain", "--config", str(config), "--out", str(out)]) == 0
+        assert read_csv(out)[1].shape[0] == 6
+        err = capsys.readouterr().err
+        assert err.count("warning") == 1 and "'eps'" in err
+
+    @pytest.mark.parametrize("word, expected", [("yes", True), ("On", True), ("0", False), ("no", False)])
+    def test_config_flag_words(self, word, expected, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(f"empirical = {word}\n")
+        out = tmp_path / "rec.json"
+        assert main([
+            "recurrence", "--config", str(config), "--model", "chain", "--n", "6", "--omega", "1",
+            "--g", "0.5", "--threshold", "0.5", "--observation-time", "200", "--out", str(out),
+        ]) == 0
+        assert (json.loads(out.read_text())["report"]["empirical_nu"] is not None) == expected
+
+    def test_config_bad_flag_word_exits_2(self, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text("empirical = maybe\n")
+        code = main(["recurrence", "--config", str(config), "--model", "chain", "--n", "6",
+                     "--omega", "1", "--g", "0.5", "--threshold", "0.5", "--out", str(tmp_path / "r.json")])
+        assert code == 2
+
+    def test_lee_annotations_carry_pole_residual(self, tmp_path):
+        out = tmp_path / "lee.csv"
+        assert main([
+            "lee", "--omega", "1.0", "--delta", "0.1", "--kappa2", "1e-2",
+            "--tmax", "10", "--points", "5", "--out", str(out),
+        ]) == 0
+        doc = json.loads((tmp_path / "lee.annotations.json").read_text())
+        assert doc["annotations"]["second_sheet_pole"]["residual"] <= 1e-10
 
     def test_malformed_config_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"

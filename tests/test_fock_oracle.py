@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import random_experimental_spec
+from random_specs import random_experimental_spec
 from qsurvival import closedform, fock_oracle, spectral
 from qsurvival import hamiltonian as ham
 

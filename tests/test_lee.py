@@ -1,4 +1,5 @@
 import cmath
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scipy.integrate import quad
 
 from qsurvival import closedform, lee
+from qsurvival.cli import main
 
 REF = lee.LeeParams(1.0, 0.1, 7.5e-4)
 
@@ -129,6 +131,29 @@ class TestRealPoles:
 
     def test_unrepresentable_offsets_give_empty_list(self):
         assert lee.real_poles(lee.LeeParams(1.0, 0.1, 1e-8)) == []
+
+    def test_subnormal_offset_gives_zero_residue(self, tmp_path):
+        # the root offset here is the smallest subnormal, so offset * (2 d +
+        # offset) underflows to 0; the residue must come out 0, not divide by 0
+        params = lee.LeeParams(1.0, 0.1, 1.3465e-4)
+        pole_set = lee.poles(params)
+        assert pole_set.real and all(p.cut_offset < 1e-300 for p in pole_set.real)
+        for pole in pole_set.real:
+            assert math.isfinite(pole.residue) and 0.0 <= pole.residue <= 1.0
+        out = tmp_path / "lee.csv"
+        assert main([
+            "lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1.3465e-4",
+            "--tmax", "100", "--points", "11", "--out", str(out),
+        ]) == 0
+
+    def test_residue_matches_level_shift_form(self):
+        # couplings whose pole sits well clear of the cut edge in doubles
+        for k2 in (0.05, 1.0, 30.0):
+            params = lee.LeeParams(1.0, 0.1, k2)
+            for pole in lee.real_poles(params):
+                derivative = lee.level_shift_derivative(params, pole.location).real
+                expected = 1.0 / (1.0 + params.omega * k2 * derivative)
+                assert pole.residue == pytest.approx(expected, rel=1e-12)
 
 
 class TestSecondSheetPole:
@@ -278,6 +303,25 @@ class TestSurvival:
         series = lee.survival(params, times)
         limit = closedform.chain_bessel_limit(sigma, times)
         assert np.max(np.abs(series.values - limit.values)) < 1e-8
+
+    @pytest.mark.parametrize("method", ["direct", "residue_cut", "second_sheet"])
+    def test_wigner_tagged_closed_form(self, method, tmp_path):
+        params = lee.LeeParams(1.0, 0.0, 0.0, lee.WignerSemicircle(0.2))
+        assert lee.survival(params, np.linspace(0.0, 5.0, 4), method=method).method == "closed-form"
+        out = tmp_path / "lee.json"
+        assert main([
+            "lee", "--omega", "1", "--delta", "0.1", "--kappa2", "0", "--density", "wigner:0.2",
+            "--method", method, "--tmax", "5", "--points", "4", "--format", "json", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["meta"]["method"] == "closed-form"
+
+    def test_box_tag_is_the_method(self, tmp_path):
+        out = tmp_path / "lee.json"
+        assert main([
+            "lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-2", "--method", "second_sheet",
+            "--tmax", "5", "--points", "4", "--format", "json", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["meta"]["method"] == "second_sheet"
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

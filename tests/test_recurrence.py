@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_experimental_spec
+from random_specs import random_experimental_spec
 from qsurvival import hamiltonian as ham
 from qsurvival import recurrence, spectral
 
@@ -98,7 +98,7 @@ class TestCountCrossings:
         w = d.weights
         e = d.eigenvalues
         p, total_time, step = 0.5, 500.0, 0.02
-        one_sided = recurrence.count_crossings(d, p, total_time, step, check_stability=False, refine=False)
+        one_sided = recurrence.count_crossings(d, p, total_time, step, check_stability=False)
         times = np.arange(-total_time, total_time, step)
         values = np.abs(np.exp(-1j * np.outer(times, e)) @ w) ** 2 - p
         two_sided = int(np.sum(np.sign(values[1:]) * np.sign(values[:-1]) < 0))
@@ -119,13 +119,43 @@ class TestCountCrossings:
         assert rate100 * 2.0 * total_time == pytest.approx(1.0)
 
 
+class TestSinglePassScan:
+    def test_stability_check_evaluates_the_fine_grid_once(self, monkeypatch):
+        points = []
+
+        def counting(decomp, t):
+            points.append(np.size(t))
+            return spectral.survival_amplitude(decomp, t)
+
+        monkeypatch.setattr(recurrence, "survival_amplitude", counting)
+        total_time, step = 700.0, 0.03
+        recurrence.count_crossings(chain_decomp(8), 0.5, total_time, step, check_stability=True)
+        assert sum(points) == math.floor(total_time / (step / 2.0)) + 1
+        points.clear()
+        recurrence.count_crossings(chain_decomp(8), 0.5, total_time, step, check_stability=False)
+        assert sum(points) == math.floor(total_time / step) + 1
+
+    @pytest.mark.parametrize("chunk", [64, 262144])
+    def test_even_samples_count_the_coarse_grid(self, monkeypatch, chunk):
+        # small chunks put many chunk boundaries inside the scan
+        monkeypatch.setattr(recurrence, "_SCAN_CHUNK", chunk)
+        d = chain_decomp(10)
+        for total_time in (300.0, 300.01, 333.3):
+            fine, coarse = recurrence._count_on_grid(d, 0.5, total_time, 0.01)
+            direct = recurrence._count_on_grid(d, 0.5, total_time, 0.02)[0]
+            assert coarse == direct
+            times = np.arange(math.floor(total_time / 0.01) + 1) * 0.01
+            values = np.abs(spectral.survival_amplitude(d, times)) ** 2 - 0.5
+            assert fine == int(np.sum(np.sign(values[1:]) * np.sign(values[:-1]) < 0))
+
+
 class TestFormulaVsEmpirics:
     def test_chain_ten_within_factor_three(self):
         # saddle-point estimate against brute-force counting at p = 1/2
         d = chain_decomp(10)
         nu_formula = recurrence.kac_frequency(d, 0.5)
         total_time = 50.0 / nu_formula
-        nu_emp = recurrence.count_crossings(d, 0.5, total_time, 0.03, check_stability=False, refine=False)
+        nu_emp = recurrence.count_crossings(d, 0.5, total_time, 0.03, check_stability=False)
         assert nu_emp / 2.0 < 3.0 * nu_formula
         assert nu_emp / 2.0 > nu_formula / 3.0
 

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_experimental_spec
+from random_specs import random_experimental_spec
 from qsurvival import hamiltonian as ham
 from qsurvival import spectral
 from qsurvival.fock_oracle import build_full_hamiltonian, full_survival
@@ -41,6 +41,28 @@ class TestDecompose:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             spectral.decompose(np.zeros((2, 3)))
+
+
+class TestPhaseSum:
+    def test_matches_explicit_sum_with_complex_terms(self):
+        rng = np.random.default_rng(3)
+        freqs = rng.normal(size=7) - 1j * rng.uniform(0.0, 0.1, size=7)
+        weights = rng.normal(size=7) + 1j * rng.normal(size=7)
+        times = np.linspace(0.0, 20.0, 33)
+        expected = [sum(w * np.exp(-1j * x * t) for x, w in zip(freqs, weights)) for t in times]
+        np.testing.assert_allclose(spectral.phase_sum(freqs, weights, times), expected, rtol=1e-12)
+
+    def test_chunking_does_not_change_values(self):
+        # 10^6 terms make each chunk 4 times long
+        rng = np.random.default_rng(4)
+        freqs, weights = rng.normal(size=10**6), rng.uniform(size=10**6)
+        times = np.linspace(0.0, 3.0, 10)
+        chunked = spectral.phase_sum(freqs, weights, times)
+        single = np.array([spectral.phase_sum(freqs, weights, [t])[0] for t in times])
+        np.testing.assert_allclose(chunked, single, rtol=1e-9)
+
+    def test_no_terms_sum_to_zero(self):
+        np.testing.assert_array_equal(spectral.phase_sum([], [], [0.0, 1.0]), 0.0)
 
 
 class TestSurvivalAmplitude:
