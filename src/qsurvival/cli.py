@@ -10,6 +10,8 @@ files are written atomically. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
+import functools
 import json
 import math
 import os
@@ -39,7 +41,54 @@ class ConfigError(ValueError):
 
 
 # ----------------------------------------------------------------------
-# config file + flag merging
+# option types: each parses and checks one value, from a flag or a config key
+
+def _checked(cast, test, requirement: str):
+    """argparse ``type``: ``cast(text)``, refused unless ``test`` holds for the value."""
+
+    def parse(text: str):
+        value = cast(text)
+        if not test(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
+        return value
+
+    parse.__name__ = cast.__name__  # argparse says "invalid int value" for a bad cast
+    return parse
+
+
+_AT_LEAST_1 = _checked(int, lambda v: v >= 1, ">= 1")
+_POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
+
+
+def _sizes(text: str) -> list[int]:
+    """Comma list of chain sizes, each >= 1."""
+    try:
+        return [_AT_LEAST_1(s) for s in text.split(",")]
+    except (ValueError, argparse.ArgumentTypeError) as exc:
+        raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers >= 1") from exc
+
+
+def _named(usage: str, **makers):
+    """argparse ``type`` for ``name`` or ``name:<number>``: ``makers[name]([number])``."""
+
+    def parse(text: str):
+        name, colon, number = text.lower().partition(":")
+        try:
+            make = makers[name]
+            return make(float(number)) if colon else make()
+        except (KeyError, TypeError, ValueError) as exc:
+            raise argparse.ArgumentTypeError(f"expected {usage}, got {text!r}") from exc
+
+    return parse
+
+
+_coupling_law = _named("gaussian or uniform:<half-width >= 0>",
+                       gaussian=ham.GaussianCouplings, uniform=ham.UniformCouplings)
+_density = _named("box or wigner:<sigma > 0>", box=lee.UniformBox, wigner=lee.WignerSemicircle)
+
+
+# ----------------------------------------------------------------------
+# config file
 
 # config values accepted for on/off flags
 _FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -63,12 +112,17 @@ def _read_config_file(path: str) -> dict:
     return values
 
 
+def _subcommands(parser: argparse.ArgumentParser) -> dict:
+    """command name -> its subparser."""
+    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return subparsers.choices
+
+
 def _option_actions(parser: argparse.ArgumentParser) -> dict:
     """dest -> argparse action, for every option of every subcommand."""
-    (subparsers,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
     return {
         command: {a.dest: a for a in sub._actions if not isinstance(a, argparse._HelpAction)}
-        for command, sub in subparsers.choices.items()
+        for command, sub in _subcommands(parser).items()
     }
 
 
@@ -80,6 +134,8 @@ def _coerce(action: argparse.Action, key: str, raw: str):
         return _FLAG_WORDS[raw.lower()]
     try:
         value = raw if action.type is None else action.type(raw)
+    except argparse.ArgumentTypeError as exc:
+        raise ConfigError(f"config key {key}: {exc}") from exc
     except ValueError as exc:
         raise ConfigError(f"config key {key}: invalid value {raw!r}") from exc
     if action.choices is not None and value not in action.choices:
@@ -88,29 +144,26 @@ def _coerce(action: argparse.Action, key: str, raw: str):
     return value
 
 
-def _merge_config(args: argparse.Namespace, parser: argparse.ArgumentParser) -> argparse.Namespace:
-    """Fill options the command line left unset from ``args.config``.
+def _config_values(path: str, command: str, parser: argparse.ArgumentParser) -> dict:
+    """The options of ``command`` that the file at ``path`` sets, typed as flags.
 
     Every value goes through the subcommand's own argparse ``type`` and
     ``choices``, also where a flag overrides it. A key no subcommand defines
     is an error; a key that only other subcommands define draws a warning and
     is ignored, so one file can serve several subcommands.
     """
-    if not getattr(args, "config", None):
-        return args
     actions = _option_actions(parser)
-    for key, raw in _read_config_file(args.config).items():
-        action = actions[args.command].get(key)
+    values = {}
+    for key, raw in _read_config_file(path).items():
+        action = actions[command].get(key)
         if action is None:
             if not any(key in options for options in actions.values()):
-                raise ConfigError(f"{args.config}: unknown config key {key!r}")
-            print(f"warning: config key {key!r} is not used by {args.command!r}; ignored",
+                raise ConfigError(f"{path}: unknown config key {key!r}")
+            print(f"warning: config key {key!r} is not used by {command!r}; ignored",
                   file=sys.stderr)
             continue
-        value = _coerce(action, key, raw)
-        if getattr(args, key) is None:
-            setattr(args, key, value)
-    return args
+        values[key] = _coerce(action, key, raw)
+    return values
 
 
 def _require(args, names):
@@ -120,15 +173,12 @@ def _require(args, names):
 
 
 def _grid(args) -> np.ndarray:
-    tmin = 0.0 if args.tmin is None else args.tmin
-    points = 400 if args.points is None else args.points
-    if args.tmax is None:
-        raise ConfigError("missing required option --tmax")
-    if not (args.tmax > tmin >= 0.0):
-        raise ConfigError("need tmax > tmin >= 0")
-    if points < 2:
+    _require(args, ["tmax"])
+    if not (args.tmax > args.tmin >= 0.0):
+        raise ConfigError("need --tmax > --tmin >= 0")
+    if args.points < 2:
         raise ConfigError("need at least 2 grid points")
-    return np.linspace(tmin, args.tmax, points)
+    return np.linspace(args.tmin, args.tmax, args.points)
 
 
 # ----------------------------------------------------------------------
@@ -175,59 +225,35 @@ def write_json(path: str, doc: dict):
 
 def _emit_series(args, times, series: dict, meta: dict, sidecar: bool = False):
     """CSV (plus, with ``sidecar``, the meta as ``<stem>.annotations.json``) or JSON."""
-    fmt = args.format or "csv"
-    if fmt == "csv":
+    if args.format == "csv":
         write_series_csv(args.out, times, series)
         if sidecar:
             stem, _ = os.path.splitext(args.out)
             write_json(f"{stem}.annotations.json", dict(meta, version=__version__))
-    elif fmt == "json":
-        write_series_json(args.out, times, series, meta)
     else:
-        raise ConfigError(f"unknown format {fmt!r}")
+        write_series_json(args.out, times, series, meta)
 
 
 # ----------------------------------------------------------------------
 # model construction from flags
 
-def _coupling_law(args):
-    offdiag = (args.offdiag or "gaussian").lower()
-    if offdiag == "gaussian":
-        return ham.GaussianCouplings()
-    if offdiag.startswith("uniform:"):
-        return ham.UniformCouplings(float(offdiag.split(":", 1)[1]))
-    raise ConfigError("offdiag must be 'gaussian' or 'uniform:<half-width>'")
-
-
-def _environment(args):
-    env = (args.env or "diagonal").lower()
-    try:
-        return ham.Environment(env)
-    except ValueError as exc:
-        raise ConfigError("env must be 'diagonal' or 'full'") from exc
-
-
 def _model_spec(args) -> ham.HamiltonianSpec:
-    model_name = (args.model or "experimental").lower()
-    seed = args.seed or 0
     try:
-        if model_name == "chain":
+        if args.model == "chain":
             _require(args, ["n", "omega", "g"])
             model = ham.Chain(args.n, args.omega, args.g)
-        elif model_name == "experimental":
+        elif args.model == "experimental":
             _require(args, ["n", "omega", "delta", "sigma"])
             model = ham.Experimental(
-                args.n, args.omega, args.delta, args.sigma, _coupling_law(args), _environment(args)
+                args.n, args.omega, args.delta, args.sigma, args.offdiag, ham.Environment(args.env)
             )
-        elif model_name in ("rp", "rosenzweig-porter"):
+        else:  # rp, rosenzweig-porter
             _require(args, ["n", "omega", "sigma"])
             model = ham.RosenzweigPorter(args.n, args.omega, args.sigma)
-        else:
-            raise ConfigError(f"unknown model {model_name!r}")
-        return ham.HamiltonianSpec(model, seed)
+        return ham.HamiltonianSpec(model, args.seed)
+    except ConfigError:
+        raise
     except (ValueError, TypeError) as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 
@@ -245,23 +271,14 @@ def _pole_fields(pole_set: lee.PoleSet) -> dict:
 
 def _lee_params(args) -> lee.LeeParams:
     _require(args, ["omega", "delta"])
-    kappa2 = args.kappa2
-    if kappa2 is None:
-        if args.sigma is None:
-            raise ConfigError("give either --kappa2 or --sigma")
-        kappa2 = lee.coupling_from_gaussian(args.sigma, args.omega, args.delta)
-    density_name = (args.density or "box").lower()
+    if args.kappa2 is None and args.sigma is None:
+        raise ConfigError("give either --kappa2 or --sigma")
     try:
-        if density_name == "box":
-            density = lee.UniformBox()
-        elif density_name.startswith("wigner:"):
-            density = lee.WignerSemicircle(float(density_name.split(":", 1)[1]))
-        else:
-            raise ConfigError("density must be 'box' or 'wigner:<sigma>'")
-        return lee.LeeParams(args.omega, args.delta, kappa2, density)
+        kappa2 = args.kappa2
+        if kappa2 is None:
+            kappa2 = lee.coupling_from_gaussian(args.sigma, args.omega, args.delta)
+        return lee.LeeParams(args.omega, args.delta, kappa2, args.density)
     except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
         raise ConfigError(str(exc)) from exc
 
 
@@ -270,16 +287,15 @@ def _lee_params(args) -> lee.LeeParams:
 
 def cmd_chain(args) -> int:
     _require(args, ["omega", "g", "out"])
-    sizes = [int(s) for s in (args.sizes or "10,20,40,100").split(",")]
     times = _grid(args)
     series = {}
-    for n in sizes:
+    for n in args.sizes:
         params = closedform.ChainParams(n, args.g, args.omega)
         series[f"closedform_n{n}"] = closedform.chain_survival(params, times).values
         h = ham.build_chain(n, args.omega, args.g)
         series[f"spectral_n{n}"] = survival_probability(decompose(h), times).values
     series["bessel_limit"] = closedform.chain_bessel_limit(args.g, times).values
-    _emit_series(args, times, series, {"spec": {"model": "chain", "sizes": sizes, "g": args.g, "omega": args.omega}, "seed": None, "method": "closed-form+spectral+bessel"})
+    _emit_series(args, times, series, {"spec": {"model": "chain", "sizes": args.sizes, "g": args.g, "omega": args.omega}, "seed": None, "method": "closed-form+spectral+bessel"})
     return EXIT_OK
 
 
@@ -287,19 +303,12 @@ def cmd_ensemble(args) -> int:
     _require(args, ["out"])
     spec = _model_spec(args)
     times = _grid(args)
-    realizations = args.realizations or 1
-    if realizations < 1:
-        raise ConfigError("realizations must be >= 1")
-    mean, stack = ensemble_mean(spec, times, realizations, threads=args.threads)
+    mean, stack = ensemble_mean(spec, times, args.realizations, threads=args.threads)
     series = {"mean": mean}
     for r in range(stack.shape[0]):
         series[f"r{r:03d}"] = stack[r]
-    _emit_series(
-        args,
-        times,
-        series,
-        {"spec": repr(spec), "seed": spec.seed, "method": "ensemble", "realizations": realizations},
-    )
+    meta = {"spec": repr(spec), "seed": spec.seed, "method": "ensemble", "realizations": args.realizations}
+    _emit_series(args, times, series, meta)
     return EXIT_OK
 
 
@@ -307,7 +316,7 @@ def cmd_lee(args) -> int:
     _require(args, ["out"])
     params = _lee_params(args)
     times = _grid(args)
-    curve = lee.survival(params, times, method=args.method or "residue_cut")
+    curve = lee.survival(params, times, method=args.method)
     annotations = {"van_hove_rate": lee.van_hove_rate(params)}
     if isinstance(params.density, lee.UniformBox):
         annotations.update(_pole_fields(lee.poles(params)))
@@ -318,13 +327,10 @@ def cmd_lee(args) -> int:
 
 def cmd_poles(args) -> int:
     _require(args, ["omega", "delta", "out"])
-    k_min = args.kappa2_min if args.kappa2_min is not None else 1e-4
-    k_max = args.kappa2_max if args.kappa2_max is not None else 10.0
-    k_pts = args.kappa2_points if args.kappa2_points is not None else 25
-    if not (0 < k_min <= k_max) or k_pts < 1:
-        raise ConfigError("need 0 < kappa2-min <= kappa2-max and kappa2-points >= 1")
+    if not args.kappa2_min <= args.kappa2_max:
+        raise ConfigError("need --kappa2-min <= --kappa2-max")
     rows = []
-    for k2 in np.geomspace(k_min, k_max, k_pts):
+    for k2 in np.geomspace(args.kappa2_min, args.kappa2_max, args.kappa2_points):
         params = lee.LeeParams(args.omega, args.delta, float(k2))
         rows.append({"kappa2": float(k2), **_pole_fields(lee.poles(params))})
     write_json(args.out, {"meta": {"omega": args.omega, "delta": args.delta, "version": __version__}, "sweep": rows})
@@ -372,52 +378,21 @@ def cmd_recurrence(args) -> int:
     _require(args, ["out", "threshold"])
     spec = _model_spec(args)
     decomp = decompose(ham.build(spec))
-    report = recurrence.build_report(
-        decomp,
-        args.threshold,
-        observation_time=args.observation_time,
-        resolution=args.resolution,
-        empirical=bool(args.empirical),
-    )
-    doc = {
-        "meta": {"spec": repr(spec), "seed": spec.seed, "version": __version__},
-        "report": {
-            "threshold": report.threshold,
-            "nu": report.nu,
-            "tau": report.tau,
-            "empirical_nu": report.empirical_nu,
-            "empirical_return_rate": report.empirical_return_rate,
-            "observation_time": report.observation_time,
-            "low_statistics": report.low_statistics,
-            "counting": report.counting,
-            "moments": {
-                "kappa": report.moments.kappa,
-                "big_gamma": report.moments.big_gamma,
-                "gamma": report.moments.gamma,
-                "kappa_star": report.moments.kappa_star,
-                "big_gamma_star": report.moments.big_gamma_star,
-                "gamma_star": report.moments.gamma_star,
-            },
-        },
-    }
-    write_json(args.out, doc)
+    report = dataclasses.asdict(recurrence.build_report(
+        decomp, args.threshold, args.observation_time, args.resolution, empirical=args.empirical
+    ))
+    del report["moments"]["n"]
+    write_json(args.out, {"meta": {"spec": repr(spec), "seed": spec.seed, "version": __version__}, "report": report})
     return EXIT_OK
 
 
 def cmd_oracle_check(args) -> int:
-    count = args.count or 20
-    max_qubits = args.max_qubits or 8
-    if max_qubits > fock_oracle.MAX_QUBITS_EVOLVE:
-        raise ConfigError(f"max-qubits cannot exceed {fock_oracle.MAX_QUBITS_EVOLVE}")
-    seed = args.seed or 0
-    points = args.points or 200
-    tmax = args.tmax or 20.0
-    times = np.linspace(0.0, tmax, points)
-    rng = ham.stream_rng(seed, stream=987)
+    times = _grid(args)
+    rng = ham.stream_rng(args.seed, stream=987)
     worst = 0.0
     results = []
-    for case in range(count):
-        n = int(rng.integers(2, max_qubits + 1))
+    for case in range(args.count):
+        n = int(rng.integers(2, args.max_qubits + 1))
         spec = ham.HamiltonianSpec(
             ham.Experimental(
                 n,
@@ -438,36 +413,46 @@ def cmd_oracle_check(args) -> int:
     if args.out:
         write_json(
             args.out,
-            {"meta": {"version": __version__, "count": count}, "worst": worst, "passed": passed, "cases": results},
+            {"meta": {"version": __version__, "count": args.count}, "worst": worst, "passed": passed, "cases": results},
         )
-    print(f"oracle check: {count} cases, worst |full - sector| = {worst:.3e}: "
+    print(f"oracle check: {args.count} cases, worst |full - sector| = {worst:.3e}: "
           f"{'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_NUMERICAL
 
 
 # ----------------------------------------------------------------------
-# parser
+# parser: each subcommand declares exactly the options its cmd_* reads
 
-def _add_common(p):
+_MODELS = ("chain", "experimental", "rp", "rosenzweig-porter")
+
+
+def _add_output(p, formats: bool = True):
     p.add_argument("--config", help="flat key = value config file; flags win")
-    p.add_argument("--seed", type=int, default=None, help="base seed (unsigned 64-bit)")
-    p.add_argument("--threads", type=int, default=None, help="worker count (default: all cores)")
-    p.add_argument("--format", choices=["csv", "json"], default=None)
-    p.add_argument("--out", default=None, help="output file path")
-    p.add_argument("--tmin", type=float, default=None)
-    p.add_argument("--tmax", type=float, default=None)
-    p.add_argument("--points", type=int, default=None)
+    p.add_argument("--out", help="output file path")
+    if formats:
+        p.add_argument("--format", choices=["csv", "json"], default="csv", help="output file format")
+
+
+def _add_grid(p, tmax=None, points=400):
+    p.add_argument("--tmin", type=float, default=0.0, help="first grid time")
+    p.add_argument("--tmax", type=float, default=tmax, help="last grid time")
+    p.add_argument("--points", type=int, default=points, help="grid points")
+
+
+def _add_seed(p):
+    p.add_argument("--seed", type=_checked(int, lambda v: v >= 0, ">= 0"), default=0, help="base seed")
 
 
 def _add_model(p):
-    p.add_argument("--model", default=None, help="chain | experimental | rp")
-    p.add_argument("--n", type=int, default=None)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--g", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--offdiag", default=None, help="gaussian | uniform:<half-width>")
-    p.add_argument("--env", default=None, help="diagonal | full")
+    _add_seed(p)
+    p.add_argument("--model", type=str.lower, choices=_MODELS, default="experimental", help="model family")
+    p.add_argument("--n", type=int, help="number of qubits")
+    p.add_argument("--omega", type=float, help="central splitting")
+    p.add_argument("--g", type=float, help="chain coupling")
+    p.add_argument("--delta", type=float, help="environment half-width")
+    p.add_argument("--sigma", type=float, help="coupling scale")
+    p.add_argument("--offdiag", type=_coupling_law, default="gaussian", help="gaussian | uniform:<half-width>")
+    p.add_argument("--env", type=str.lower, choices=["diagonal", "full"], default="diagonal", help="environment")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -477,63 +462,73 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    add = functools.partial(sub.add_parser, formatter_class=argparse.ArgumentDefaultsHelpFormatter)
 
-    p = sub.add_parser("chain", help="closed-form, spectral, and continuum-limit chain curves")
-    _add_common(p)
-    p.add_argument("--sizes", default=None, help="comma list of chain sizes")
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--g", type=float, default=None)
+    p = add("chain", help="closed-form, spectral, and continuum-limit chain curves")
+    _add_output(p)
+    _add_grid(p)
+    p.add_argument("--sizes", type=_sizes, default="10,20,40,100", help="comma list of chain sizes")
+    p.add_argument("--omega", type=float, help="site splitting")
+    p.add_argument("--g", type=float, help="nearest-neighbour coupling")
     p.set_defaults(func=cmd_chain)
 
-    p = sub.add_parser("ensemble", help="seeded ensemble mean of survival curves")
-    _add_common(p)
+    p = add("ensemble", help="seeded ensemble mean of survival curves")
+    _add_output(p)
+    _add_grid(p)
     _add_model(p)
-    p.add_argument("--realizations", type=int, default=None)
+    p.add_argument("--realizations", type=_AT_LEAST_1, default=1, help="ensemble size")
+    p.add_argument("--threads", type=_AT_LEAST_1, help="worker count (None: all cores)")
     p.set_defaults(func=cmd_ensemble)
 
-    p = sub.add_parser("lee", help="infinite-environment survival curve")
-    _add_common(p)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--kappa2", type=float, default=None)
-    p.add_argument("--density", default=None, help="box | wigner:<sigma>")
-    p.add_argument("--method", choices=["direct", "residue_cut", "second_sheet"], default=None)
+    p = add("lee", help="infinite-environment survival curve")
+    _add_output(p)
+    _add_grid(p)
+    p.add_argument("--omega", type=float, help="central splitting")
+    p.add_argument("--delta", type=float, help="environment half-width")
+    p.add_argument("--sigma", type=float, help="Gaussian coupling scale, if no --kappa2")
+    p.add_argument("--kappa2", type=float, help="dimensionless coupling")
+    p.add_argument("--density", type=_density, default="box", help="box | wigner:<sigma>")
+    p.add_argument("--method", choices=lee.METHODS, default="residue_cut", help="amplitude route")
     p.set_defaults(func=cmd_lee)
 
-    p = sub.add_parser("poles", help="pole sweep across couplings")
-    _add_common(p)
-    p.add_argument("--omega", type=float, default=None)
-    p.add_argument("--delta", type=float, default=None)
-    p.add_argument("--kappa2-min", dest="kappa2_min", type=float, default=None)
-    p.add_argument("--kappa2-max", dest="kappa2_max", type=float, default=None)
-    p.add_argument("--kappa2-points", dest="kappa2_points", type=int, default=None)
+    p = add("poles", help="pole sweep across couplings")
+    _add_output(p, formats=False)
+    p.add_argument("--omega", type=float, help="central splitting")
+    p.add_argument("--delta", type=float, help="environment half-width")
+    p.add_argument("--kappa2-min", type=_POSITIVE, default=1e-4, help="smallest coupling")
+    p.add_argument("--kappa2-max", type=_POSITIVE, default=10.0, help="largest coupling")
+    p.add_argument("--kappa2-points", type=_AT_LEAST_1, default=25, help="couplings, log-spaced")
     p.set_defaults(func=cmd_poles)
 
-    p = sub.add_parser("perturbation", help="exact vs second- and fourth-order curves")
-    _add_common(p)
+    p = add("perturbation", help="exact vs second- and fourth-order curves")
+    _add_output(p)
+    _add_grid(p)
     _add_model(p)
-    p.add_argument("--eps", type=float, default=None, help="perturbation strength")
+    p.add_argument("--eps", type=_checked(float, lambda v: v != 0.0, "nonzero"), help="perturbation strength")
     p.set_defaults(func=cmd_perturbation)
 
-    p = sub.add_parser("bound", help="survival plus Mandelstam-Tamm bound")
-    _add_common(p)
+    p = add("bound", help="survival plus Mandelstam-Tamm bound")
+    _add_output(p)
+    _add_grid(p)
     _add_model(p)
     p.set_defaults(func=cmd_bound)
 
-    p = sub.add_parser("recurrence", help="recurrence-time report with optional empirics")
-    _add_common(p)
+    p = add("recurrence", help="recurrence-time report with optional empirics")
+    _add_output(p, formats=False)
     _add_model(p)
-    p.add_argument("--threshold", type=float, default=None, help="return level p in (0, 1)")
-    p.add_argument("--observation-time", dest="observation_time", type=float, default=None)
-    p.add_argument("--resolution", type=float, default=None)
-    p.add_argument("--empirical", action="store_true", default=None)
+    p.add_argument("--threshold", type=_checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)"), help="return level p")
+    p.add_argument("--observation-time", type=_POSITIVE, help="empirical scan length (None: suggested)")
+    p.add_argument("--resolution", type=_POSITIVE, help="empirical scan step (None: from the span)")
+    p.add_argument("--empirical", action="store_true", help="also count crossings on a time grid")
     p.set_defaults(func=cmd_recurrence)
 
-    p = sub.add_parser("oracle-check", help="full-space vs sector survival comparison")
-    _add_common(p)
-    p.add_argument("--count", type=int, default=None)
-    p.add_argument("--max-qubits", dest="max_qubits", type=int, default=None)
+    p = add("oracle-check", help="full-space vs sector survival comparison")
+    _add_output(p, formats=False)
+    _add_grid(p, tmax=20.0, points=200)
+    _add_seed(p)
+    p.add_argument("--count", type=_AT_LEAST_1, default=20, help="random cases")
+    p.add_argument("--max-qubits", type=int, choices=range(2, fock_oracle.MAX_QUBITS_EVOLVE + 1), default=8,
+                   metavar="N", help=f"largest case size, 2..{fock_oracle.MAX_QUBITS_EVOLVE} qubits")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser
@@ -543,7 +538,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        args = _merge_config(args, parser)
+        if args.config:
+            _subcommands(parser)[args.command].set_defaults(
+                **_config_values(args.config, args.command, parser))
+            args = parser.parse_args(argv)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

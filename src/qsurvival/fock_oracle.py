@@ -34,6 +34,8 @@ MAX_QUBITS_BUILD = 12
 MAX_QUBITS_EVOLVE = 10
 
 _SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
+_SIGMA_PLUS = _SIGMA_MINUS.T
+_OCCUPIED = _SIGMA_PLUS @ _SIGMA_MINUS  # a^dag a on one qubit: projector onto excited
 _EXCITED = np.array([1.0, 0.0])
 _GROUND = np.array([0.0, 1.0])
 
@@ -58,41 +60,37 @@ def _kron_chain(factors) -> np.ndarray:
     return out
 
 
+def _slot_chain(n: int, slots: dict) -> np.ndarray:
+    """Kronecker chain over qubits 1..n: ``slots[k]`` at slot k, the identity elsewhere."""
+    eye = np.eye(2)
+    return _kron_chain([slots.get(k, eye) for k in range(1, n + 1)])
+
+
 def lowering_operator(k: int, n: int) -> np.ndarray:
     """Annihilation operator of qubit k (1-based) on n qubits."""
     if not 1 <= k <= n:
         raise ValueError("qubit index out of range")
-    eye = np.eye(2)
-    return _kron_chain([_SIGMA_MINUS if i == k else eye for i in range(1, n + 1)])
+    return _slot_chain(n, {k: _SIGMA_MINUS})
 
 
 def raising_operator(k: int, n: int) -> np.ndarray:
     return lowering_operator(k, n).T
 
 
+def _occupation_operator(i: int, n: int) -> np.ndarray:
+    # a_i^dag a_i = (sigma+ sigma-) at slot i: a single Kronecker chain
+    return _slot_chain(n, {i: _OCCUPIED})
+
+
 def number_operator(n: int) -> np.ndarray:
     """Total excitation number operator (diagonal)."""
-    dim = 2**n
-    counts = np.zeros(dim)
-    for k in range(1, n + 1):
-        op = lowering_operator(k, n)
-        counts += np.diag(op.T @ op)
-    return np.diag(counts)
+    return sum((_occupation_operator(k, n) for k in range(1, n + 1)), np.zeros((2**n, 2**n)))
 
 
 def _hop_operator(i: int, j: int, n: int) -> np.ndarray:
     # a_i^dag a_j acts on disjoint tensor slots, so the product is a single
     # Kronecker chain with sigma+ at slot i and sigma- at slot j
-    eye = np.eye(2)
-    factors = []
-    for slot in range(1, n + 1):
-        if slot == i:
-            factors.append(_SIGMA_MINUS.T)
-        elif slot == j:
-            factors.append(_SIGMA_MINUS)
-        else:
-            factors.append(eye)
-    return _kron_chain(factors)
+    return _slot_chain(n, {i: _SIGMA_PLUS, j: _SIGMA_MINUS})
 
 
 def from_single_particle(matrix: np.ndarray) -> FullSpaceModel:
@@ -108,8 +106,7 @@ def from_single_particle(matrix: np.ndarray) -> FullSpaceModel:
     dim = 2**n
     h = np.zeros((dim, dim))
     for i in range(1, n + 1):
-        op = lowering_operator(i, n)
-        h += matrix[i - 1, i - 1] * (op.T @ op)
+        h += matrix[i - 1, i - 1] * _occupation_operator(i, n)
     for i in range(1, n + 1):
         for j in range(i + 1, n + 1):
             g = matrix[i - 1, j - 1]

@@ -57,6 +57,8 @@ __all__ = [
 ]
 
 _GL_NODES = 12
+# amplitude routes of ``survival``
+METHODS = ("direct", "residue_cut", "second_sheet")
 _POLE_RESIDUAL_TOL = 1e-10
 # Log-offset below which a real pole is unrepresentable in doubles; its
 # residue is then far below any tolerance and the pole list is empty.
@@ -640,6 +642,8 @@ def survival(params: LeeParams, times, method: str = "residue_cut") -> SurvivalS
     ``direct`` re-runs the line quadrature at every grid point; prefer
     ``residue_cut`` or ``second_sheet`` for long dense grids.
     """
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_times(times)
     if isinstance(params.density, WignerSemicircle):
@@ -652,10 +656,8 @@ def survival(params: LeeParams, times, method: str = "residue_cut") -> SurvivalS
     elif method == "second_sheet":
         real_term, resonance, lines = _second_sheet_terms(params, times)
         amp = real_term + resonance + lines
-    elif method == "direct":
+    else:  # direct
         amp = np.array([amplitude_direct(params, t) for t in times])
-    else:
-        raise ValueError(f"unknown method {method!r}")
     values = np.abs(np.atleast_1d(amp)) ** 2
     overshoot = float(values.max(initial=0.0) - 1.0)
     if overshoot > 1e-6:

@@ -5,7 +5,8 @@ import pytest
 
 from qsurvival import hamiltonian as ham
 from qsurvival import spectral
-from qsurvival.cli import main
+from qsurvival import cli
+from qsurvival.cli import _option_actions, _subcommands, build_parser, main
 from qsurvival.ensemble import _arrowhead_matrix, ensemble_mean, realization_survival
 
 
@@ -252,3 +253,102 @@ class TestValidationAndConfig:
         config.write_text("this line has no equals sign\n")
         code = main(["chain", "--config", str(config), "--out", str(tmp_path / "x.csv")])
         assert code == 2
+
+
+def exit_status(argv) -> int:
+    """``main``'s return value, or the status argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+CHAIN = ["chain", "--omega", "1", "--g", "0.5", "--tmax", "5"]
+ENSEMBLE = ["ensemble", "--n", "4", "--omega", "1", "--delta", "0.1", "--sigma", "0.1", "--tmax", "5"]
+CHAIN_MODEL = ["--model", "chain", "--n", "4", "--omega", "1", "--g", "0.5"]
+RECURRENCE = ["recurrence", *CHAIN_MODEL, "--threshold", "0.5"]
+
+# subcommand -> every option it declares; each one is read by its cmd_* function
+OPTIONS = {
+    "chain": {"config", "out", "format", "tmin", "tmax", "points", "sizes", "omega", "g"},
+    "ensemble": {"config", "out", "format", "tmin", "tmax", "points", "seed", "model", "n", "omega",
+                 "g", "delta", "sigma", "offdiag", "env", "realizations", "threads"},
+    "lee": {"config", "out", "format", "tmin", "tmax", "points", "omega", "delta", "sigma", "kappa2",
+            "density", "method"},
+    "poles": {"config", "out", "omega", "delta", "kappa2_min", "kappa2_max", "kappa2_points"},
+    "perturbation": {"config", "out", "format", "tmin", "tmax", "points", "seed", "model", "n",
+                     "omega", "g", "delta", "sigma", "offdiag", "env", "eps"},
+    "bound": {"config", "out", "format", "tmin", "tmax", "points", "seed", "model", "n", "omega", "g",
+              "delta", "sigma", "offdiag", "env"},
+    "recurrence": {"config", "out", "seed", "model", "n", "omega", "g", "delta", "sigma", "offdiag",
+                   "env", "threshold", "observation_time", "resolution", "empirical"},
+    "oracle-check": {"config", "out", "tmin", "tmax", "points", "seed", "count", "max_qubits"},
+}
+
+
+class TestOptionDeclarations:
+    def test_each_subcommand_declares_the_options_it_reads(self):
+        actions = _option_actions(build_parser())
+        assert {command: set(options) for command, options in actions.items()} == OPTIONS
+
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_help_shows_each_default(self, command):
+        parser = build_parser()
+        text = " ".join(_subcommands(parser)[command].format_help().split())
+        for action in _option_actions(parser)[command].values():
+            if action.default is not None:
+                assert f"(default: {action.default})" in text
+
+    @pytest.mark.parametrize("argv, flag", [
+        ([*CHAIN, "--sizes", "4,x"], "--sizes"),
+        ([*CHAIN, "--sizes", "0"], "--sizes"),
+        ([*ENSEMBLE, "--realizations", "0"], "--realizations"),
+        ([*ENSEMBLE, "--threads", "-3"], "--threads"),
+        (["oracle-check", "--count", "0"], "--count"),
+        (["oracle-check", "--max-qubits", "1"], "--max-qubits"),
+        (["oracle-check", "--tmax", "-5"], "--tmax"),
+        (["recurrence", *CHAIN_MODEL, "--threshold", "1.5"], "--threshold"),
+        (["recurrence", *CHAIN_MODEL, "--threshold", "0"], "--threshold"),
+        ([*RECURRENCE, "--empirical", "--observation-time", "-1"], "--observation-time"),
+        (["perturbation", *CHAIN_MODEL, "--eps", "0", "--tmax", "5"], "--eps"),
+        (["lee", "--omega", "1", "--delta", "0", "--sigma", "0.1", "--tmax", "5"], "delta"),
+    ])
+    def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
+        out = tmp_path / "x.out"
+        assert exit_status([*argv, "--out", str(out)]) == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["poles", "--omega", "1", "--delta", "0.1", "--tmax", "5"],
+        [*RECURRENCE, "--format", "csv"],
+        ["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-2", "--tmax", "5", "--seed", "1"],
+        [*CHAIN, "--threads", "2"],
+    ])
+    def test_option_a_subcommand_does_not_read_exits_2(self, argv, tmp_path, capsys):
+        assert exit_status([*argv, "--out", str(tmp_path / "x.out")]) == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_config_tmax_overrides_oracle_default_and_flag_wins(self, tmp_path, monkeypatch):
+        grids = []
+
+        def spy(decomp, times, **kwargs):
+            grids.append((times[0], times[-1], times.size))
+            return spectral.survival_probability(decomp, times, **kwargs)
+
+        monkeypatch.setattr(cli, "survival_probability", spy)
+        config = tmp_path / "run.cfg"
+        config.write_text("tmax = 5\ncount = 1\nmax-qubits = 2\n")
+        assert main(["oracle-check", "--config", str(config)]) == 0
+        assert main(["oracle-check", "--config", str(config), "--tmax", "7", "--points", "9"]) == 0
+        assert main(["oracle-check", "--count", "1", "--max-qubits", "2"]) == 0
+        assert grids == [(0.0, 5.0, 200), (0.0, 7.0, 9), (0.0, 20.0, 200)]
+
+    def test_recurrence_report_keys(self, tmp_path):
+        out = tmp_path / "rec.json"
+        assert main([*RECURRENCE, "--out", str(out)]) == 0
+        report = json.loads(out.read_text())["report"]
+        assert set(report) == {"threshold", "nu", "tau", "empirical_nu", "empirical_return_rate",
+                               "observation_time", "low_statistics", "counting", "moments"}
+        assert set(report["moments"]) == {"kappa", "big_gamma", "gamma", "kappa_star",
+                                          "big_gamma_star", "gamma_star"}

@@ -34,6 +34,12 @@ class TestLadderOperators:
         comm = model.hamiltonian @ num - num @ model.hamiltonian
         assert np.max(np.abs(comm)) <= 1e-12
 
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_number_operator_counts_excitations(self, n):
+        num = fock_oracle.number_operator(n)
+        occupations = 2**n - 1 - np.arange(2**n)  # qubit 1 excited is the first basis vector
+        np.testing.assert_array_equal(num, np.diag([bin(v).count("1") for v in occupations]))
+
 
 def displayed_blocks_n4(e, g):
     """The three nontrivial 4-qubit sector matrices, in the displayed ordering."""

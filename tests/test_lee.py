@@ -308,6 +308,8 @@ class TestSurvival:
     def test_wigner_tagged_closed_form(self, method, tmp_path):
         params = lee.LeeParams(1.0, 0.0, 0.0, lee.WignerSemicircle(0.2))
         assert lee.survival(params, np.linspace(0.0, 5.0, 4), method=method).method == "closed-form"
+        with pytest.raises(ValueError, match="cauchy"):
+            lee.survival(params, np.linspace(0.0, 5.0, 4), method="cauchy")
         out = tmp_path / "lee.json"
         assert main([
             "lee", "--omega", "1", "--delta", "0.1", "--kappa2", "0", "--density", "wigner:0.2",
