@@ -10,6 +10,7 @@ files are written atomically. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import functools
 import json
@@ -237,8 +238,19 @@ def _emit_series(args, times, series: dict, meta: dict, sidecar: bool = False):
 # ----------------------------------------------------------------------
 # model construction from flags
 
-def _model_spec(args) -> ham.HamiltonianSpec:
+@contextlib.contextmanager
+def _flag_values():
+    """A ValueError or TypeError raised while building from the flags is a ConfigError."""
     try:
+        yield
+    except ConfigError:
+        raise
+    except (ValueError, TypeError) as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def _model_spec(args) -> ham.HamiltonianSpec:
+    with _flag_values():
         if args.model == "chain":
             _require(args, ["n", "omega", "g"])
             model = ham.Chain(args.n, args.omega, args.g)
@@ -251,10 +263,6 @@ def _model_spec(args) -> ham.HamiltonianSpec:
             _require(args, ["n", "omega", "sigma"])
             model = ham.RosenzweigPorter(args.n, args.omega, args.sigma)
         return ham.HamiltonianSpec(model, args.seed)
-    except ConfigError:
-        raise
-    except (ValueError, TypeError) as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 def _pole_fields(pole_set: lee.PoleSet) -> dict:
@@ -273,13 +281,11 @@ def _lee_params(args) -> lee.LeeParams:
     _require(args, ["omega", "delta"])
     if args.kappa2 is None and args.sigma is None:
         raise ConfigError("give either --kappa2 or --sigma")
-    try:
+    with _flag_values():
         kappa2 = args.kappa2
         if kappa2 is None:
             kappa2 = lee.coupling_from_gaussian(args.sigma, args.omega, args.delta)
         return lee.LeeParams(args.omega, args.delta, kappa2, args.density)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
 
 
 # ----------------------------------------------------------------------
@@ -303,11 +309,15 @@ def cmd_ensemble(args) -> int:
     _require(args, ["out"])
     spec = _model_spec(args)
     times = _grid(args)
-    mean, stack = ensemble_mean(spec, times, args.realizations, threads=args.threads)
+    mean, draws = ensemble_mean(spec, times, args.realizations, threads=args.threads)
     series = {"mean": mean}
-    for r in range(stack.shape[0]):
-        series[f"r{r:03d}"] = stack[r]
-    meta = {"spec": repr(spec), "seed": spec.seed, "method": "ensemble", "realizations": args.realizations}
+    for r, draw in enumerate(draws):
+        series[f"r{r:03d}"] = draw.values
+    meta = {"spec": repr(spec), "seed": spec.seed, "method": "ensemble", "realizations": args.realizations,
+            "route": draws[0].route}
+    if draws[0].route == "chebyshev":
+        meta["chebyshev_terms"] = max(d.terms for d in draws)
+        meta["bessel_tail_bound"] = max(d.tail_bound for d in draws)
     _emit_series(args, times, series, meta)
     return EXIT_OK
 
@@ -329,10 +339,10 @@ def cmd_poles(args) -> int:
     _require(args, ["omega", "delta", "out"])
     if not args.kappa2_min <= args.kappa2_max:
         raise ConfigError("need --kappa2-min <= --kappa2-max")
-    rows = []
-    for k2 in np.geomspace(args.kappa2_min, args.kappa2_max, args.kappa2_points):
-        params = lee.LeeParams(args.omega, args.delta, float(k2))
-        rows.append({"kappa2": float(k2), **_pole_fields(lee.poles(params))})
+    with _flag_values():
+        sweep = [lee.LeeParams(args.omega, args.delta, float(k2))
+                 for k2 in np.geomspace(args.kappa2_min, args.kappa2_max, args.kappa2_points)]
+    rows = [{"kappa2": params.kappa2, **_pole_fields(lee.poles(params))} for params in sweep]
     write_json(args.out, {"meta": {"omega": args.omega, "delta": args.delta, "version": __version__}, "sweep": rows})
     return EXIT_OK
 

@@ -121,7 +121,13 @@ class LeeParams:
 
 @dataclass(frozen=True)
 class RealPole:
-    """Real-axis pole with its residue and exact distance from the cut edge."""
+    """Real-axis pole with its residue and exact distance from the cut edge.
+
+    At weak coupling ``cut_offset`` can be far below the spacing of doubles
+    near the edge (7.4e-45 at kappa2 = 1e-3, omega = 1, delta = 0.1), so
+    ``location`` rounds onto the cut edge itself, where the level shift is
+    singular. Use ``cut_offset`` for anything that depends on the distance.
+    """
 
     location: float
     residue: float

@@ -1,6 +1,8 @@
 """Eigendecomposition of single-excitation Hamiltonians and the exact
 survival machinery built on it: amplitudes, probabilities, energy variance,
-the Mandelstam-Tamm lower bound, and the finite-size level-shift function.
+the Mandelstam-Tamm lower bound, and the finite-size level-shift function;
+plus the eigensolver-free route, Chebyshev propagation of the amplitude
+from a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -19,6 +21,9 @@ __all__ = [
     "LevelShiftSingularity",
     "decompose",
     "phase_sum",
+    "bessel_table",
+    "ChebyshevAmplitude",
+    "chebyshev_amplitude",
     "survival_amplitude",
     "survival_probability",
     "energy_variance",
@@ -29,6 +34,14 @@ __all__ = [
 ]
 
 _WEIGHT_NORMALIZATION_TOL = 1e-10
+# entries of one (times x terms) block in the chunked sums
+_CHUNK_ENTRIES = 4_000_000
+# Chebyshev orders whose |J_k(a t)| stays below this everywhere on the grid are dropped
+_BESSEL_TAIL_TOL = 1e-16
+# Miller recurrence: divide a column by this once it exceeds it
+_MILLER_RESCALE = 1e250
+# below this |x| the Bessel table is the leading series term
+_SERIES_MAX_X = 1e-20
 
 
 class EigensolverError(RuntimeError):
@@ -95,11 +108,124 @@ def phase_sum(freqs, weights, times) -> np.ndarray:
     freqs = np.asarray(freqs)
     times = np.atleast_1d(np.asarray(times, dtype=float))
     out = np.empty(times.size, dtype=complex)
-    step = max(1, int(4e6) // max(freqs.size, 1))
+    step = max(1, _CHUNK_ENTRIES // max(freqs.size, 1))
     for lo in range(0, times.size, step):
         chunk = times[lo : lo + step, None] * freqs[None, :]
         out[lo : lo + step] = np.exp(-1j * chunk) @ weights
     return out
+
+
+def _miller_start(x: np.ndarray) -> np.ndarray:
+    """Order at which the backward recurrence for J_k(x), x >= 0, starts."""
+    return np.ceil(x + 12.0 * np.cbrt(x) + 40.0).astype(int)
+
+
+def bessel_table(orders: int, x) -> np.ndarray:
+    """J_k(x) for k < ``orders`` at each ``x``, shape (orders, x.size).
+
+    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, vectorised
+    over x: each column starts from J_{s+1} = 0, J_s = 1 at its own order
+    s = ceil(|x| + 12 |x|^(1/3) + 40), is rescaled before it can overflow,
+    and is normalised by J_0 + 2 sum_k J_2k = 1. Below |x| = 1e-20 the
+    leading series term (x/2)^k / k! is exact in double precision. Negative
+    x use J_k(-x) = (-1)^k J_k(x).
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    ax = np.abs(x)
+    start = _miller_start(ax)
+    top = max(int(start.max(initial=0)), orders)
+    table = np.zeros((top + 1, x.size))
+    live = ax > _SERIES_MAX_X
+    inv = np.divide(2.0, ax, out=np.zeros_like(ax), where=live)
+    above = np.zeros(x.size)
+    here = np.zeros(x.size)
+    for k in range(top, 0, -1):
+        here[live & (start == k)] = 1.0
+        table[k] = here
+        above, here = here, k * inv * here - above
+        big = np.abs(here) > _MILLER_RESCALE
+        if big.any():
+            table[k:, big] /= _MILLER_RESCALE
+            above[big] /= _MILLER_RESCALE
+            here[big] /= _MILLER_RESCALE
+    table[0] = here
+    table[:, live] /= table[0, live] + 2.0 * table[2::2, live].sum(axis=0)
+    small = ~live
+    if small.any():
+        table[0, small] = 1.0
+        table[1:, small] = np.cumprod(0.5 * ax[small] / np.arange(1, top + 1)[:, None], axis=0)
+    table[1::2, x < 0.0] *= -1.0
+    return table[:orders]
+
+
+@dataclass(frozen=True)
+class ChebyshevAmplitude:
+    """Survival amplitudes from a truncated Chebyshev expansion.
+
+    ``terms`` moments were kept; ``tail_bound`` is the largest dropped
+    |J_k(a t)| on the grid, which bounds each dropped term.
+    """
+
+    values: np.ndarray
+    terms: int
+    tail_bound: float
+
+
+def _chebyshev_moments(matvec, n: int, center: float, radius: float, count: int) -> np.ndarray:
+    """mu_k = <e1|T_k((H - center) / radius)|e1> for k < count.
+
+    With v_k = T_k(.) e1, the doubling identities mu_2k = 2 <v_k, v_k> - mu_0
+    and mu_2k-1 = 2 <v_k, v_k-1> - mu_1 give 2K + 1 moments from K products
+    with H (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)).
+    """
+    steps = max(1, count // 2)
+    mu = np.empty(2 * steps + 1)
+    previous = np.zeros(n)
+    previous[0] = 1.0
+    current = (matvec(previous) - center * previous) / radius
+    mu[0], mu[1] = 1.0, current[0]
+    for k in range(1, steps + 1):
+        mu[2 * k] = 2.0 * (current @ current) - mu[0]
+        mu[2 * k - 1] = 2.0 * (current @ previous) - mu[1]
+        if k < steps:
+            scaled = (matvec(current) - center * current) / radius
+            previous, current = current, 2.0 * scaled - previous
+    return mu[:count]
+
+
+def chebyshev_amplitude(matvec, n: int, lo: float, hi: float, times) -> ChebyshevAmplitude:
+    """<e1|exp(-iHt)|e1> for the real symmetric H of ``matvec``, spectrum in [lo, hi].
+
+    A(t) = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(a t) mu_k with
+    b = (hi + lo) / 2, a = (hi - lo) / 2 and mu_k = <e1|T_k((H - b) / a)|e1>
+    (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). The expansion
+    keeps every order up to the last with |J_k(a t)| >= 1e-16 somewhere on
+    the grid. Any grid works: times may be unsorted, negative or non-uniform.
+    """
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    if not np.all(np.isfinite(times)):
+        raise ValueError("times must be finite")
+    if not hi >= lo:
+        raise ValueError("need hi >= lo")
+    center = 0.5 * (hi + lo)
+    radius = 0.5 * (hi - lo) or 1.0
+    # for k > x, |J_k(x)| grows with x, so the largest |t| bounds the tail on the grid
+    x_max = radius * float(np.max(np.abs(times), initial=0.0))
+    column = np.abs(bessel_table(int(_miller_start(np.array(x_max))) + 1, x_max)[:, 0])
+    terms = int(np.flatnonzero(column >= _BESSEL_TAIL_TOL)[-1]) + 1
+    tail = float(column[terms:].max(initial=0.0))
+    k = np.arange(terms)
+    # real part of (2 - delta_k0) (-i)^k mu_k for even k, imaginary part for odd k
+    coeffs = np.where(k == 0, 1.0, 2.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4]
+    coeffs *= _chebyshev_moments(matvec, n, center, radius, terms)
+    values = np.empty(times.size, dtype=complex)
+    step = max(1, _CHUNK_ENTRIES // column.size)
+    for first in range(0, times.size, step):
+        chunk = times[first : first + step]
+        table = bessel_table(terms, radius * chunk)
+        series = coeffs[0::2] @ table[0::2] + 1j * (coeffs[1::2] @ table[1::2])
+        values[first : first + step] = np.exp(-1j * center * chunk) * series
+    return ChebyshevAmplitude(values, terms, tail)
 
 
 def survival_amplitude(decomp: SpectralDecomposition, t):

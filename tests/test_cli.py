@@ -7,38 +7,73 @@ from qsurvival import hamiltonian as ham
 from qsurvival import spectral
 from qsurvival import cli
 from qsurvival.cli import _option_actions, _subcommands, build_parser, main
-from qsurvival.ensemble import _arrowhead_matrix, ensemble_mean, realization_survival
+from qsurvival import ensemble
+from qsurvival.ensemble import ensemble_mean, realization_survival
 
 
 class TestEnsembleRunner:
     def test_sparse_path_matches_dense_eigensolve(self):
         spec = ham.HamiltonianSpec(ham.Experimental(800, 1.0, 0.1, 0.05), seed=31)
-        times = np.linspace(0.0, 120.0, 121)
-        fast = realization_survival(spec, times, stream=2)
-        dense = spectral.survival_probability(
-            spectral.decompose(ham.build(spec, stream=2)), times
-        ).values
-        assert np.max(np.abs(fast - dense)) < 1e-8
+        uniform = np.linspace(0.0, 120.0, 121)
+        scattered = np.sort(np.r_[np.random.default_rng(4).uniform(-150.0, 400.0, 90), 0.0])
+        dense = spectral.decompose(ham.build(spec, stream=2))
+        for times in (uniform, scattered):
+            fast = realization_survival(spec, times, stream=2)
+            assert fast.route == "chebyshev"
+            exact = spectral.survival_probability(dense, times).values
+            assert np.max(np.abs(fast.values - exact)) <= 1e-12
+
+    def test_chebyshev_path_matches_dense_eigensolve_at_n_1500(self):
+        model = ham.Experimental(1500, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02))
+        spec = ham.HamiltonianSpec(model, seed=8)
+        times = np.r_[-40.0, 0.0, np.geomspace(0.5, 2000.0, 120)]
+        fast = realization_survival(spec, times, stream=5)
+        exact = spectral.survival_probability(spectral.decompose(ham.build(spec, stream=5)), times).values
+        assert np.max(np.abs(fast.values - exact)) <= 1e-12
+
+    def test_large_diagonal_environment_never_decomposes(self, monkeypatch):
+        def refuse(h):
+            raise AssertionError("dense eigensolve on the Chebyshev route")
+
+        monkeypatch.setattr(ensemble, "decompose", refuse)
+        spec = ham.HamiltonianSpec(ham.Experimental(ensemble._SPARSE_PATH_MIN_N, 1.0, 0.1, 0.05), seed=3)
+        for times in (np.linspace(0.0, 50.0, 11), np.array([-3.0, 0.0, 0.1, 7.0, 7.5])):
+            draw = realization_survival(spec, times, stream=1)
+            assert draw.route == "chebyshev" and draw.terms >= 1 and draw.tail_bound < 1e-16
 
     @pytest.mark.parametrize("law", [ham.GaussianCouplings(), ham.UniformCouplings(0.2)])
-    def test_sparse_matrix_is_the_sampled_matrix(self, law):
+    def test_arrowhead_matvec_is_the_sampled_matrix(self, law, rng):
         spec = ham.HamiltonianSpec(ham.Experimental(40, 1.0, 0.1, 0.05, law), seed=17)
         for stream in (0, 3):
-            sparse = _arrowhead_matrix(spec, stream).toarray()
-            assert sparse.tobytes() == ham.build(spec, stream).tobytes()
+            matvec, lo, hi = ensemble._arrowhead(spec, stream)
+            h = ham.build(spec, stream)
+            for _ in range(3):
+                x = rng.normal(size=40)
+                np.testing.assert_allclose(matvec(x), h @ x, rtol=0.0, atol=1e-15)
+            eigenvalues = np.linalg.eigvalsh(h)
+            assert lo <= eigenvalues[0] and eigenvalues[-1] <= hi
 
     def test_mean_is_mean_of_stack(self):
         spec = ham.HamiltonianSpec(ham.Experimental(20, 1.0, 0.1, 0.3), seed=5)
         times = np.linspace(0.0, 10.0, 30)
-        mean, stack = ensemble_mean(spec, times, realizations=6, threads=3)
+        mean, draws = ensemble_mean(spec, times, realizations=6, threads=3)
+        stack = np.vstack([d.values for d in draws])
         np.testing.assert_array_equal(mean, stack.mean(axis=0))
         assert stack.shape == (6, 30)
+        assert {d.route for d in draws} == {"eigh"}
 
     def test_worker_count_does_not_change_result(self):
         spec = ham.HamiltonianSpec(ham.Experimental(15, 1.0, 0.1, 0.3), seed=9)
         times = np.linspace(0.0, 5.0, 20)
         serial, _ = ensemble_mean(spec, times, realizations=5, threads=1)
         parallel, _ = ensemble_mean(spec, times, realizations=5, threads=4)
+        assert serial.tobytes() == parallel.tobytes()
+
+    def test_worker_count_does_not_change_the_chebyshev_route(self):
+        spec = ham.HamiltonianSpec(ham.Experimental(700, 1.0, 0.1, 0.05), seed=9)
+        times = np.linspace(0.0, 300.0, 40)
+        serial, _ = ensemble_mean(spec, times, realizations=4, threads=1)
+        parallel, _ = ensemble_mean(spec, times, realizations=4, threads=3)
         assert serial.tobytes() == parallel.tobytes()
 
 
@@ -77,6 +112,22 @@ class TestCommands:
         series = doc["series"]
         stack = np.array([series[f"r{r:03d}"] for r in range(4)])
         np.testing.assert_allclose(np.array(series["mean"]), stack.mean(axis=0), atol=1e-15)
+
+    @pytest.mark.parametrize("n, route", [(20, "eigh"), (800, "chebyshev")])
+    def test_ensemble_json_meta_names_the_route(self, n, route, tmp_path):
+        out = tmp_path / "ens.json"
+        assert main([
+            "ensemble", "--n", str(n), "--omega", "1", "--delta", "0.1", "--sigma", "0.05",
+            "--realizations", "2", "--tmax", "200", "--points", "21", "--format", "json",
+            "--out", str(out),
+        ]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["route"] == route
+        if route == "chebyshev":
+            assert meta["chebyshev_terms"] > 200 * 0.1  # more terms than a t_max radians
+            assert 0.0 <= meta["bessel_tail_bound"] < 1e-16
+        else:
+            assert "chebyshev_terms" not in meta and "bessel_tail_bound" not in meta
 
     def test_lee_csv_with_annotations(self, tmp_path):
         out = tmp_path / "lee.csv"
@@ -312,6 +363,8 @@ class TestOptionDeclarations:
         ([*RECURRENCE, "--empirical", "--observation-time", "-1"], "--observation-time"),
         (["perturbation", *CHAIN_MODEL, "--eps", "0", "--tmax", "5"], "--eps"),
         (["lee", "--omega", "1", "--delta", "0", "--sigma", "0.1", "--tmax", "5"], "delta"),
+        (["poles", "--omega", "1", "--delta", "0"], "delta"),
+        (["poles", "--omega", "-1", "--delta", "0.1"], "omega"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "x.out"
