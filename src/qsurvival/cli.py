@@ -414,17 +414,16 @@ def cmd_oracle_check(args) -> int:
             seed=int(rng.integers(0, 2**63)),
         )
         model = fock_oracle.build_full_hamiltonian(spec)
-        full = fock_oracle.full_survival(model, times).values
+        full = fock_oracle.full_survival(model, times)
         sector = survival_probability(decompose(ham.build(spec)), times).values
-        diff = float(np.max(np.abs(full - sector)))
+        diff = float(np.max(np.abs(full.values - sector)))
         worst = max(worst, diff)
-        results.append({"n": n, "seed": spec.seed, "max_abs_diff": diff})
+        results.append({"n": n, "seed": spec.seed, "max_abs_diff": diff,
+                        "chebyshev_terms": full.terms, "bessel_tail_bound": full.tail_bound})
     passed = worst <= 1e-10
     if args.out:
-        write_json(
-            args.out,
-            {"meta": {"version": __version__, "count": args.count}, "worst": worst, "passed": passed, "cases": results},
-        )
+        meta = {"version": __version__, "count": args.count, "full_route": "chebyshev"}
+        write_json(args.out, {"meta": meta, "worst": worst, "passed": passed, "cases": results})
     print(f"oracle check: {args.count} cases, worst |full - sector| = {worst:.3e}: "
           f"{'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_NUMERICAL
@@ -537,8 +536,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p, tmax=20.0, points=200)
     _add_seed(p)
     p.add_argument("--count", type=_AT_LEAST_1, default=20, help="random cases")
-    p.add_argument("--max-qubits", type=int, choices=range(2, fock_oracle.MAX_QUBITS_EVOLVE + 1), default=8,
-                   metavar="N", help=f"largest case size, 2..{fock_oracle.MAX_QUBITS_EVOLVE} qubits")
+    p.add_argument("--max-qubits", type=int, choices=range(2, fock_oracle.MAX_QUBITS + 1), default=8,
+                   metavar="N", help=f"largest case size, 2..{fock_oracle.MAX_QUBITS} qubits")
     p.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -171,19 +171,21 @@ class ChebyshevAmplitude:
     tail_bound: float
 
 
-def _chebyshev_moments(matvec, n: int, center: float, radius: float, count: int) -> np.ndarray:
-    """mu_k = <e1|T_k((H - center) / radius)|e1> for k < count.
+def _chebyshev_moments(
+    matvec, n: int, center: float, radius: float, count: int, start: int = 0
+) -> np.ndarray:
+    """mu_k = <e_start|T_k((H - center) / radius)|e_start> for k < count.
 
-    With v_k = T_k(.) e1, the doubling identities mu_2k = 2 <v_k, v_k> - mu_0
+    With v_k = T_k(.) e_start, the doubling identities mu_2k = 2 <v_k, v_k> - mu_0
     and mu_2k-1 = 2 <v_k, v_k-1> - mu_1 give 2K + 1 moments from K products
     with H (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)).
     """
     steps = max(1, count // 2)
     mu = np.empty(2 * steps + 1)
     previous = np.zeros(n)
-    previous[0] = 1.0
+    previous[start] = 1.0
     current = (matvec(previous) - center * previous) / radius
-    mu[0], mu[1] = 1.0, current[0]
+    mu[0], mu[1] = 1.0, current[start]
     for k in range(1, steps + 1):
         mu[2 * k] = 2.0 * (current @ current) - mu[0]
         mu[2 * k - 1] = 2.0 * (current @ previous) - mu[1]
@@ -193,11 +195,13 @@ def _chebyshev_moments(matvec, n: int, center: float, radius: float, count: int)
     return mu[:count]
 
 
-def chebyshev_amplitude(matvec, n: int, lo: float, hi: float, times) -> ChebyshevAmplitude:
-    """<e1|exp(-iHt)|e1> for the real symmetric H of ``matvec``, spectrum in [lo, hi].
+def chebyshev_amplitude(
+    matvec, n: int, lo: float, hi: float, times, start: int = 0
+) -> ChebyshevAmplitude:
+    """<e_start|exp(-iHt)|e_start> for the real symmetric H of ``matvec``, spectrum in [lo, hi].
 
     A(t) = e^{-ibt} sum_k (2 - delta_k0) (-i)^k J_k(a t) mu_k with
-    b = (hi + lo) / 2, a = (hi - lo) / 2 and mu_k = <e1|T_k((H - b) / a)|e1>
+    b = (hi + lo) / 2, a = (hi - lo) / 2 and mu_k = <e_start|T_k((H - b) / a)|e_start>
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). The expansion
     keeps every order up to the last with |J_k(a t)| >= 1e-16 somewhere on
     the grid. Any grid works: times may be unsorted, negative or non-uniform.
@@ -217,7 +221,7 @@ def chebyshev_amplitude(matvec, n: int, lo: float, hi: float, times) -> Chebyshe
     k = np.arange(terms)
     # real part of (2 - delta_k0) (-i)^k mu_k for even k, imaginary part for odd k
     coeffs = np.where(k == 0, 1.0, 2.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4]
-    coeffs *= _chebyshev_moments(matvec, n, center, radius, terms)
+    coeffs *= _chebyshev_moments(matvec, n, center, radius, terms, start)
     values = np.empty(times.size, dtype=complex)
     step = max(1, _CHUNK_ENTRIES // column.size)
     for first in range(0, times.size, step):

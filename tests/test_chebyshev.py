@@ -79,3 +79,18 @@ class TestChebyshevAmplitude:
     def test_rejects_non_finite_times(self):
         with pytest.raises(ValueError, match="finite"):
             spectral.chebyshev_amplitude(lambda x: x, 3, -1.0, 1.0, np.array([0.0, np.nan]))
+
+
+@pytest.mark.parametrize("start", [0, 1, 17, 39])
+def test_start_index_matches_the_swapped_eigensolve(start, rng):
+    """<e_j|exp(-iHt)|e_j> is the e1 amplitude of H with rows and columns 0 and j swapped."""
+    n = 40
+    a = rng.normal(size=(n, n))
+    h = 0.5 * (a + a.T)
+    order = np.arange(n)
+    order[[0, start]] = order[[start, 0]]
+    times = np.linspace(-30.0, 50.0, 161)
+    bound = float(np.abs(h).sum(axis=1).max())
+    amplitude = spectral.chebyshev_amplitude(lambda x: h @ x, n, -bound, bound, times, start=start)
+    exact = spectral.survival_amplitude(spectral.decompose(h[np.ix_(order, order)]), times)
+    assert np.max(np.abs(amplitude.values - exact)) <= 1e-12

@@ -200,6 +200,18 @@ class TestCommands:
         assert "PASS" in capsys.readouterr().out
         assert json.loads(out.read_text())["passed"] is True
 
+    def test_oracle_check_json_names_the_route(self, tmp_path):
+        out = tmp_path / "oracle.json"
+        assert main([
+            "oracle-check", "--count", "3", "--max-qubits", "16", "--seed", "3",
+            "--points", "21", "--tmax", "10", "--out", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["full_route"] == "chebyshev"
+        for case in doc["cases"]:
+            assert case["chebyshev_terms"] > 10  # more than a t_max: the spectral half-width is >= 1
+            assert 0.0 <= case["bessel_tail_bound"] < 1e-16
+
 
 class TestValidationAndConfig:
     def test_missing_grid_is_config_error(self, tmp_path):

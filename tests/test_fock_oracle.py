@@ -1,5 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import sparse
 
 from random_specs import random_experimental_spec
 from qsurvival import closedform, fock_oracle, spectral
@@ -9,12 +14,12 @@ from qsurvival import hamiltonian as ham
 class TestLadderOperators:
     def test_single_qubit_hamiltonian(self):
         model = fock_oracle.from_single_particle(np.array([[0.7]]))
-        np.testing.assert_array_equal(model.hamiltonian, np.diag([0.7, 0.0]))
+        np.testing.assert_array_equal(model.hamiltonian.toarray(), np.diag([0.7, 0.0]))
 
     def test_on_site_anticommutation_and_nilpotency(self):
         n = 4
         for k in range(1, n + 1):
-            a = fock_oracle.lowering_operator(k, n)
+            a = fock_oracle.lowering_operator(k, n).toarray()
             assert np.array_equal(a @ a, np.zeros_like(a))
             anti = a @ a.T + a.T @ a
             np.testing.assert_array_equal(anti, np.eye(2**n))
@@ -23,7 +28,8 @@ class TestLadderOperators:
         n = 4
         for k in range(1, n):
             for l in range(k + 1, n + 1):
-                a, b = fock_oracle.lowering_operator(k, n), fock_oracle.lowering_operator(l, n)
+                a = fock_oracle.lowering_operator(k, n).toarray()
+                b = fock_oracle.lowering_operator(l, n).toarray()
                 np.testing.assert_array_equal(a @ b - b @ a, np.zeros_like(a))
                 np.testing.assert_array_equal(a @ b.T - b.T @ a, np.zeros_like(a))
 
@@ -36,7 +42,7 @@ class TestLadderOperators:
 
     @pytest.mark.parametrize("n", [1, 3, 6])
     def test_number_operator_counts_excitations(self, n):
-        num = fock_oracle.number_operator(n)
+        num = fock_oracle.number_operator(n).toarray()
         occupations = 2**n - 1 - np.arange(2**n)  # qubit 1 excited is the first basis vector
         np.testing.assert_array_equal(num, np.diag([bin(v).count("1") for v in occupations]))
 
@@ -159,7 +165,7 @@ class TestFullSurvival:
     def test_sector_closure_under_evolution(self, rng):
         spec = random_experimental_spec(rng, n=6, env=ham.Environment.FULL)
         model = fock_oracle.build_full_hamiltonian(spec)
-        eigenvalues, vectors = np.linalg.eigh(model.hamiltonian)
+        eigenvalues, vectors = np.linalg.eigh(model.hamiltonian.toarray())
         psi0 = np.zeros(2**6)
         psi0[model.initial_state] = 1.0
         outside = np.ones(2**6, dtype=bool)
@@ -178,7 +184,82 @@ class TestFullSurvival:
 
     def test_size_guards(self):
         with pytest.raises(fock_oracle.SizeRefusal):
-            fock_oracle.from_single_particle(np.eye(13))
-        model = fock_oracle.FullSpaceModel(11, np.zeros((2, 2)), 0)
+            fock_oracle.from_single_particle(np.eye(fock_oracle.MAX_QUBITS + 1))
+        model = fock_oracle.FullSpaceModel(fock_oracle.MAX_QUBITS + 1, np.zeros((2, 2)), 0)
         with pytest.raises(fock_oracle.SizeRefusal):
             fock_oracle.full_survival(model, np.array([0.0]))
+
+
+def dense_kron_hamiltonian(matrix):
+    """The full Hamiltonian summed term by term from dense np.kron chains."""
+    n = matrix.shape[0]
+    minus = np.array([[0.0, 0.0], [1.0, 0.0]])
+
+    def chain(slots):
+        out = np.ones((1, 1))
+        for k in range(1, n + 1):
+            out = np.kron(out, slots.get(k, np.eye(2)))
+        return out
+
+    h = np.zeros((2**n, 2**n))
+    for i in range(1, n + 1):
+        h += matrix[i - 1, i - 1] * chain({i: minus.T @ minus})
+        for j in range(i + 1, n + 1):
+            hop = chain({i: minus.T, j: minus})
+            h += matrix[i - 1, j - 1] * (hop + hop.T)
+    return h
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random experimental spec of 2..9 qubits and a sorted grid holding t = 0 and t < 0."""
+    model = ham.Experimental(
+        draw(st.integers(2, 9)), omega=draw(st.floats(0.2, 3.0)), delta=draw(st.floats(0.0, 0.5)),
+        sigma=draw(st.floats(0.0, 1.0)), env=draw(st.sampled_from(ham.Environment)),
+    )
+    times = draw(st.lists(st.floats(-40.0, 60.0), min_size=1, max_size=30))
+    negative = draw(st.floats(-40.0, -1e-3))
+    return ham.HamiltonianSpec(model, seed=draw(st.integers(0, 2**63))), np.unique([0.0, negative, *times])
+
+
+class TestSparseOracle:
+    @pytest.mark.parametrize("env", list(ham.Environment))
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_build_matches_dense_kron_reference(self, n, env, rng):
+        matrix = ham.build(random_experimental_spec(rng, n=n, env=env))
+        h = fock_oracle.from_single_particle(matrix).hamiltonian
+        assert sparse.issparse(h)
+        diff = h.toarray() - dense_kron_hamiltonian(matrix)
+        assert np.max(np.abs(np.diag(diff))) <= 1e-14
+        np.testing.assert_array_equal(diff - np.diag(np.diag(diff)), 0.0)
+
+    @given(oracle_cases())
+    @settings(max_examples=40, deadline=None)
+    def test_full_space_matches_sector(self, case):
+        spec, times = case
+        full = fock_oracle.full_survival(fock_oracle.build_full_hamiltonian(spec), times)
+        sector = spectral.survival_probability(spectral.decompose(ham.build(spec)), times)
+        assert np.max(np.abs(full.values - sector.values)) <= 1e-10
+
+    @pytest.mark.parametrize("n", [12, 14])
+    def test_large_sizes_match_sector_without_dense_work(self, n, rng, monkeypatch):
+        spec = random_experimental_spec(rng, n=n, env=ham.Environment.FULL)
+        times = np.linspace(-5.0, 20.0, 101)
+        sector = spectral.survival_probability(spectral.decompose(ham.build(spec)), times)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense full-space work")
+
+        for owner, name in ((np.linalg, "eigh"), (np, "kron"), (sparse.csr_array, "toarray")):
+            monkeypatch.setattr(owner, name, refuse)
+        tracemalloc.start()
+        try:
+            model = fock_oracle.build_full_hamiltonian(spec)
+            full = fock_oracle.full_survival(model, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sparse.issparse(model.hamiltonian)
+        assert peak < 4**n  # bytes: an eighth of one dense 2^n x 2^n float64 matrix
+        assert np.max(np.abs(full.values - sector.values)) <= 1e-10
+        assert full.tail_bound < 1e-16
