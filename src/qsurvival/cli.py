@@ -24,6 +24,7 @@ import numpy as np
 from . import __version__, closedform, fock_oracle, lee, perturbation, recurrence
 from . import hamiltonian as ham
 from .ensemble import ensemble_mean
+from .series import SurvivalSeries
 from .spectral import (
     decompose,
     energy_variance,
@@ -224,15 +225,19 @@ def write_json(path: str, doc: dict):
     _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
 
 
-def _emit_series(args, times, series: dict, meta: dict, sidecar: bool = False):
-    """CSV (plus, with ``sidecar``, the meta as ``<stem>.annotations.json``) or JSON."""
+def _emit_series(args, series: dict[str, SurvivalSeries], meta: dict, sidecar: bool = False):
+    """CSV (plus, with ``sidecar``, the meta as ``<stem>.annotations.json``) or JSON
+    of curves on one grid; the meta gains their largest ``clip_excess``."""
+    times = next(iter(series.values())).times
+    meta = dict(meta, clip_excess=max(curve.clip_excess for curve in series.values()))
+    columns = {name: curve.values for name, curve in series.items()}
     if args.format == "csv":
-        write_series_csv(args.out, times, series)
+        write_series_csv(args.out, times, columns)
         if sidecar:
             stem, _ = os.path.splitext(args.out)
             write_json(f"{stem}.annotations.json", dict(meta, version=__version__))
     else:
-        write_series_json(args.out, times, series, meta)
+        write_series_json(args.out, times, columns, meta)
 
 
 # ----------------------------------------------------------------------
@@ -263,6 +268,15 @@ def _model_spec(args) -> ham.HamiltonianSpec:
             _require(args, ["n", "omega", "sigma"])
             model = ham.RosenzweigPorter(args.n, args.omega, args.sigma)
         return ham.HamiltonianSpec(model, args.seed)
+
+
+def _route_fields(curves: list[SurvivalSeries]) -> dict:
+    """The route of ``curves``; on a Chebyshev route also their largest terms and tail bound."""
+    fields = {"route": curves[0].method}
+    if curves[0].terms is not None:
+        fields["chebyshev_terms"] = max(curve.terms for curve in curves)
+        fields["bessel_tail_bound"] = max(curve.tail_bound for curve in curves)
+    return fields
 
 
 def _pole_fields(pole_set: lee.PoleSet) -> dict:
@@ -297,11 +311,11 @@ def cmd_chain(args) -> int:
     series = {}
     for n in args.sizes:
         params = closedform.ChainParams(n, args.g, args.omega)
-        series[f"closedform_n{n}"] = closedform.chain_survival(params, times).values
+        series[f"closedform_n{n}"] = closedform.chain_survival(params, times)
         h = ham.build_chain(n, args.omega, args.g)
-        series[f"spectral_n{n}"] = survival_probability(decompose(h), times).values
-    series["bessel_limit"] = closedform.chain_bessel_limit(args.g, times).values
-    _emit_series(args, times, series, {"spec": {"model": "chain", "sizes": args.sizes, "g": args.g, "omega": args.omega}, "seed": None, "method": "closed-form+spectral+bessel"})
+        series[f"spectral_n{n}"] = survival_probability(decompose(h), times)
+    series["bessel_limit"] = closedform.chain_bessel_limit(args.g, times)
+    _emit_series(args, series, {"spec": {"model": "chain", "sizes": args.sizes, "g": args.g, "omega": args.omega}, "seed": None, "method": "closed-form+spectral+bessel"})
     return EXIT_OK
 
 
@@ -310,15 +324,12 @@ def cmd_ensemble(args) -> int:
     spec = _model_spec(args)
     times = _grid(args)
     mean, draws = ensemble_mean(spec, times, args.realizations, threads=args.threads)
-    series = {"mean": mean}
+    series = {"mean": SurvivalSeries(times, mean, method="ensemble")}
     for r, draw in enumerate(draws):
-        series[f"r{r:03d}"] = draw.values
+        series[f"r{r:03d}"] = draw
     meta = {"spec": repr(spec), "seed": spec.seed, "method": "ensemble", "realizations": args.realizations,
-            "route": draws[0].route}
-    if draws[0].route == "chebyshev":
-        meta["chebyshev_terms"] = max(d.terms for d in draws)
-        meta["bessel_tail_bound"] = max(d.tail_bound for d in draws)
-    _emit_series(args, times, series, meta)
+            **_route_fields(draws)}
+    _emit_series(args, series, meta)
     return EXIT_OK
 
 
@@ -331,7 +342,7 @@ def cmd_lee(args) -> int:
     if isinstance(params.density, lee.UniformBox):
         annotations.update(_pole_fields(lee.poles(params)))
     meta = {"spec": repr(params), "seed": None, "method": curve.method, "annotations": annotations}
-    _emit_series(args, times, {"survival": curve.values}, meta, sidecar=True)
+    _emit_series(args, {"survival": curve}, meta, sidecar=True)
     return EXIT_OK
 
 
@@ -354,11 +365,11 @@ def cmd_perturbation(args) -> int:
     times = _grid(args)
     split = perturbation.split_hamiltonian(h, args.eps)
     series = {
-        "exact": survival_probability(decompose(h), times).values,
-        "order2": perturbation.survival_order2(split, times).values,
-        "order4": perturbation.survival_order4(split, times).values,
+        "exact": survival_probability(decompose(h), times),
+        "order2": perturbation.survival_order2(split, times),
+        "order4": perturbation.survival_order4(split, times),
     }
-    _emit_series(args, times, series, {"spec": repr(spec), "seed": spec.seed, "method": "perturbation", "eps": args.eps})
+    _emit_series(args, series, {"spec": repr(spec), "seed": spec.seed, "method": "perturbation", "eps": args.eps})
     return EXIT_OK
 
 
@@ -369,8 +380,8 @@ def cmd_bound(args) -> int:
     decomp = decompose(ham.build(spec))
     variance = energy_variance(decomp)
     series = {
-        "survival": survival_probability(decomp, times).values,
-        "bound": mandelstam_tamm_bound(variance, times).values,
+        "survival": survival_probability(decomp, times),
+        "bound": mandelstam_tamm_bound(variance, times),
     }
     tau = zeno_time(variance)
     meta = {
@@ -380,7 +391,7 @@ def cmd_bound(args) -> int:
         "variance": variance,
         "zeno_time": None if math.isinf(tau) else tau,
     }
-    _emit_series(args, times, series, meta, sidecar=True)
+    _emit_series(args, series, meta, sidecar=True)
     return EXIT_OK
 
 
@@ -418,8 +429,7 @@ def cmd_oracle_check(args) -> int:
         sector = survival_probability(decompose(ham.build(spec)), times).values
         diff = float(np.max(np.abs(full.values - sector)))
         worst = max(worst, diff)
-        results.append({"n": n, "seed": spec.seed, "max_abs_diff": diff,
-                        "chebyshev_terms": full.terms, "bessel_tail_bound": full.tail_bound})
+        results.append({"n": n, "seed": spec.seed, "max_abs_diff": diff, **_route_fields([full])})
     passed = worst <= 1e-10
     if args.out:
         meta = {"version": __version__, "count": args.count, "full_route": "chebyshev"}

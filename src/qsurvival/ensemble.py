@@ -13,31 +13,17 @@ from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import hamiltonian as ham
+from .series import SurvivalSeries
 from .spectral import chebyshev_amplitude, decompose, survival_probability
 
-__all__ = ["Realization", "realization_survival", "ensemble_mean"]
+__all__ = ["realization_survival", "ensemble_mean"]
 
 # above this size, diagonal-environment draws take the Chebyshev propagation path
 _SPARSE_PATH_MIN_N = 600
-
-
-@dataclass(frozen=True)
-class Realization:
-    """Survival curve of one draw and the route that computed it.
-
-    ``route`` is ``"chebyshev"`` or ``"eigh"``; on the Chebyshev route
-    ``terms`` and ``tail_bound`` are those of :class:`spectral.ChebyshevAmplitude`.
-    """
-
-    values: np.ndarray
-    route: str
-    terms: int | None = None
-    tail_bound: float | None = None
 
 
 def _is_arrowhead(spec: ham.HamiltonianSpec) -> bool:
@@ -60,17 +46,19 @@ def _arrowhead(spec: ham.HamiltonianSpec, stream: int):
     return matvec, float(diag.min()) - radius, float(diag.max()) + radius
 
 
-def realization_survival(spec: ham.HamiltonianSpec, times: np.ndarray, stream: int) -> Realization:
-    """Survival curve of one realization, by the cheapest exact route."""
+def realization_survival(spec: ham.HamiltonianSpec, times: np.ndarray, stream: int) -> SurvivalSeries:
+    """Survival curve of one realization, by the cheapest exact route.
+
+    The series' ``method`` names the route: ``"chebyshev"`` or ``"spectral"``.
+    """
     times = np.asarray(times, dtype=float)
     model = spec.model
     if _is_arrowhead(spec) and model.n >= _SPARSE_PATH_MIN_N:
         matvec, lo, hi = _arrowhead(spec, stream)
         amplitude = chebyshev_amplitude(matvec, model.n, lo, hi, times)
-        values = np.clip(np.abs(amplitude.values) ** 2, 0.0, 1.0)
-        return Realization(values, "chebyshev", amplitude.terms, amplitude.tail_bound)
-    h = ham.build(spec, stream)
-    return Realization(survival_probability(decompose(h), times).values, "eigh")
+        return SurvivalSeries(times, np.abs(amplitude.values) ** 2, "chebyshev",
+                              amplitude.terms, amplitude.tail_bound)
+    return survival_probability(decompose(ham.build(spec, stream)), times)
 
 
 def ensemble_mean(
@@ -78,8 +66,8 @@ def ensemble_mean(
     times: np.ndarray,
     realizations: int,
     threads: int | None = None,
-) -> tuple[np.ndarray, list[Realization]]:
-    """Mean curve over ``realizations`` streams plus each stream's :class:`Realization`.
+) -> tuple[np.ndarray, list[SurvivalSeries]]:
+    """Mean curve over ``realizations`` streams plus each stream's :class:`SurvivalSeries`.
 
     The reduction is performed in stream order after all workers finish, so
     the output is bit-identical for any worker count.

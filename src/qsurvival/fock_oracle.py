@@ -25,7 +25,6 @@ from .spectral import chebyshev_amplitude
 
 __all__ = [
     "FullSpaceModel",
-    "FullSpaceSurvival",
     "SizeRefusal",
     "lowering_operator",
     "raising_operator",
@@ -56,15 +55,6 @@ class FullSpaceModel:
     n_qubits: int
     hamiltonian: sparse.csr_array
     initial_state: int
-
-
-@dataclass(frozen=True)
-class FullSpaceSurvival(SurvivalSeries):
-    """Full-space survival curve with the diagnostics of its Chebyshev expansion:
-    ``terms`` and ``tail_bound`` are those of :class:`spectral.ChebyshevAmplitude`."""
-
-    terms: int = 0
-    tail_bound: float = 0.0
 
 
 def _check_size(n: int) -> None:
@@ -212,17 +202,12 @@ def _gershgorin_bounds(h: sparse.csr_array) -> tuple[float, float]:
     return float(np.min(diagonal - radii)), float(np.max(diagonal + radii))
 
 
-def full_survival(model: FullSpaceModel, times) -> FullSpaceSurvival:
-    """Survival probability of the localized excitation evolved in 2^n space."""
+def full_survival(model: FullSpaceModel, times) -> SurvivalSeries:
+    """Survival probability of the localized excitation evolved in 2^n space,
+    with the ``terms`` and ``tail_bound`` of its Chebyshev expansion."""
     _check_size(model.n_qubits)
     h = model.hamiltonian
     lo, hi = _gershgorin_bounds(h)
     amplitude = chebyshev_amplitude(h.dot, h.shape[0], lo, hi, times, start=model.initial_state)
-    return FullSpaceSurvival(
-        times,
-        np.clip(np.abs(amplitude.values) ** 2, 0.0, 1.0),
-        model=f"full-space(n={model.n_qubits})",
-        method="full-space",
-        terms=amplitude.terms,
-        tail_bound=amplitude.tail_bound,
-    )
+    return SurvivalSeries(times, np.abs(amplitude.values) ** 2, "chebyshev",
+                          amplitude.terms, amplitude.tail_bound)

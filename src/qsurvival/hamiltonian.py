@@ -27,7 +27,6 @@ __all__ = [
     "draw_arrowhead",
     "sample_experimental",
     "sample_rosenzweig_porter",
-    "sample_goe",
     "build",
 ]
 
@@ -196,26 +195,24 @@ def sample_experimental(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
     return h
 
 
-def sample_goe(n: int, seed: int, stream: int = 0) -> np.ndarray:
-    """Gaussian orthogonal ensemble draw.
+def _goe(rng: np.random.Generator, m: int) -> np.ndarray:
+    """Gaussian orthogonal ensemble draw of size m from ``rng``.
 
     Convention: off-diagonal entries have unit variance, diagonal entries
     variance 2, so that (sigma/sqrt(n)) * G has semicircle support of radius
     2*sigma for large n.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    a = stream_rng(seed, stream).standard_normal((n, n))
+    a = rng.standard_normal((m, m))
     return (a + a.T) / math.sqrt(2.0)
 
 
 def sample_rosenzweig_porter(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
     """Draw one realization with a GOE environment block.
 
-    The first row is sampled exactly as in :func:`sample_experimental` with
-    Gaussian couplings; the environment block is omega*I + (sigma/sqrt(n))*G.
-    Uses a dedicated sub-stream for the GOE block so the coupling draw matches
-    the experimental sampler draw order.
+    The first row holds Gaussian couplings of variance sigma^2 / n; the
+    environment block is omega*I + (sigma/sqrt(n))*G with G a GOE draw.
+    Draw order (fixed for reproducibility), both from the one stream of
+    (seed, stream): the n - 1 couplings, then the GOE block.
     """
     model = spec.model
     if not isinstance(model, RosenzweigPorter):
@@ -229,9 +226,7 @@ def sample_rosenzweig_porter(spec: HamiltonianSpec, stream: int = 0) -> np.ndarr
     g = rng.normal(0.0, model.sigma / math.sqrt(n), size=n - 1)
     h[0, 1:] = g
     h[1:, 0] = g
-    a = rng.standard_normal((n - 1, n - 1))
-    goe = (a + a.T) / math.sqrt(2.0)
-    h[1:, 1:] = goe * (model.sigma / math.sqrt(n))
+    h[1:, 1:] = _goe(rng, n - 1) * (model.sigma / math.sqrt(n))
     h[np.arange(1, n), np.arange(1, n)] += model.omega
     return h
 

@@ -653,10 +653,7 @@ def survival(params: LeeParams, times, method: str = "residue_cut") -> SurvivalS
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_times(times)
     if isinstance(params.density, WignerSemicircle):
-        values = _wigner_closed_form(params, times)
-        return SurvivalSeries(
-            times, np.clip(values, 0.0, 1.0), model="lee(wigner)", method="closed-form"
-        )
+        return SurvivalSeries(times, _wigner_closed_form(params, times), method="closed-form")
     if method == "residue_cut":
         amp = amplitude_residue_cut(params, times)
     elif method == "second_sheet":
@@ -664,8 +661,7 @@ def survival(params: LeeParams, times, method: str = "residue_cut") -> SurvivalS
         amp = real_term + resonance + lines
     else:  # direct
         amp = np.array([amplitude_direct(params, t) for t in times])
-    values = np.abs(np.atleast_1d(amp)) ** 2
-    overshoot = float(values.max(initial=0.0) - 1.0)
-    if overshoot > 1e-6:
-        raise QuadratureError("survival exceeded unity beyond method tolerance", overshoot)
-    return SurvivalSeries(times, np.clip(values, 0.0, 1.0), model="lee(box)", method=method)
+    series = SurvivalSeries(times, np.abs(np.atleast_1d(amp)) ** 2, method=method)
+    if series.clip_excess > 1e-6:
+        raise QuadratureError("survival exceeded unity beyond method tolerance", series.clip_excess)
+    return series

@@ -101,7 +101,7 @@ def survival_order2(split: PerturbationSplit, times) -> SurvivalSeries:
     f = gaps[0, 1:]
     a = np.abs(split.v[0, 1:]) ** 2 / f**2
     values = 1.0 - 4.0 * split.eps**2 * (np.sin(np.outer(times, f) / 2.0) ** 2 @ a)
-    return SurvivalSeries(times, np.clip(values, 0.0, 1.0), method="perturbation-o2")
+    return SurvivalSeries(times, values, method="perturbation-o2")
 
 
 def survival_order4(split: PerturbationSplit, times) -> SurvivalSeries:
@@ -169,4 +169,4 @@ def survival_order4(split: PerturbationSplit, times) -> SurvivalSeries:
     g5 = -4.0 * eps**4 * (np.sin(np.outer(times, pair_freqs) / 2.0) ** 2 @ pair_weights)
 
     values = 1.0 + g1 + g2 + g3 + g4 + g5
-    return SurvivalSeries(times, np.clip(values, 0.0, 1.0), method="perturbation-o4")
+    return SurvivalSeries(times, values, method="perturbation-o4")

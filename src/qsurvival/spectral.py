@@ -238,17 +238,14 @@ def survival_amplitude(decomp: SpectralDecomposition, t):
     return complex(out[0]) if np.ndim(t) == 0 else out
 
 
-def survival_probability(
-    decomp: SpectralDecomposition, times, model: str = "", seed: int | None = None
-) -> SurvivalSeries:
+def survival_probability(decomp: SpectralDecomposition, times) -> SurvivalSeries:
     """|amplitude|^2 on an ascending grid of times."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if times.size and np.any(np.diff(times) < 0):
         raise ValueError("times must be ascending")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
-    values = np.abs(survival_amplitude(decomp, times)) ** 2
-    return SurvivalSeries(times, np.clip(values, 0.0, 1.0), model=model, method="spectral", seed=seed)
+    return SurvivalSeries(times, np.abs(survival_amplitude(decomp, times)) ** 2, method="spectral")
 
 
 def energy_variance(decomp: SpectralDecomposition) -> float:
@@ -276,7 +273,7 @@ def mandelstam_tamm_bound(variance: float, times) -> SurvivalSeries:
     else:
         root = math.sqrt(variance)
         values = np.where(times <= zeno_time(variance), np.cos(root * times) ** 2, 0.0)
-    return SurvivalSeries(times, values, model="bound", method="mandelstam-tamm")
+    return SurvivalSeries(times, values, method="mandelstam-tamm")
 
 
 def level_shift_finite(h: np.ndarray, z: complex) -> complex:

@@ -9,6 +9,7 @@ from qsurvival import cli
 from qsurvival.cli import _option_actions, _subcommands, build_parser, main
 from qsurvival import ensemble
 from qsurvival.ensemble import ensemble_mean, realization_survival
+from qsurvival.series import UNITARITY_TOL
 
 
 class TestEnsembleRunner:
@@ -19,7 +20,7 @@ class TestEnsembleRunner:
         dense = spectral.decompose(ham.build(spec, stream=2))
         for times in (uniform, scattered):
             fast = realization_survival(spec, times, stream=2)
-            assert fast.route == "chebyshev"
+            assert fast.method == "chebyshev"
             exact = spectral.survival_probability(dense, times).values
             assert np.max(np.abs(fast.values - exact)) <= 1e-12
 
@@ -39,7 +40,7 @@ class TestEnsembleRunner:
         spec = ham.HamiltonianSpec(ham.Experimental(ensemble._SPARSE_PATH_MIN_N, 1.0, 0.1, 0.05), seed=3)
         for times in (np.linspace(0.0, 50.0, 11), np.array([-3.0, 0.0, 0.1, 7.0, 7.5])):
             draw = realization_survival(spec, times, stream=1)
-            assert draw.route == "chebyshev" and draw.terms >= 1 and draw.tail_bound < 1e-16
+            assert draw.method == "chebyshev" and draw.terms >= 1 and draw.tail_bound < 1e-16
 
     @pytest.mark.parametrize("law", [ham.GaussianCouplings(), ham.UniformCouplings(0.2)])
     def test_arrowhead_matvec_is_the_sampled_matrix(self, law, rng):
@@ -60,7 +61,7 @@ class TestEnsembleRunner:
         stack = np.vstack([d.values for d in draws])
         np.testing.assert_array_equal(mean, stack.mean(axis=0))
         assert stack.shape == (6, 30)
-        assert {d.route for d in draws} == {"eigh"}
+        assert {d.method for d in draws} == {"spectral"}
 
     def test_worker_count_does_not_change_result(self):
         spec = ham.HamiltonianSpec(ham.Experimental(15, 1.0, 0.1, 0.3), seed=9)
@@ -113,7 +114,7 @@ class TestCommands:
         stack = np.array([series[f"r{r:03d}"] for r in range(4)])
         np.testing.assert_allclose(np.array(series["mean"]), stack.mean(axis=0), atol=1e-15)
 
-    @pytest.mark.parametrize("n, route", [(20, "eigh"), (800, "chebyshev")])
+    @pytest.mark.parametrize("n, route", [(20, "spectral"), (800, "chebyshev")])
     def test_ensemble_json_meta_names_the_route(self, n, route, tmp_path):
         out = tmp_path / "ens.json"
         assert main([
@@ -165,6 +166,33 @@ class TestCommands:
         header, data = read_csv(out)
         assert header == ["t", "exact", "order2", "order4"]
         np.testing.assert_allclose(data[0, 1:], 1.0, atol=1e-9)
+
+    def test_perturbation_json_reports_the_excess_of_its_orders(self, tmp_path):
+        # at sigma = 0.3 the perturbative orders leave [0, 1] by far; the file
+        # holds clipped columns and the meta says by how much
+        out = tmp_path / "pt.json"
+        assert main([
+            "perturbation", "--n", "8", "--omega", "1", "--delta", "0.1", "--sigma", "0.3",
+            "--eps", "1", "--seed", "1", "--tmax", "200", "--points", "100", "--format", "json",
+            "--out", str(out),
+        ]) == 0
+        doc = json.loads(out.read_text())
+        assert doc["meta"]["clip_excess"] > 100.0
+        for values in doc["series"].values():
+            assert 0.0 <= min(values) and max(values) <= 1.0
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_exact_routes_report_round_off_excess_only(self, fmt, tmp_path):
+        out = tmp_path / f"bound.{fmt}"
+        assert main([
+            "bound", "--n", "40", "--omega", "1", "--delta", "0.1", "--sigma", "0.3",
+            "--tmax", "50", "--points", "60", "--format", fmt, "--out", str(out),
+        ]) == 0
+        if fmt == "csv":
+            meta = json.loads((tmp_path / "bound.annotations.json").read_text())
+        else:
+            meta = json.loads(out.read_text())["meta"]
+        assert 0.0 <= meta["clip_excess"] <= UNITARITY_TOL
 
     def test_bound_command(self, tmp_path):
         out = tmp_path / "bound.csv"

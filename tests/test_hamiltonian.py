@@ -117,18 +117,18 @@ class TestExperimentalSampler:
 
 class TestGoe:
     def test_single_entry_variance_two(self):
-        draws = np.array([ham.sample_goe(1, seed=2, stream=r)[0, 0] for r in range(100000)])
+        draws = np.array([ham._goe(ham.stream_rng(2, r), 1)[0, 0] for r in range(100000)])
         stderr = math.sqrt(2.0) * math.sqrt(2.0 / draws.size)  # var of sample var ~ 2 var^2 / n
         assert abs(draws.var() - 2.0) < 3.0 * stderr
 
     def test_entry_moments(self):
-        draws = np.array([ham.sample_goe(3, seed=4, stream=r)[0, 1] for r in range(100000)])
+        draws = np.array([ham._goe(ham.stream_rng(4, r), 3)[0, 1] for r in range(100000)])
         assert abs(draws.mean()) < 3.0 / math.sqrt(draws.size)
         stderr = math.sqrt(2.0 / draws.size)
         assert abs(draws.var() - 1.0) < 3.0 * stderr
 
     def test_symmetric(self):
-        g = ham.sample_goe(40, seed=6)
+        g = ham._goe(ham.stream_rng(6, 0), 40)
         assert np.array_equal(g, g.T)
 
 
