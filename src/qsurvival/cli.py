@@ -292,9 +292,17 @@ def _pole_fields(pole_set: lee.PoleSet) -> dict:
 
 
 def _lee_params(args) -> lee.LeeParams:
-    _require(args, ["omega", "delta"])
-    if args.kappa2 is None and args.sigma is None:
-        raise ConfigError("give either --kappa2 or --sigma")
+    """The box reads --delta and one of --kappa2 or --sigma; the semicircle reads none of them."""
+    _require(args, ["omega"])
+    if isinstance(args.density, lee.WignerSemicircle):
+        given = [f"--{name}" for name in ("delta", "kappa2", "sigma") if getattr(args, name) is not None]
+        if given:
+            raise ConfigError(f"the wigner density takes no {', '.join(given)}")
+        with _flag_values():
+            return lee.LeeParams(args.omega, 0.0, 0.0, args.density)
+    _require(args, ["delta"])
+    if (args.kappa2 is None) == (args.sigma is None):
+        raise ConfigError("give exactly one of --kappa2 or --sigma")
     with _flag_values():
         kappa2 = args.kappa2
         if kappa2 is None:
@@ -338,9 +346,9 @@ def cmd_lee(args) -> int:
     params = _lee_params(args)
     times = _grid(args)
     curve = lee.survival(params, times, method=args.method)
-    annotations = {"van_hove_rate": lee.van_hove_rate(params)}
+    annotations = {}
     if isinstance(params.density, lee.UniformBox):
-        annotations.update(_pole_fields(lee.poles(params)))
+        annotations = {"van_hove_rate": lee.van_hove_rate(params), **_pole_fields(lee.poles(params))}
     meta = {"spec": repr(params), "seed": None, "method": curve.method, "annotations": annotations}
     _emit_series(args, {"survival": curve}, meta, sidecar=True)
     return EXIT_OK
@@ -432,7 +440,7 @@ def cmd_oracle_check(args) -> int:
         results.append({"n": n, "seed": spec.seed, "max_abs_diff": diff, **_route_fields([full])})
     passed = worst <= 1e-10
     if args.out:
-        meta = {"version": __version__, "count": args.count, "full_route": "chebyshev"}
+        meta = {"version": __version__, "count": args.count}
         write_json(args.out, {"meta": meta, "worst": worst, "passed": passed, "cases": results})
     print(f"oracle check: {args.count} cases, worst |full - sector| = {worst:.3e}: "
           f"{'PASS' if passed else 'FAIL'}")
@@ -503,9 +511,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     _add_grid(p)
     p.add_argument("--omega", type=float, help="central splitting")
-    p.add_argument("--delta", type=float, help="environment half-width")
-    p.add_argument("--sigma", type=float, help="Gaussian coupling scale, if no --kappa2")
-    p.add_argument("--kappa2", type=float, help="dimensionless coupling")
+    p.add_argument("--delta", type=float, help="environment half-width (box only)")
+    p.add_argument("--sigma", type=float, help="Gaussian coupling scale, if no --kappa2 (box only)")
+    p.add_argument("--kappa2", type=float, help="dimensionless coupling, if no --sigma (box only)")
     p.add_argument("--density", type=_density, default="box", help="box | wigner:<sigma>")
     p.add_argument("--method", choices=lee.METHODS, default="residue_cut", help="amplitude route")
     p.set_defaults(func=cmd_lee)
@@ -523,7 +531,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     _add_grid(p)
     _add_model(p)
-    p.add_argument("--eps", type=_checked(float, lambda v: v != 0.0, "nonzero"), help="perturbation strength")
+    p.add_argument("--eps", type=_checked(float, lambda v: v != 0.0, "nonzero"),
+                   help="perturbation strength; changes no output, since the interaction is divided by it"
+                        " and every order multiplies it back")
     p.set_defaults(func=cmd_perturbation)
 
     p = add("bound", help="survival plus Mandelstam-Tamm bound")

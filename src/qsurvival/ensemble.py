@@ -78,12 +78,7 @@ def ensemble_mean(
     if threads is None:
         threads = os.cpu_count() or 1
     threads = max(1, min(threads, realizations))
-    if threads == 1:
-        draws = [realization_survival(spec, times, r) for r in range(realizations)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            futures = [
-                pool.submit(realization_survival, spec, times, r) for r in range(realizations)
-            ]
-            draws = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(realization_survival, spec, times, r) for r in range(realizations)]
+        draws = [f.result() for f in futures]
     return np.vstack([d.values for d in draws]).mean(axis=0), draws

@@ -57,9 +57,15 @@ __all__ = [
 ]
 
 _GL_NODES = 12
+# spacing ratio of the breakpoints that ``_geometric_cluster`` puts around a center
+_CLUSTER_RATIO = 2.0
 # amplitude routes of ``survival``
 METHODS = ("direct", "residue_cut", "second_sheet")
 _POLE_RESIDUAL_TOL = 1e-10
+# Newton steps allowed at each coupling of the resonance-pole continuation
+_NEWTON_MAX_ITER = 100
+# largest achieved error ``amplitude_direct`` accepts
+_DIRECT_TOL = 1e-7
 # Log-offset below which a real pole is unrepresentable in doubles; its
 # residue is then far below any tolerance and the pole list is empty.
 _LOG_OFFSET_FLOOR = -745.0
@@ -292,20 +298,20 @@ def real_pole_equation(params: LeeParams, pole: RealPole) -> float:
     return d + pole.cut_offset + w * k2 * (s - math.log(2.0 * d + pole.cut_offset))
 
 
-def second_sheet_pole(params: LeeParams, max_iter: int = 100) -> ResonancePole:
+def second_sheet_pole(params: LeeParams) -> ResonancePole:
     """Resonance pole: the root of the second-sheet denominator with Im z < 0.
 
     Newton iteration with the analytic derivative, starting from the
     weak-coupling location omega - i pi omega kappa2 and continued in kappa2
-    toward strong coupling. Steps are halved whenever an iterate would leave
-    the lower half-plane.
+    toward strong coupling, at most 100 steps per coupling. Steps are halved
+    whenever an iterate would leave the lower half-plane.
     """
     _require_box(params, "second_sheet_pole")
-    return _second_sheet_pole_cached(params, max_iter)
+    return _second_sheet_pole_cached(params)
 
 
 @functools.lru_cache(maxsize=256)
-def _second_sheet_pole_cached(params: LeeParams, max_iter: int) -> ResonancePole:
+def _second_sheet_pole_cached(params: LeeParams) -> ResonancePole:
     w, k2 = params.omega, params.kappa2
     if k2 <= 0.0:
         raise ValueError("second_sheet_pole requires kappa2 > 0")
@@ -319,7 +325,7 @@ def _second_sheet_pole_cached(params: LeeParams, max_iter: int) -> ResonancePole
     for kk in ladder:
         stage = LeeParams(w, params.delta, kk)
         converged = False
-        for _ in range(max_iter):
+        for _ in range(_NEWTON_MAX_ITER):
             f = complex(_denominator_second(stage, z))
             step = f / complex(_denominator_derivative(stage, z))
             z_new = z - step
@@ -353,8 +359,8 @@ def poles(params: LeeParams) -> PoleSet:
 # quadrature helpers
 
 
-def _gauss_panels(breaks: np.ndarray, nodes: int = _GL_NODES):
-    xg, wg = np.polynomial.legendre.leggauss(nodes)
+def _gauss_panels(breaks: np.ndarray):
+    xg, wg = np.polynomial.legendre.leggauss(_GL_NODES)
     a, b = breaks[:-1], breaks[1:]
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
     return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (
@@ -362,14 +368,14 @@ def _gauss_panels(breaks: np.ndarray, nodes: int = _GL_NODES):
     ).ravel()
 
 
-def _geometric_cluster(center: float, inner: float, outer: float, lo: float, hi: float, ratio=2.0):
+def _geometric_cluster(center: float, inner: float, outer: float, lo: float, hi: float):
     pts = []
     d = inner
     while d < outer:
         for c in (center - d, center + d):
             if lo < c < hi:
                 pts.append(c)
-        d *= ratio
+        d *= _CLUSTER_RATIO
     return pts
 
 
@@ -551,24 +557,22 @@ def _direct_breakpoints(params: LeeParams, eps: float, half_width: float, extra:
     return pts
 
 
-def amplitude_direct(
-    params: LeeParams, t, eps: float | None = None, tol: float = 1e-7
-) -> complex:
+def amplitude_direct(params: LeeParams, t) -> complex:
     """Numerical inverse Laplace transform along a line just above the real axis.
 
     Known simple poles are subtracted and restored analytically; the
     remaining integrand is integrated with oscillation-capped Gauss-Legendre
-    panels on an adaptively widened window, at two line heights, and the
-    results Richardson-extrapolated to eps -> 0. Raises
-    :class:`QuadratureError` carrying the achieved estimate when the two line
-    heights disagree beyond ``tol``.
+    panels on an adaptively widened window, at two line heights eps and
+    eps / 2, and the results Richardson-extrapolated to eps -> 0. The line
+    height is eps = min(1e-3 s, 0.2 / max(t, 1)), at least 1e-9 s, with s the
+    box half-width delta or the semicircle sigma. Raises
+    :class:`QuadratureError` carrying the achieved estimate when the window
+    tail plus the disagreement of the two line heights exceeds 1e-7.
     """
     t = float(t)
     _check_times(np.array([t]))
-    if eps is None:
-        scale = params.delta if isinstance(params.density, UniformBox) else params.density.sigma
-        eps = min(1e-3 * scale, 0.2 / max(t, 1.0))
-        eps = max(eps, 1e-9 * scale)
+    scale = params.delta if isinstance(params.density, UniformBox) else params.density.sigma
+    eps = max(min(1e-3 * scale, 0.2 / max(t, 1.0)), 1e-9 * scale)
     xs, rs, w_rest, x_rest = _direct_subtractions(params)
 
     def remainder(z):
@@ -586,10 +590,10 @@ def amplitude_direct(
             tail = max(g_hi, g_lo) * half / 2.0
             if t > 1.0:
                 tail = min(tail, 2.0 * (g_hi + g_lo) / t)
-            if tail < tol / 10.0 or half > 3e7:
+            if tail < _DIRECT_TOL / 10.0 or half > 3e7:
                 break
             half *= 2.0
-        if tail >= tol:
+        if tail >= _DIRECT_TOL:
             raise QuadratureError("window tail did not converge", tail)
         pts = _direct_breakpoints(params, eps_line, half, list(xs) + [x_rest])
         h_osc = math.pi / (4.0 * max(t, 1e-12))
@@ -611,7 +615,7 @@ def amplitude_direct(
     a2, tail2 = integrate(eps / 2.0)
     disagreement = abs(a2 - a1)
     achieved = disagreement + max(tail1, tail2)
-    if achieved > tol:
+    if achieved > _DIRECT_TOL:
         raise QuadratureError("line heights disagree beyond tolerance", achieved)
     base = complex(phase_sum(np.append(xs, x_rest), np.append(rs, w_rest), t)[0])
     return base + (2.0 * a2 - a1)

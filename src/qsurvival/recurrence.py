@@ -34,6 +34,9 @@ __all__ = [
 # grid step must resolve the fastest beat: step <= 0.1 / spectral span
 _STEP_SPAN_FACTOR = 0.1
 _CROSSING_STABILITY_TOL = 0.01
+# analytic returns in a suggested observation window; fewer in the window
+# flags the empirical count as low statistics
+_TARGET_RETURNS = 50.0
 
 
 class DegenerateSpectrum(ValueError):
@@ -112,9 +115,9 @@ def kac_return_time(decomp: SpectralDecomposition, p: float) -> float:
     return 1.0 / kac_frequency(decomp, p)
 
 
-def suggested_observation_time(decomp: SpectralDecomposition, p: float, target_returns: float = 50.0) -> float:
-    """Window long enough for ~target_returns analytic returns."""
-    return target_returns / kac_frequency(decomp, p)
+def suggested_observation_time(decomp: SpectralDecomposition, p: float) -> float:
+    """Window long enough for ~50 analytic returns."""
+    return _TARGET_RETURNS / kac_frequency(decomp, p)
 
 
 _SCAN_CHUNK = 262144  # even, so every chunk starts on an even grid index
@@ -201,7 +204,7 @@ def build_report(
     if empirical:
         if observation_time is None:
             observation_time = suggested_observation_time(decomp, p)
-        low_stats = observation_time * nu < 50.0
+        low_stats = observation_time * nu < _TARGET_RETURNS
         if resolution is None:
             merged = merge_close_frequencies(decomp)
             span = float(merged.eigenvalues[-1] - merged.eigenvalues[0])

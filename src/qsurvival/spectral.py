@@ -1,8 +1,7 @@
 """Eigendecomposition of single-excitation Hamiltonians and the exact
 survival machinery built on it: amplitudes, probabilities, energy variance,
-the Mandelstam-Tamm lower bound, and the finite-size level-shift function;
-plus the eigensolver-free route, Chebyshev propagation of the amplitude
-from a matrix-vector product.
+and the Mandelstam-Tamm lower bound; plus the eigensolver-free route,
+Chebyshev propagation of the amplitude from a matrix-vector product.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from .series import SurvivalSeries
 __all__ = [
     "SpectralDecomposition",
     "EigensolverError",
-    "LevelShiftSingularity",
     "decompose",
     "phase_sum",
     "bessel_table",
@@ -29,11 +27,12 @@ __all__ = [
     "energy_variance",
     "zeno_time",
     "mandelstam_tamm_bound",
-    "level_shift_finite",
     "merge_close_frequencies",
 ]
 
 _WEIGHT_NORMALIZATION_TOL = 1e-10
+# eigenvalues closer than this fraction of the spectral span are merged
+_MERGE_REL_TOL = 1e-12
 # entries of one (times x terms) block in the chunked sums
 _CHUNK_ENTRIES = 4_000_000
 # Chebyshev orders whose |J_k(a t)| stays below this everywhere on the grid are dropped
@@ -46,10 +45,6 @@ _SERIES_MAX_X = 1e-20
 
 class EigensolverError(RuntimeError):
     """Eigensolver failed to converge; carries a fingerprint of the matrix."""
-
-
-class LevelShiftSingularity(ValueError):
-    """Requested shift argument sits on (or numerically at) an environment level."""
 
 
 @dataclass(frozen=True)
@@ -276,35 +271,8 @@ def mandelstam_tamm_bound(variance: float, times) -> SurvivalSeries:
     return SurvivalSeries(times, values, method="mandelstam-tamm")
 
 
-def level_shift_finite(h: np.ndarray, z: complex) -> complex:
-    """<g, (z - Omega)^{-1} g> for the block split h = [[omega, g^T], [g, Omega]].
-
-    Solved as a linear system on the trailing block; for diagonal Omega this
-    equals the explicit sum of g_l^2 / (z - Omega_ll).
-    """
-    h = np.asarray(h, dtype=float)
-    n = h.shape[0]
-    if n < 2:
-        return 0.0 + 0.0j
-    g = h[1:, 0].astype(complex)
-    omega_block = h[1:, 1:]
-    a = z * np.eye(n - 1, dtype=complex) - omega_block
-    try:
-        x = np.linalg.solve(a, g)
-    except np.linalg.LinAlgError as exc:
-        raise LevelShiftSingularity(f"z={z!r} is an eigenvalue of the environment block") from exc
-    residual = np.linalg.norm(a @ x - g)
-    if not np.all(np.isfinite(x)) or residual > 1e-8 * max(np.linalg.norm(g), 1e-300):
-        raise LevelShiftSingularity(
-            f"z={z!r} too close to an environment level (solve residual {residual:.2e})"
-        )
-    return complex(g @ x)
-
-
-def merge_close_frequencies(
-    decomp: SpectralDecomposition, rel_tol: float = 1e-12
-) -> SpectralDecomposition:
-    """Merge weights of eigenvalues closer than rel_tol * spectral span.
+def merge_close_frequencies(decomp: SpectralDecomposition) -> SpectralDecomposition:
+    """Merge weights of eigenvalues closer than 1e-12 * spectral span.
 
     Only distinct frequencies matter for the survival probability, so
     degeneracies are collapsed before recurrence analysis.
@@ -316,7 +284,7 @@ def merge_close_frequencies(
     span = float(eps[-1] - eps[0])
     if span == 0.0:
         return SpectralDecomposition(eps[:1].copy(), np.array([w.sum()]), decomp.n)
-    tol = rel_tol * span
+    tol = _MERGE_REL_TOL * span
     merged_eps = [eps[0]]
     merged_w = [w[0]]
     for e, wk in zip(eps[1:], w[1:]):

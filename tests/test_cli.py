@@ -144,6 +144,14 @@ class TestCommands:
         )
         assert annotations["annotations"]["second_sheet_pole"]["location"][1] < 0.0
 
+    def test_wigner_lee_needs_no_box_option_and_has_no_van_hove_rate(self, tmp_path):
+        out = tmp_path / "lee.json"
+        assert main([
+            "lee", "--density", "wigner:0.1", "--omega", "1", "--tmax", "50", "--points", "20",
+            "--format", "json", "--out", str(out),
+        ]) == 0
+        assert json.loads(out.read_text())["meta"]["annotations"] == {}
+
     def test_poles_sweep(self, tmp_path):
         out = tmp_path / "poles.json"
         assert main([
@@ -166,6 +174,19 @@ class TestCommands:
         header, data = read_csv(out)
         assert header == ["t", "exact", "order2", "order4"]
         np.testing.assert_allclose(data[0, 1:], 1.0, atol=1e-9)
+
+    def test_perturbation_eps_changes_no_column(self, tmp_path):
+        # the split divides the interaction by eps and every order multiplies it back
+        columns = []
+        for eps in ("1", "0.37", "-2"):
+            out = tmp_path / f"pt{eps}.csv"
+            assert main([
+                "perturbation", "--n", "6", "--omega", "1", "--delta", "0.3", "--sigma", "0.02",
+                f"--eps={eps}", "--seed", "3", "--tmax", "200", "--points", "50", "--out", str(out),
+            ]) == 0
+            columns.append(read_csv(out)[1])
+        for other in columns[1:]:
+            np.testing.assert_allclose(other, columns[0], rtol=0.0, atol=1e-14)
 
     def test_perturbation_json_reports_the_excess_of_its_orders(self, tmp_path):
         # at sigma = 0.3 the perturbative orders leave [0, 1] by far; the file
@@ -235,8 +256,8 @@ class TestCommands:
             "--points", "21", "--tmax", "10", "--out", str(out),
         ]) == 0
         doc = json.loads(out.read_text())
-        assert doc["meta"]["full_route"] == "chebyshev"
         for case in doc["cases"]:
+            assert case["route"] == "chebyshev"
             assert case["chebyshev_terms"] > 10  # more than a t_max: the spectral half-width is >= 1
             assert 0.0 <= case["bessel_tail_bound"] < 1e-16
 
@@ -358,6 +379,7 @@ CHAIN = ["chain", "--omega", "1", "--g", "0.5", "--tmax", "5"]
 ENSEMBLE = ["ensemble", "--n", "4", "--omega", "1", "--delta", "0.1", "--sigma", "0.1", "--tmax", "5"]
 CHAIN_MODEL = ["--model", "chain", "--n", "4", "--omega", "1", "--g", "0.5"]
 RECURRENCE = ["recurrence", *CHAIN_MODEL, "--threshold", "0.5"]
+WIGNER_LEE = ["lee", "--density", "wigner:0.1", "--omega", "1", "--tmax", "5"]
 
 # subcommand -> every option it declares; each one is read by its cmd_* function
 OPTIONS = {
@@ -405,6 +427,11 @@ class TestOptionDeclarations:
         (["lee", "--omega", "1", "--delta", "0", "--sigma", "0.1", "--tmax", "5"], "delta"),
         (["poles", "--omega", "1", "--delta", "0"], "delta"),
         (["poles", "--omega", "-1", "--delta", "0.1"], "omega"),
+        ([*WIGNER_LEE, "--delta", "0.1"], "--delta"),
+        ([*WIGNER_LEE, "--kappa2", "3"], "--kappa2"),
+        ([*WIGNER_LEE, "--sigma", "0.1"], "--sigma"),
+        (["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-3", "--sigma", "0.5", "--tmax", "5"],
+         "--sigma"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "x.out"

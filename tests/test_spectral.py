@@ -187,32 +187,6 @@ class TestMandelstamTamm:
             assert np.all(p >= bound - 1e-9)
 
 
-class TestLevelShiftFinite:
-    def test_zero_coupling_gives_zero(self):
-        h = np.diag([1.0, 0.9, 1.1])
-        assert spectral.level_shift_finite(h, 2.0 + 0.3j) == 0.0
-
-    def test_diagonal_environment_matches_sum(self):
-        h = np.array([[1.0, 0.2, -0.1], [0.2, 0.9, 0.0], [-0.1, 0.0, 1.2]])
-        z = 1.0 + 0.5j
-        expected = 0.2**2 / (z - 0.9) + (-0.1) ** 2 / (z - 1.2)
-        assert spectral.level_shift_finite(h, z) == pytest.approx(expected, abs=1e-14)
-
-    def test_resolvent_identity(self, rng):
-        spec = random_experimental_spec(rng, n=12, env=ham.Environment.FULL)
-        h = ham.build(spec)
-        for _ in range(20):
-            z = complex(rng.uniform(-2, 4), rng.uniform(0.1, 2.0) * (1 if rng.integers(2) else -1))
-            shift = spectral.level_shift_finite(h, z)
-            resolvent = np.linalg.inv(z * np.eye(h.shape[0]) - h)
-            assert abs(1.0 / (z - h[0, 0] - shift) - resolvent[0, 0]) < 1e-10
-
-    def test_singularity_detected(self):
-        h = np.array([[1.0, 0.3], [0.3, 0.8]])
-        with pytest.raises(spectral.LevelShiftSingularity):
-            spectral.level_shift_finite(h, 0.8)
-
-
 class TestMergeCloseFrequencies:
     def test_merges_degenerate_block(self):
         d = spectral.SpectralDecomposition(
