@@ -45,12 +45,14 @@ class ConfigError(ValueError):
 # ----------------------------------------------------------------------
 # option types: each parses and checks one value, from a flag or a config key
 
-def _checked(cast, test, requirement: str):
-    """argparse ``type``: ``cast(text)``, refused unless ``test`` holds for the value."""
+def _checked(cast, test=None, requirement: str = ""):
+    """argparse ``type``: ``cast(text)``, refused if a float not finite or if ``test`` fails for it."""
 
     def parse(text: str):
         value = cast(text)
-        if not test(value):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+        if test is not None and not test(value):
             raise argparse.ArgumentTypeError(f"{text!r} is not {requirement}")
         return value
 
@@ -58,6 +60,7 @@ def _checked(cast, test, requirement: str):
     return parse
 
 
+_FLOAT = _checked(float)
 _AT_LEAST_1 = _checked(int, lambda v: v >= 1, ">= 1")
 _POSITIVE = _checked(float, lambda v: v > 0.0, "> 0")
 
@@ -77,8 +80,8 @@ def _named(usage: str, **makers):
         name, colon, number = text.lower().partition(":")
         try:
             make = makers[name]
-            return make(float(number)) if colon else make()
-        except (KeyError, TypeError, ValueError) as exc:
+            return make(_FLOAT(number)) if colon else make()
+        except (KeyError, TypeError, ValueError, argparse.ArgumentTypeError) as exc:
             raise argparse.ArgumentTypeError(f"expected {usage}, got {text!r}") from exc
 
     return parse
@@ -86,7 +89,8 @@ def _named(usage: str, **makers):
 
 _coupling_law = _named("gaussian or uniform:<half-width >= 0>",
                        gaussian=ham.GaussianCouplings, uniform=ham.UniformCouplings)
-_density = _named("box or wigner:<sigma > 0>", box=lee.UniformBox, wigner=lee.WignerSemicircle)
+# the box parses to None, the semicircle to its sigma; ``_lee_params`` builds the type
+_density = _named("box or wigner:<sigma > 0>", box=lambda: None, wigner=_POSITIVE)
 
 
 # ----------------------------------------------------------------------
@@ -291,15 +295,15 @@ def _pole_fields(pole_set: lee.PoleSet) -> dict:
     return fields
 
 
-def _lee_params(args) -> lee.LeeParams:
+def _lee_params(args) -> lee.LeeParams | lee.WignerSemicircle:
     """The box reads --delta and one of --kappa2 or --sigma; the semicircle reads none of them."""
     _require(args, ["omega"])
-    if isinstance(args.density, lee.WignerSemicircle):
+    if args.density is not None:
         given = [f"--{name}" for name in ("delta", "kappa2", "sigma") if getattr(args, name) is not None]
         if given:
             raise ConfigError(f"the wigner density takes no {', '.join(given)}")
         with _flag_values():
-            return lee.LeeParams(args.omega, 0.0, 0.0, args.density)
+            return lee.WignerSemicircle(args.omega, args.density)
     _require(args, ["delta"])
     if (args.kappa2 is None) == (args.sigma is None):
         raise ConfigError("give exactly one of --kappa2 or --sigma")
@@ -307,7 +311,7 @@ def _lee_params(args) -> lee.LeeParams:
         kappa2 = args.kappa2
         if kappa2 is None:
             kappa2 = lee.coupling_from_gaussian(args.sigma, args.omega, args.delta)
-        return lee.LeeParams(args.omega, args.delta, kappa2, args.density)
+        return lee.LeeParams(args.omega, args.delta, kappa2)
 
 
 # ----------------------------------------------------------------------
@@ -318,9 +322,10 @@ def cmd_chain(args) -> int:
     times = _grid(args)
     series = {}
     for n in args.sizes:
-        params = closedform.ChainParams(n, args.g, args.omega)
-        series[f"closedform_n{n}"] = closedform.chain_survival(params, times)
-        h = ham.build_chain(n, args.omega, args.g)
+        with _flag_values():
+            model = ham.Chain(n, args.omega, args.g)
+        series[f"closedform_n{n}"] = closedform.chain_survival(model, times)
+        h = ham.build(ham.HamiltonianSpec(model))
         series[f"spectral_n{n}"] = survival_probability(decompose(h), times)
     series["bessel_limit"] = closedform.chain_bessel_limit(args.g, times)
     _emit_series(args, series, {"spec": {"model": "chain", "sizes": args.sizes, "g": args.g, "omega": args.omega}, "seed": None, "method": "closed-form+spectral+bessel"})
@@ -347,7 +352,7 @@ def cmd_lee(args) -> int:
     times = _grid(args)
     curve = lee.survival(params, times, method=args.method)
     annotations = {}
-    if isinstance(params.density, lee.UniformBox):
+    if isinstance(params, lee.LeeParams):
         annotations = {"van_hove_rate": lee.van_hove_rate(params), **_pole_fields(lee.poles(params))}
     meta = {"spec": repr(params), "seed": None, "method": curve.method, "annotations": annotations}
     _emit_series(args, {"survival": curve}, meta, sidecar=True)
@@ -410,7 +415,6 @@ def cmd_recurrence(args) -> int:
     report = dataclasses.asdict(recurrence.build_report(
         decomp, args.threshold, args.observation_time, args.resolution, empirical=args.empirical
     ))
-    del report["moments"]["n"]
     write_json(args.out, {"meta": {"spec": repr(spec), "seed": spec.seed, "version": __version__}, "report": report})
     return EXIT_OK
 
@@ -461,8 +465,8 @@ def _add_output(p, formats: bool = True):
 
 
 def _add_grid(p, tmax=None, points=400):
-    p.add_argument("--tmin", type=float, default=0.0, help="first grid time")
-    p.add_argument("--tmax", type=float, default=tmax, help="last grid time")
+    p.add_argument("--tmin", type=_FLOAT, default=0.0, help="first grid time")
+    p.add_argument("--tmax", type=_FLOAT, default=tmax, help="last grid time")
     p.add_argument("--points", type=int, default=points, help="grid points")
 
 
@@ -474,10 +478,10 @@ def _add_model(p):
     _add_seed(p)
     p.add_argument("--model", type=str.lower, choices=_MODELS, default="experimental", help="model family")
     p.add_argument("--n", type=int, help="number of qubits")
-    p.add_argument("--omega", type=float, help="central splitting")
-    p.add_argument("--g", type=float, help="chain coupling")
-    p.add_argument("--delta", type=float, help="environment half-width")
-    p.add_argument("--sigma", type=float, help="coupling scale")
+    p.add_argument("--omega", type=_FLOAT, help="central splitting")
+    p.add_argument("--g", type=_FLOAT, help="chain coupling")
+    p.add_argument("--delta", type=_FLOAT, help="environment half-width")
+    p.add_argument("--sigma", type=_FLOAT, help="coupling scale")
     p.add_argument("--offdiag", type=_coupling_law, default="gaussian", help="gaussian | uniform:<half-width>")
     p.add_argument("--env", type=str.lower, choices=["diagonal", "full"], default="diagonal", help="environment")
 
@@ -495,8 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_output(p)
     _add_grid(p)
     p.add_argument("--sizes", type=_sizes, default="10,20,40,100", help="comma list of chain sizes")
-    p.add_argument("--omega", type=float, help="site splitting")
-    p.add_argument("--g", type=float, help="nearest-neighbour coupling")
+    p.add_argument("--omega", type=_FLOAT, help="site splitting")
+    p.add_argument("--g", type=_FLOAT, help="nearest-neighbour coupling")
     p.set_defaults(func=cmd_chain)
 
     p = add("ensemble", help="seeded ensemble mean of survival curves")
@@ -510,18 +514,18 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("lee", help="infinite-environment survival curve")
     _add_output(p)
     _add_grid(p)
-    p.add_argument("--omega", type=float, help="central splitting")
-    p.add_argument("--delta", type=float, help="environment half-width (box only)")
-    p.add_argument("--sigma", type=float, help="Gaussian coupling scale, if no --kappa2 (box only)")
-    p.add_argument("--kappa2", type=float, help="dimensionless coupling, if no --sigma (box only)")
+    p.add_argument("--omega", type=_FLOAT, help="central splitting")
+    p.add_argument("--delta", type=_FLOAT, help="environment half-width (box only)")
+    p.add_argument("--sigma", type=_FLOAT, help="Gaussian coupling scale, if no --kappa2 (box only)")
+    p.add_argument("--kappa2", type=_FLOAT, help="dimensionless coupling, if no --sigma (box only)")
     p.add_argument("--density", type=_density, default="box", help="box | wigner:<sigma>")
     p.add_argument("--method", choices=lee.METHODS, default="residue_cut", help="amplitude route")
     p.set_defaults(func=cmd_lee)
 
     p = add("poles", help="pole sweep across couplings")
     _add_output(p, formats=False)
-    p.add_argument("--omega", type=float, help="central splitting")
-    p.add_argument("--delta", type=float, help="environment half-width")
+    p.add_argument("--omega", type=_FLOAT, help="central splitting")
+    p.add_argument("--delta", type=_FLOAT, help="environment half-width")
     p.add_argument("--kappa2-min", type=_POSITIVE, default=1e-4, help="smallest coupling")
     p.add_argument("--kappa2-max", type=_POSITIVE, default=10.0, help="largest coupling")
     p.add_argument("--kappa2-points", type=_AT_LEAST_1, default=25, help="couplings, log-spaced")

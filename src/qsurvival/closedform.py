@@ -9,32 +9,19 @@ cross-check the spectral route.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
+from .hamiltonian import Chain
 from .series import SurvivalSeries
 
-__all__ = ["ChainParams", "chain_survival", "chain_bessel_limit", "bessel_j"]
+__all__ = ["chain_survival", "chain_bessel_limit", "bessel_j"]
 
 # Power series below, Hankel asymptotic expansion above. The two branches
 # overlap to better than 3e-12 in a band around the crossover.
 _SERIES_ASYMPTOTIC_CROSSOVER = 12.0
 # Below this |2 g t| the ratio J1(x)/(x/2) is taken from its power series.
 _BESSEL_RATIO_SERIES_CUTOFF = 1e-4
-
-
-@dataclass(frozen=True)
-class ChainParams:
-    """Chain size and coupling; omega only contributes a global phase."""
-
-    n: int
-    g: float
-    omega: float = 1.0
-
-    def __post_init__(self):
-        if self.n < 1:
-            raise ValueError("n must be >= 1")
 
 
 def _bessel_series(order: int, x: float) -> float:
@@ -107,14 +94,14 @@ def _chain_modes(n: int, g: float):
     return freqs, weights
 
 
-def chain_survival(params: ChainParams, times) -> SurvivalSeries:
+def chain_survival(model: Chain, times) -> SurvivalSeries:
     """Survival probability of the first site of the chain, O(n^2) per time.
 
     Evaluates the double sum of cosines of normal-mode frequency differences
     with sin^2 weights directly; omega drops out of the probability.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    freqs, weights = _chain_modes(params.n, params.g)
+    freqs, weights = _chain_modes(model.n, model.g)
     dfreq = freqs[:, None] - freqs[None, :]
     wpair = weights[:, None] * weights[None, :]
     values = np.empty(times.size)

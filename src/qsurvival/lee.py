@@ -1,9 +1,14 @@
 """Survival probability of the central qubit in the infinite-environment limit.
 
-The Laplace-transformed amplitude is 1 / (z - omega + omega*kappa2*L(z)) with
-L the dimensionless level-shift function: a two-branch-point logarithm for a
-uniform box of environment levels, the semicircle Stieltjes transform for a
-GOE environment. Three independent evaluation routes are provided:
+Each environment density has its own parameter type. ``LeeParams`` is a
+uniform box of levels; the Laplace-transformed amplitude is
+1 / (z - omega + omega*kappa2*L(z)) with L a two-branch-point logarithm.
+``WignerSemicircle`` is a GOE environment, the infinite-size limit of
+``hamiltonian.RosenzweigPorter``; omega*kappa2*L becomes sigma^2 times the
+semicircle Stieltjes transform, the survival is a closed form, and
+``amplitude_direct`` is its numerical cross-check.
+
+Three independent evaluation routes are provided for the box:
 
 * ``direct``        - numerical inversion along a line above the real axis,
 * ``residue_cut``   - real-pole residues plus the explicit cut integral,
@@ -21,7 +26,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import brentq
@@ -31,9 +36,8 @@ from .series import SurvivalSeries
 from .spectral import phase_sum
 
 __all__ = [
-    "UniformBox",
-    "WignerSemicircle",
     "LeeParams",
+    "WignerSemicircle",
     "RealPole",
     "ResonancePole",
     "PoleSet",
@@ -88,41 +92,41 @@ class PoleSearchError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class UniformBox:
-    """Environment levels spread uniformly over [omega - delta, omega + delta]."""
-
-
-@dataclass(frozen=True)
-class WignerSemicircle:
-    """GOE environment; level density is a semicircle of radius 2*sigma."""
-
-    sigma: float
-
-    def __post_init__(self):
-        if not self.sigma > 0.0:
-            raise ValueError("sigma must be > 0")
-
-
-@dataclass(frozen=True)
 class LeeParams:
-    """Central splitting omega, box half-width delta, dimensionless coupling kappa2."""
+    """Uniform box of levels over [omega - delta, omega + delta], dimensionless
+    coupling kappa2; all finite, with omega > 0, delta > 0 and kappa2 >= 0."""
 
     omega: float
     delta: float
     kappa2: float
-    density: UniformBox | WignerSemicircle = field(default_factory=UniformBox)
 
     def __post_init__(self):
-        if not self.omega > 0.0:
-            raise ValueError("omega must be > 0")
-        if isinstance(self.density, UniformBox) and not self.delta > 0.0:
-            raise ValueError("delta must be > 0 for the box density")
-        if self.kappa2 < 0.0:
-            raise ValueError("kappa2 must be >= 0")
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be finite and > 0")
+        if not 0.0 < self.delta < math.inf:
+            raise ValueError("delta must be finite and > 0")
+        if not 0.0 <= self.kappa2 < math.inf:
+            raise ValueError("kappa2 must be finite and >= 0")
 
     @property
     def cut(self) -> tuple[float, float]:
         return (self.omega - self.delta, self.omega + self.delta)
+
+
+@dataclass(frozen=True)
+class WignerSemicircle:
+    """GOE environment: semicircle of radius 2*sigma around omega, squared couplings
+    summing to sigma^2, as ``hamiltonian.RosenzweigPorter(n, omega, sigma)`` at
+    n -> infinity; both finite and > 0."""
+
+    omega: float
+    sigma: float
+
+    def __post_init__(self):
+        if not 0.0 < self.omega < math.inf:
+            raise ValueError("omega must be finite and > 0")
+        if not 0.0 < self.sigma < math.inf:
+            raise ValueError("sigma must be finite and > 0")
 
 
 @dataclass(frozen=True)
@@ -225,10 +229,10 @@ def stieltjes_wigner(z, omega: float, sigma: float):
     return -(w - root) / (2.0 * sigma**2)
 
 
-def _denominator_first(params: LeeParams, z):
+def _denominator_first(params: LeeParams | WignerSemicircle, z):
     z = np.asarray(z, dtype=complex)
-    if isinstance(params.density, WignerSemicircle):
-        s = params.density.sigma
+    if isinstance(params, WignerSemicircle):
+        s = params.sigma
         return z - params.omega + s**2 * stieltjes_wigner(z, params.omega, s)
     return z - params.omega + params.omega * params.kappa2 * level_shift_first_sheet(params, z)
 
@@ -245,11 +249,6 @@ def _denominator_derivative(params: LeeParams, z):
 
 # ----------------------------------------------------------------------
 # poles
-
-
-def _require_box(params: LeeParams, what: str):
-    if not isinstance(params.density, UniformBox):
-        raise ValueError(f"{what} requires the uniform box density")
 
 
 @functools.lru_cache(maxsize=256)
@@ -284,13 +283,11 @@ def real_poles(params: LeeParams) -> list[RealPole]:
     below the double-precision floor the list is empty, which the t = 0 sum
     rule then attributes entirely to the cut.
     """
-    _require_box(params, "real_poles")
     return list(_real_poles_cached(params))
 
 
 def real_pole_equation(params: LeeParams, pole: RealPole) -> float:
     """Residual of the real-axis pole equation at a found pole (stable form)."""
-    _require_box(params, "real_pole_equation")
     w, d, k2 = params.omega, params.delta, params.kappa2
     if math.isinf(pole.cut_offset):
         return pole.location - w
@@ -306,7 +303,6 @@ def second_sheet_pole(params: LeeParams) -> ResonancePole:
     toward strong coupling, at most 100 steps per coupling. Steps are halved
     whenever an iterate would leave the lower half-plane.
     """
-    _require_box(params, "second_sheet_pole")
     return _second_sheet_pole_cached(params)
 
 
@@ -432,7 +428,6 @@ def _cut_weight(params: LeeParams, x: np.ndarray) -> np.ndarray:
 def amplitude_residue_cut(params: LeeParams, t):
     """Amplitude as real-pole residues plus the spectral-weight integral over
     the cut. Scalar or array ``t`` (non-negative)."""
-    _require_box(params, "amplitude_residue_cut")
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     _check_times(t_arr)
     rp = real_poles(params)
@@ -504,7 +499,6 @@ def _second_sheet_terms(params: LeeParams, times: np.ndarray):
 
 def amplitude_second_sheet(params: LeeParams, t) -> SecondSheetAmplitude:
     """Amplitude decomposed over the deformed contour through the cut."""
-    _require_box(params, "amplitude_second_sheet")
     times = np.array([float(t)])
     _check_times(times)
     real_term, resonance, lines = _second_sheet_terms(params, times)
@@ -520,14 +514,14 @@ def amplitude_second_sheet(params: LeeParams, t) -> SecondSheetAmplitude:
 # method M-i: direct inversion along R + i eps
 
 
-def _direct_subtractions(params: LeeParams):
+def _direct_subtractions(params: LeeParams | WignerSemicircle):
     """Simple poles whose inverse transforms are known exactly.
 
     Real poles are removed with their residues; the leftover weight is
     assigned to a pole at the moment-matched location so the remaining
     integrand decays like 1/z^3 without secular subtraction terms.
     """
-    if isinstance(params.density, WignerSemicircle):
+    if isinstance(params, WignerSemicircle):
         return np.array([]), np.array([]), 1.0, params.omega
     rp = real_poles(params)
     xs = np.array([p.location for p in rp])
@@ -540,24 +534,23 @@ def _direct_subtractions(params: LeeParams):
     return xs, rs, w_rest, x_rest
 
 
-def _direct_breakpoints(params: LeeParams, eps: float, half_width: float, extra: list[float]):
+def _direct_breakpoints(params: LeeParams | WignerSemicircle, eps: float, half_width: float, extra: list[float]):
     w = params.omega
-    k2 = params.kappa2
     lo, hi = w - half_width, w + half_width
     pts = {lo, hi}
-    if isinstance(params.density, WignerSemicircle):
-        edges = [w - 2 * params.density.sigma, w + 2 * params.density.sigma]
-        width = max(params.density.sigma * 1e-3, eps)
+    if isinstance(params, WignerSemicircle):
+        edges = [w - 2 * params.sigma, w + 2 * params.sigma]
+        width = max(params.sigma * 1e-3, eps)
     else:
         edges = list(params.cut)
-        width = max(math.pi * w * k2, eps)
+        width = max(math.pi * w * params.kappa2, eps)
     for center in edges + extra + [w]:
         pts.update(_geometric_cluster(center, max(eps / 2.0, 1e-13), half_width, lo, hi))
     pts.update(_geometric_cluster(w, width / 8.0, half_width, lo, hi))
     return pts
 
 
-def amplitude_direct(params: LeeParams, t) -> complex:
+def amplitude_direct(params: LeeParams | WignerSemicircle, t) -> complex:
     """Numerical inverse Laplace transform along a line just above the real axis.
 
     Known simple poles are subtracted and restored analytically; the
@@ -571,7 +564,7 @@ def amplitude_direct(params: LeeParams, t) -> complex:
     """
     t = float(t)
     _check_times(np.array([t]))
-    scale = params.delta if isinstance(params.density, UniformBox) else params.density.sigma
+    scale = params.sigma if isinstance(params, WignerSemicircle) else params.delta
     eps = max(min(1e-3 * scale, 0.2 / max(t, 1.0)), 1e-9 * scale)
     xs, rs, w_rest, x_rest = _direct_subtractions(params)
 
@@ -583,7 +576,7 @@ def amplitude_direct(params: LeeParams, t) -> complex:
 
     def integrate(eps_line: float) -> tuple[complex, float]:
         w = params.omega
-        half = max(8.0 * params.delta if isinstance(params.density, UniformBox) else 16.0 * params.density.sigma, 2.0)
+        half = max(16.0 * params.sigma if isinstance(params, WignerSemicircle) else 8.0 * params.delta, 2.0)
         while True:
             g_hi = abs(complex(remainder(complex(w + half, eps_line))))
             g_lo = abs(complex(remainder(complex(w - half, eps_line))))
@@ -630,9 +623,9 @@ def _check_times(times: np.ndarray):
         raise ValueError("times must be finite and non-negative")
 
 
-def _wigner_closed_form(params: LeeParams, times: np.ndarray) -> np.ndarray:
+def _wigner_closed_form(params: WignerSemicircle, times: np.ndarray) -> np.ndarray:
     # amplitude e^{-i omega t} J1(2 sigma t)/(sigma t); probability is its square
-    s = params.density.sigma
+    s = params.sigma
     x = 2.0 * s * times
     ratio = np.ones_like(times)
     small = np.abs(x) < 1e-8
@@ -642,10 +635,10 @@ def _wigner_closed_form(params: LeeParams, times: np.ndarray) -> np.ndarray:
     return ratio**2
 
 
-def survival(params: LeeParams, times, method: str = "residue_cut") -> SurvivalSeries:
+def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue_cut") -> SurvivalSeries:
     """Survival probability on a grid by the chosen route.
 
-    For the semicircle density every route reduces to the same function and
+    For the semicircle every route reduces to the same function and
     the curve is evaluated in closed form through J1, whatever ``method``
     asks for; the series is then tagged ``closed-form`` (``amplitude_direct``
     with the Stieltjes level shift remains available as a cross-check).
@@ -656,7 +649,7 @@ def survival(params: LeeParams, times, method: str = "residue_cut") -> SurvivalS
         raise ValueError(f"unknown method {method!r}")
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_times(times)
-    if isinstance(params.density, WignerSemicircle):
+    if isinstance(params, WignerSemicircle):
         return SurvivalSeries(times, _wigner_closed_form(params, times), method="closed-form")
     if method == "residue_cut":
         amp = amplitude_residue_cut(params, times)

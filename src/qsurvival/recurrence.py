@@ -57,7 +57,6 @@ class Moments:
     kappa_star: float
     big_gamma_star: float
     gamma_star: float
-    n: int
 
     @property
     def dispersion(self) -> float:
@@ -93,7 +92,7 @@ def moments(decomp: SpectralDecomposition) -> Moments:
     n = decomp.n
     if kappa * big_gamma - gamma**2 < -1e-12 * max(big_gamma * kappa, 1.0):
         raise AssertionError("Cauchy-Schwarz violated; weights corrupted")
-    return Moments(kappa, big_gamma, gamma, n * kappa, n * big_gamma, n * gamma, n)
+    return Moments(kappa, big_gamma, gamma, n * kappa, n * big_gamma, n * gamma)
 
 
 def kac_frequency(decomp: SpectralDecomposition, p: float) -> float:

@@ -64,7 +64,7 @@ class TestAcceptance:
             weight_err = np.max(np.abs(d.weights - (np.sin(theta) ** 2 / ((n + 1) / 2.0))[order]))
             worst_spec = max(worst_spec, eig_err, weight_err)
         times = np.linspace(0.0, 8.0 / G_CHAIN, 400)
-        chain = closedform.chain_survival(closedform.ChainParams(100, G_CHAIN), times)
+        chain = closedform.chain_survival(ham.Chain(100, 1.0, G_CHAIN), times)
         limit = closedform.chain_bessel_limit(G_CHAIN, times)
         sup = float(np.max(np.abs(chain.values - limit.values)))
         report(

@@ -1,4 +1,7 @@
 import json
+import pathlib
+import re
+import shlex
 
 import numpy as np
 import pytest
@@ -151,6 +154,16 @@ class TestCommands:
             "--format", "json", "--out", str(out),
         ]) == 0
         assert json.loads(out.read_text())["meta"]["annotations"] == {}
+
+    @pytest.mark.parametrize("argv, spec", [
+        (["--density", "wigner:0.1"], "WignerSemicircle(omega=1.0, sigma=0.1)"),
+        (["--delta", "0.1", "--kappa2", "7.5e-4"], "LeeParams(omega=1.0, delta=0.1, kappa2=0.00075)"),
+    ])
+    def test_lee_meta_spec_is_the_parameter_type_alone(self, argv, spec, tmp_path):
+        out = tmp_path / "lee.json"
+        assert main(["lee", "--omega", "1", *argv, "--tmax", "5", "--points", "4", "--format", "json",
+                     "--out", str(out)]) == 0
+        assert json.loads(out.read_text())["meta"]["spec"] == spec
 
     def test_poles_sweep(self, tmp_path):
         out = tmp_path / "poles.json"
@@ -308,7 +321,7 @@ class TestValidationAndConfig:
         assert code == 2
         assert not out.exists()
 
-    @pytest.mark.parametrize("line", ["method = foo", "points = 7.5", "kappa2 = big"])
+    @pytest.mark.parametrize("line", ["method = foo", "points = 7.5", "kappa2 = big", "kappa2 = nan"])
     def test_config_bad_value_exits_2(self, line, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")
@@ -432,6 +445,17 @@ class TestOptionDeclarations:
         ([*WIGNER_LEE, "--sigma", "0.1"], "--sigma"),
         (["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-3", "--sigma", "0.5", "--tmax", "5"],
          "--sigma"),
+        (["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "nan", "--tmax", "5"], "--kappa2"),
+        (["lee", "--omega", "1", "--delta", "0.1", "--sigma", "nan", "--tmax", "5"], "--sigma"),
+        (["lee", "--omega", "1", "--delta", "inf", "--kappa2", "1e-3", "--tmax", "5"], "--delta"),
+        (["lee", "--density", "wigner:inf", "--omega", "1", "--tmax", "5"], "--density"),
+        (["chain", "--omega", "1", "--g", "nan", "--tmax", "5"], "--g"),
+        (["chain", "--omega", "1", "--g", "0.5", "--tmax", "inf"], "--tmax"),
+        (["ensemble", "--n", "4", "--omega", "1", "--delta", "0.1", "--sigma", "inf", "--tmax", "5"], "--sigma"),
+        (["ensemble", "--n", "4", "--omega", "inf", "--delta", "0.1", "--sigma", "0.1", "--tmax", "5"],
+         "--omega"),
+        (["poles", "--omega", "1", "--delta", "0.1", "--kappa2-max", "inf"], "--kappa2-max"),
+        ([*RECURRENCE, "--empirical", "--observation-time", "inf"], "--observation-time"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):
         out = tmp_path / "x.out"
@@ -448,6 +472,16 @@ class TestOptionDeclarations:
     def test_option_a_subcommand_does_not_read_exits_2(self, argv, tmp_path, capsys):
         assert exit_status([*argv, "--out", str(tmp_path / "x.out")]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_examples_parse(self):
+        """Every ``qsurvival`` command in the README's sh blocks parses; none is run."""
+        text = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text().replace("\\\n", " ")
+        commands = [shlex.split(line)[1:] for block in re.findall(r"```sh\n(.*?)```", text, re.S)
+                    for line in block.splitlines() if line.startswith("qsurvival ")]
+        assert {argv[0] for argv in commands} == set(OPTIONS)
+        parser = build_parser()
+        for argv in commands:
+            parser.parse_args(argv)
 
     def test_config_tmax_overrides_oracle_default_and_flag_wins(self, tmp_path, monkeypatch):
         grids = []

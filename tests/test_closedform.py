@@ -65,20 +65,20 @@ class TestBesselJ:
 
 class TestChainSurvival:
     def test_starts_at_one(self):
-        series = closedform.chain_survival(closedform.ChainParams(7, 0.8), np.array([0.0]))
+        series = closedform.chain_survival(hamiltonian.Chain(7, 1.0, 0.8), np.array([0.0]))
         assert series.values[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_two_site_cosine_squared(self):
         g = 0.6
         times = np.linspace(0.0, 15.0, 120)
-        series = closedform.chain_survival(closedform.ChainParams(2, g), times)
+        series = closedform.chain_survival(hamiltonian.Chain(2, 1.0, g), times)
         np.testing.assert_allclose(series.values, np.cos(g * times) ** 2, atol=1e-12)
 
     @pytest.mark.parametrize("n", [3, 11, 27, 50])
     def test_agrees_with_spectral_route(self, n):
         g = 1.0 / math.sqrt(2.0)
         times = np.linspace(0.0, 30.0, 90)
-        closed = closedform.chain_survival(closedform.ChainParams(n, g), times)
+        closed = closedform.chain_survival(hamiltonian.Chain(n, 1.0, g), times)
         d = spectral.decompose(hamiltonian.build_chain(n, 1.0, g))
         other = spectral.survival_probability(d, times)
         assert np.max(np.abs(closed.values - other.values)) < 1e-10
@@ -87,12 +87,12 @@ class TestChainSurvival:
         # curves superimpose early; the revival time moves out with size
         g = 1.0 / math.sqrt(2.0)
         early = np.linspace(0.0, 2.0 / g, 60)
-        small = closedform.chain_survival(closedform.ChainParams(10, g), early).values
-        large = closedform.chain_survival(closedform.ChainParams(40, g), early).values
+        small = closedform.chain_survival(hamiltonian.Chain(10, 1.0, g), early).values
+        large = closedform.chain_survival(hamiltonian.Chain(40, 1.0, g), early).values
         assert np.max(np.abs(small - large)) < 2e-2
         late = np.linspace(8.0 / g, 20.0 / g, 400)
-        revived_10 = closedform.chain_survival(closedform.ChainParams(10, g), late).values.max()
-        revived_100 = closedform.chain_survival(closedform.ChainParams(100, g), late).values.max()
+        revived_10 = closedform.chain_survival(hamiltonian.Chain(10, 1.0, g), late).values.max()
+        revived_100 = closedform.chain_survival(hamiltonian.Chain(100, 1.0, g), late).values.max()
         assert revived_10 > 0.5
         assert revived_100 < 0.1
 
@@ -106,7 +106,7 @@ class TestBesselLimit:
         g = 1.0 / math.sqrt(2.0)
         t = np.array([5.0 / g])
         limit = closedform.chain_bessel_limit(g, t).values[0]
-        chain = closedform.chain_survival(closedform.ChainParams(100, g), t).values[0]
+        chain = closedform.chain_survival(hamiltonian.Chain(100, 1.0, g), t).values[0]
         assert abs(limit - chain) < 1e-2
 
     def test_large_time_envelope(self):
@@ -127,7 +127,7 @@ class TestBesselLimit:
         limit = closedform.chain_bessel_limit(g, times).values
         sup_gaps = []
         for n in (10, 20, 40, 100):
-            chain = closedform.chain_survival(closedform.ChainParams(n, g), times).values
+            chain = closedform.chain_survival(hamiltonian.Chain(n, 1.0, g), times).values
             sup_gaps.append(np.max(np.abs(chain - limit)))
         assert all(b <= a + 1e-13 for a, b in zip(sup_gaps, sup_gaps[1:]))
         assert sup_gaps[0] > 1e-4 > sup_gaps[1]

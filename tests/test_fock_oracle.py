@@ -152,7 +152,7 @@ class TestFullSurvival:
         model = fock_oracle.build_full_hamiltonian(spec)
         times = np.linspace(0.0, 25.0, 120)
         full = fock_oracle.full_survival(model, times)
-        closed = closedform.chain_survival(closedform.ChainParams(6, 0.45), times)
+        closed = closedform.chain_survival(ham.Chain(6, 1.0, 0.45), times)
         assert np.max(np.abs(full.values - closed.values)) < 1e-10
 
     def test_random_model_matches_sector_route(self, rng):

@@ -26,6 +26,34 @@ class TestCoupling:
         assert lee.coupling_from_uniform(hw, 1.0, 0.1) == pytest.approx(hw**2 / 0.3, rel=1e-12)
 
 
+class TestParameterTypes:
+    @pytest.mark.parametrize("omega, delta, kappa2, field", [
+        (1.0, 0.1, math.nan, "kappa2"),
+        (1.0, 0.1, math.inf, "kappa2"),
+        (1.0, 0.1, -1e-3, "kappa2"),
+        (1.0, math.inf, 0.1, "delta"),
+        (1.0, math.nan, 0.1, "delta"),
+        (1.0, 0.0, 0.1, "delta"),
+        (math.nan, 0.1, 0.1, "omega"),
+        (math.inf, 0.1, 0.1, "omega"),
+    ])
+    def test_box_refuses_non_finite_and_out_of_range_values(self, omega, delta, kappa2, field):
+        with pytest.raises(ValueError, match=field):
+            lee.LeeParams(omega, delta, kappa2)
+
+    @pytest.mark.parametrize("omega, sigma, field", [
+        (1.0, math.nan, "sigma"),
+        (1.0, math.inf, "sigma"),
+        (1.0, 0.0, "sigma"),
+        (math.nan, 0.1, "omega"),
+        (math.inf, 0.1, "omega"),
+        (-1.0, 0.1, "omega"),
+    ])
+    def test_semicircle_refuses_non_finite_and_out_of_range_values(self, omega, sigma, field):
+        with pytest.raises(ValueError, match=field):
+            lee.WignerSemicircle(omega, sigma)
+
+
 class TestLevelShift:
     def test_decays_at_infinity(self):
         for y in (1e3, 1e5):
@@ -259,7 +287,7 @@ class TestAmplitudes:
 
     def test_wigner_direct_matches_closed_form(self):
         sigma = 0.25
-        params = lee.LeeParams(1.0, 0.0, 0.0, lee.WignerSemicircle(sigma))
+        params = lee.WignerSemicircle(1.0, sigma)
         for t in (0.0, 2.0, 9.0, 31.0):
             closed = cmath.exp(-1j * t) * (
                 1.0 if t == 0.0 else 2.0 * closedform.bessel_j(1, 2.0 * sigma * t) / (2.0 * sigma * t)
@@ -298,7 +326,7 @@ class TestSurvival:
 
     def test_wigner_equals_bessel_limit(self):
         sigma = 0.37
-        params = lee.LeeParams(1.0, 0.0, 0.0, lee.WignerSemicircle(sigma))
+        params = lee.WignerSemicircle(1.0, sigma)
         times = np.linspace(0.0, 60.0, 300)
         series = lee.survival(params, times)
         limit = closedform.chain_bessel_limit(sigma, times)
@@ -306,7 +334,7 @@ class TestSurvival:
 
     @pytest.mark.parametrize("method", ["direct", "residue_cut", "second_sheet"])
     def test_wigner_tagged_closed_form(self, method, tmp_path):
-        params = lee.LeeParams(1.0, 0.0, 0.0, lee.WignerSemicircle(0.2))
+        params = lee.WignerSemicircle(1.0, 0.2)
         assert lee.survival(params, np.linspace(0.0, 5.0, 4), method=method).method == "closed-form"
         with pytest.raises(ValueError, match="cauchy"):
             lee.survival(params, np.linspace(0.0, 5.0, 4), method="cauchy")

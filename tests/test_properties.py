@@ -56,7 +56,7 @@ class TestUnitarity:
     @given(st.integers(1, 60), st.floats(0.01, 3.0), time_grids())
     @settings(max_examples=30, deadline=None)
     def test_closed_form(self, n, g, times):
-        assert closedform.chain_survival(closedform.ChainParams(n, g), times).clip_excess <= UNITARITY_TOL
+        assert closedform.chain_survival(ham.Chain(n, 1.0, g), times).clip_excess <= UNITARITY_TOL
         assert closedform.chain_bessel_limit(g, times).clip_excess <= UNITARITY_TOL
 
     @given(experimental_specs(2, 8), time_grids(30.0))
