@@ -50,8 +50,7 @@ class UniformCouplings:
     half_width: float
 
     def __post_init__(self):
-        if not self.half_width >= 0.0:
-            raise ValueError("half_width must be >= 0")
+        _check_scale("half_width", self.half_width)
 
 
 @dataclass(frozen=True)
@@ -64,6 +63,8 @@ class Chain:
 
     def __post_init__(self):
         _check_common(self.n, self.omega)
+        if not math.isfinite(self.g):
+            raise ValueError("g must be finite")
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,8 @@ class Experimental:
 
     def __post_init__(self):
         _check_common(self.n, self.omega)
-        if not self.delta >= 0.0:
-            raise ValueError("delta must be >= 0")
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be >= 0")
+        _check_scale("delta", self.delta)
+        _check_scale("sigma", self.sigma)
 
 
 @dataclass(frozen=True)
@@ -96,8 +95,7 @@ class RosenzweigPorter:
 
     def __post_init__(self):
         _check_common(self.n, self.omega)
-        if not self.sigma >= 0.0:
-            raise ValueError("sigma must be >= 0")
+        _check_scale("sigma", self.sigma)
 
 
 Model = Chain | Experimental | RosenzweigPorter
@@ -120,8 +118,13 @@ class HamiltonianSpec:
 def _check_common(n, omega):
     if not (isinstance(n, (int, np.integer)) and n >= 1):
         raise ValueError("n must be an integer >= 1")
-    if not omega > 0.0:
-        raise ValueError("omega must be > 0")
+    if not 0.0 < omega < math.inf:
+        raise ValueError("omega must be finite and > 0")
+
+
+def _check_scale(name, value):
+    if not 0.0 <= value < math.inf:
+        raise ValueError(f"{name} must be finite and >= 0")
 
 
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
@@ -131,7 +134,7 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 
 def build_chain(n: int, omega: float, g: float) -> np.ndarray:
     """Tridiagonal chain matrix: omega on the diagonal, g on the first off-diagonals."""
-    _check_common(n, omega)
+    Chain(n, omega, g)  # refuses the values a Chain refuses
     h = np.zeros((n, n))
     np.fill_diagonal(h, omega)
     idx = np.arange(n - 1)

@@ -4,6 +4,10 @@ The second-order formula is the textbook leading term; the fourth-order one
 carries weight corrections, a third-order interference sum, counter-term
 corrected quadruple sums, a renormalized-frequency term (evaluated exactly,
 which preserves the secular-term cancellation), and an environment pair term.
+
+Level sums are array algebra on one checked matrix of inverse gaps, O(n^3)
+once. The pair term sum_{i<j} a_i a_j sin^2((f_i - f_j) t / 2) is the phase
+sum [(sum_j a_j)^2 - |sum_j a_j e^{-i f_j t}|^2] / 4, O(n) per time.
 """
 
 from __future__ import annotations
@@ -13,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .series import SurvivalSeries
+from .spectral import phase_sum
 
 __all__ = [
     "PerturbationSplit",
@@ -70,35 +75,38 @@ def split_hamiltonian(h: np.ndarray, eps: float) -> PerturbationSplit:
     return PerturbationSplit(np.diag(h).copy(), v / eps, eps)
 
 
-def _gaps(split: PerturbationSplit) -> np.ndarray:
+def _inverse_gaps(split: PerturbationSplit, rows) -> np.ndarray:
+    """1 / (d_i - d_j) for each i in ``rows`` and every level j, zero at j = i.
+
+    Raises ``DegenerateLevels`` for the first pair, in row-major order, whose
+    gap is below the tolerance relative to the spread of the levels.
+    """
     d = split.diag
-    return d[:, None] - d[None, :]
+    rows = np.asarray(rows)
+    gaps = d[rows, None] - d[None, :]
+    own = rows[:, None] == np.arange(d.size)
+    close = (np.abs(gaps) < _DEGENERACY_REL_TOL * (float(np.ptp(d)) or 1.0)) & ~own
+    if close.any():
+        r, j = np.argwhere(close)[0]
+        raise DegenerateLevels(int(rows[r]), int(j), abs(gaps[r, j]))
+    return np.divide(1.0, gaps, out=np.zeros_like(gaps), where=~own)
 
 
-def _check_row_gaps(split: PerturbationSplit, rows) -> np.ndarray:
-    gaps = _gaps(split)
-    span = float(np.ptp(split.diag)) or 1.0
-    for i in np.atleast_1d(rows):
-        for j in range(split.n):
-            if j != i and abs(gaps[i, j]) < _DEGENERACY_REL_TOL * span:
-                raise DegenerateLevels(int(i), int(j), abs(gaps[i, j]))
-    return gaps
+def _level_shifts(v_rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """sum_j |v_ij|^2 / (d_i - d_j) for each row i of ``v_rows``."""
+    return np.sum(np.abs(v_rows) ** 2 * inv, axis=1)
 
 
 def second_order_energy_shift(split: PerturbationSplit, i: int) -> float:
     """Leading correction to level i: sum_j |v_ij|^2 / (d_i - d_j)."""
-    gaps = _check_row_gaps(split, [i])
-    mask = np.arange(split.n) != i
-    return float(np.sum(np.abs(split.v[i, mask]) ** 2 / gaps[i, mask]))
+    return float(_level_shifts(split.v[[i]], _inverse_gaps(split, [i]))[0])
 
 
 def survival_order2(split: PerturbationSplit, times) -> SurvivalSeries:
     """1 - 4 eps^2 sum_j sin^2(gap_1j t / 2) |v_1j|^2 / gap_1j^2."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if split.n == 1:
-        return SurvivalSeries(times, np.ones(times.size), method="perturbation-o2")
-    gaps = _check_row_gaps(split, [0])
-    f = gaps[0, 1:]
+    _inverse_gaps(split, [0])                          # refuses a degenerate pair in row 0
+    f = split.diag[0] - split.diag[1:]
     a = np.abs(split.v[0, 1:]) ** 2 / f**2
     values = 1.0 - 4.0 * split.eps**2 * (np.sin(np.outer(times, f) / 2.0) ** 2 @ a)
     return SurvivalSeries(times, values, method="perturbation-o2")
@@ -110,46 +118,36 @@ def survival_order4(split: PerturbationSplit, times) -> SurvivalSeries:
     Addend groups, in order: weight-corrected second order, third-order
     interference, quadruple sums with the level-shift counter-term, the
     renormalized-frequency term plus squared interference, and the
-    environment-pair term.
+    environment-pair term, sum_{i<j} a_i a_j sin^2((f_i - f_j) t / 2) with
+    a_j = |v_1j|^2 / f_j^2 and f_j = d_1 - d_j, evaluated as
+    [(sum_j a_j)^2 - |sum_j a_j e^{-i f_j t}|^2] / 4 by ``spectral.phase_sum``.
+    Cost: O(n^3) once for the level sums, then O(n T) for T times; memory
+    O(n^2 + n T).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    n = split.n
-    if n == 1:
-        return SurvivalSeries(times, np.ones(times.size), method="perturbation-o4")
     eps = split.eps
-    v = split.v.astype(complex)
-    gaps = _check_row_gaps(split, range(n))
+    v = split.v
+    inv = _inverse_gaps(split, np.arange(split.n))     # 1 / gap_ij, zero at i = j
 
-    inv_gaps = np.zeros_like(gaps)
-    off = ~np.eye(n, dtype=bool)
-    inv_gaps[off] = 1.0 / gaps[off]
+    f = split.diag[0] - split.diag[1:]                 # gap_{1,j}
+    to_first = split.diag[1:] - split.diag[0]          # gap_{j,1}
+    a = np.abs(v[0, 1:]) ** 2 / f**2                   # |v_1j|^2 / gap^2
+    shift = _level_shifts(v, inv)                      # second-order level shifts
+    s_first = float(np.sum(a))                         # sum_k |v_1k|^2/gap_1k^2
+    s_env = np.sum(np.abs(v) ** 2 * inv**2, axis=1)[1:]   # sum_{k != j} |v_jk|^2/gap_jk^2
 
-    f = gaps[0, 1:]                                    # gap_{1,j}
-    a = np.abs(v[0, 1:]) ** 2 / f**2                    # |v_1j|^2 / gap^2
-    shift = np.array(
-        [np.sum(np.abs(v[i]) ** 2 * inv_gaps[i]) for i in range(n)]
-    ).real                                             # second-order level shifts
-    s_first = float(np.sum(a))                          # sum_k |v_1k|^2/gap_1k^2
-    s_env = np.array(
-        [np.sum(np.abs(v[j]) ** 2 * inv_gaps[j] ** 2) for j in range(1, n)]
-    ).real                                             # sum_{k != j} |v_jk|^2/gap_jk^2
+    # q[k, j] = v_kj / gap_jk, zero at k = j; b_j = sum_k v_1k q_kj / gap_j1
+    # (hollow v kills k = 1) and c_j = sum_{l != j} v_1l (v q)_lj / (gap_jl gap_j1),
+    # where the zero diagonal of inv drops l = j
+    q = v * inv.T
+    b = (v[0] @ q)[1:] / to_first
+    c = (v[0] @ (inv.T * (v @ q)))[1:] / to_first
 
-    # b_j = sum_{k != j} v_1k v_kj / (gap_j1 gap_jk); hollow v kills k = 1
-    b = np.empty(n - 1, dtype=complex)
-    c = np.empty(n - 1, dtype=complex)
-    for j in range(1, n):
-        q = v[:, j] * inv_gaps[j]                       # v_kj / gap_jk, zero at k = j
-        b[j - 1] = np.sum(v[0] * q) / gaps[j, 0]
-        inner = v @ q                                   # sum_k v_lk v_kj / gap_jk
-        inner[j] = 0.0                                  # l != j
-        c[j - 1] = np.sum(v[0] * inv_gaps[j] * inner) / gaps[j, 0]
+    prefac = v[0, 1:] / to_first                       # v_1j / gap_j1
+    counter = shift[1:] * v[0, 1:] / to_first**2       # eps_j^(2) v_1j / gap_j1^2
+    shift_1j = shift[0] - shift[1:]                    # renormalized frequency shifts
 
-    prefac = v[0, 1:] / gaps[1:, 0]                     # v_1j / gap_j1
-    counter = shift[1:] * v[0, 1:] / gaps[1:, 0] ** 2   # eps_j^(2) v_1j / gap_j1^2
-    shift_1j = shift[0] - shift[1:]                     # renormalized frequency shifts
-
-    sin_half = np.sin(np.outer(times, f) / 2.0)
-    sin2 = sin_half**2
+    sin2 = np.sin(np.outer(times, f) / 2.0) ** 2
 
     g1 = -4.0 * eps**2 * (sin2 @ (a * (1.0 - eps**2 * s_first - eps**2 * s_env)))
     g2 = -8.0 * eps**3 * (sin2 @ np.real(prefac * np.conj(b)))
@@ -163,10 +161,7 @@ def survival_order4(split: PerturbationSplit, times) -> SurvivalSeries:
         * ((np.sin(np.outer(times, f)) * np.sin(np.outer(times, eps**2 * shift_1j) / 2.0)) @ a)
         - 4.0 * eps**4 * (sin2 @ (np.abs(b) ** 2))
     )
-    iu, ju = np.triu_indices(n - 1, k=1)
-    pair_freqs = gaps[1 + iu, 1 + ju]
-    pair_weights = a[iu] * a[ju]
-    g5 = -4.0 * eps**4 * (np.sin(np.outer(times, pair_freqs) / 2.0) ** 2 @ pair_weights)
+    g5 = -(eps**4) * (s_first**2 - np.abs(phase_sum(f, a, times)) ** 2)
 
     values = 1.0 + g1 + g2 + g3 + g4 + g5
     return SurvivalSeries(times, values, method="perturbation-o4")

@@ -83,13 +83,16 @@ class RecurrenceReport:
 
 def moments(decomp: SpectralDecomposition) -> Moments:
     """kappa = sum w^2, big_gamma = sum w^2 e^2, gamma = sum w^2 e."""
-    merged = merge_close_frequencies(decomp)
+    return _merged_moments(merge_close_frequencies(decomp))
+
+
+def _merged_moments(merged: SpectralDecomposition) -> Moments:
     w = merged.weights
     e = merged.eigenvalues
     kappa = float(np.sum(w**2))
     big_gamma = float(np.sum(w**2 * e**2))
     gamma = float(np.sum(w**2 * e))
-    n = decomp.n
+    n = merged.n
     if kappa * big_gamma - gamma**2 < -1e-12 * max(big_gamma * kappa, 1.0):
         raise AssertionError("Cauchy-Schwarz violated; weights corrupted")
     return Moments(kappa, big_gamma, gamma, n * kappa, n * big_gamma, n * gamma)
@@ -100,9 +103,12 @@ def kac_frequency(decomp: SpectralDecomposition, p: float) -> float:
 
     nu(p) = sqrt(p (big_gamma - gamma^2/kappa) pi) / (2 pi kappa) * exp(-p/kappa).
     """
+    return _kac(moments(decomp), p)
+
+
+def _kac(m: Moments, p: float) -> float:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    m = moments(decomp)
     disp = m.dispersion
     if disp <= 0.0:
         raise DegenerateSpectrum("all spectral weight sits on a single frequency")
@@ -117,6 +123,11 @@ def kac_return_time(decomp: SpectralDecomposition, p: float) -> float:
 def suggested_observation_time(decomp: SpectralDecomposition, p: float) -> float:
     """Window long enough for ~50 analytic returns."""
     return _TARGET_RETURNS / kac_frequency(decomp, p)
+
+
+def _span(merged: SpectralDecomposition) -> float:
+    e = merged.eigenvalues
+    return float(e[-1] - e[0]) if e.size > 1 else 0.0
 
 
 _SCAN_CHUNK = 262144  # even, so every chunk starts on an even grid index
@@ -173,7 +184,7 @@ def count_crossings(
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     merged = merge_close_frequencies(decomp)
-    span = float(merged.eigenvalues[-1] - merged.eigenvalues[0]) if merged.eigenvalues.size > 1 else 0.0
+    span = _span(merged)
     if span > 0.0 and resolution > _STEP_SPAN_FACTOR / span:
         raise ResolutionTooCoarse(
             f"grid step {resolution:g} too coarse; need <= {_STEP_SPAN_FACTOR / span:g}"
@@ -194,19 +205,23 @@ def build_report(
     resolution: float | None = None,
     empirical: bool = False,
 ) -> RecurrenceReport:
-    """Analytic estimate plus optional empirical validation."""
-    m = moments(decomp)
-    nu = kac_frequency(decomp, p)
+    """Analytic estimate plus optional empirical validation.
+
+    nu, tau and the suggested observation time all come from one set of
+    moments; the default scan step comes from the same merged spectrum.
+    """
+    merged = merge_close_frequencies(decomp)
+    m = _merged_moments(merged)
+    nu = _kac(m, p)
     tau = 1.0 / nu
     empirical_nu = None
     low_stats = False
     if empirical:
         if observation_time is None:
-            observation_time = suggested_observation_time(decomp, p)
+            observation_time = _TARGET_RETURNS / nu
         low_stats = observation_time * nu < _TARGET_RETURNS
         if resolution is None:
-            merged = merge_close_frequencies(decomp)
-            span = float(merged.eigenvalues[-1] - merged.eigenvalues[0])
+            span = _span(merged)
             resolution = _STEP_SPAN_FACTOR / span if span > 0 else observation_time / 1000.0
         empirical_nu = count_crossings(decomp, p, observation_time, resolution)
     return RecurrenceReport(

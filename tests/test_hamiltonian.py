@@ -57,6 +57,28 @@ class TestBuildChain:
             ham.build_chain(0, 1.0, 0.1)
         with pytest.raises(ValueError):
             ham.build_chain(3, -1.0, 0.1)
+        with pytest.raises(ValueError):
+            ham.build_chain(3, 1.0, math.nan)
+
+
+class TestModelValidation:
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda x: ham.Chain(4, x, 0.1), id="chain-omega"),
+            pytest.param(lambda x: ham.Chain(4, 1.0, x), id="chain-g"),
+            pytest.param(lambda x: ham.Experimental(4, x, 0.1, 0.1), id="experimental-omega"),
+            pytest.param(lambda x: ham.Experimental(4, 1.0, x, 0.1), id="experimental-delta"),
+            pytest.param(lambda x: ham.Experimental(4, 1.0, 0.1, x), id="experimental-sigma"),
+            pytest.param(lambda x: ham.RosenzweigPorter(4, x, 0.1), id="rp-omega"),
+            pytest.param(lambda x: ham.RosenzweigPorter(4, 1.0, x), id="rp-sigma"),
+            pytest.param(lambda x: ham.UniformCouplings(x), id="uniform-half-width"),
+        ],
+    )
+    def test_rejects_non_finite_field(self, make, value):
+        with pytest.raises(ValueError, match="finite"):
+            make(value)
 
 
 class TestExperimentalSampler:

@@ -1,5 +1,9 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qsurvival import perturbation, spectral
 from qsurvival.perturbation import DegenerateLevels, PerturbationSplit, split_hamiltonian
@@ -14,6 +18,62 @@ def well_spaced_instance(seed, n=8):
     v = (v + v.T) / 2.0
     np.fill_diagonal(v, 0.0)
     return d, v
+
+
+def reference_order2(d, v, eps, times):
+    """Second order as a table of sin^2 over times x levels."""
+    f = d[0] - d[1:]
+    a = np.abs(v[0, 1:]) ** 2 / f**2
+    return 1.0 - 4.0 * eps**2 * (np.sin(np.outer(times, f) / 2.0) ** 2 @ a)
+
+
+def reference_order4(d, v, eps, times):
+    """Fourth order written with a loop over levels and the pair term as a
+    (times x pairs) table of sin^2: an independent spelling of the formula."""
+    n = d.size
+    if n == 1:
+        return np.ones(times.size)
+    v = v.astype(complex)
+    gaps = d[:, None] - d[None, :]
+    inv = np.zeros_like(gaps)
+    off = ~np.eye(n, dtype=bool)
+    inv[off] = 1.0 / gaps[off]
+    f = gaps[0, 1:]
+    a = np.abs(v[0, 1:]) ** 2 / f**2
+    shift = np.array([np.sum(np.abs(v[i]) ** 2 * inv[i]) for i in range(n)]).real
+    s_first = float(np.sum(a))
+    s_env = np.array([np.sum(np.abs(v[j]) ** 2 * inv[j] ** 2) for j in range(1, n)]).real
+    b = np.empty(n - 1, dtype=complex)
+    c = np.empty(n - 1, dtype=complex)
+    for j in range(1, n):
+        q = v[:, j] * inv[j]
+        b[j - 1] = np.sum(v[0] * q) / gaps[j, 0]
+        inner = v @ q
+        inner[j] = 0.0
+        c[j - 1] = np.sum(v[0] * inv[j] * inner) / gaps[j, 0]
+    prefac = v[0, 1:] / gaps[1:, 0]
+    counter = shift[1:] * v[0, 1:] / gaps[1:, 0] ** 2
+    shift_1j = shift[0] - shift[1:]
+    sin2 = np.sin(np.outer(times, f) / 2.0) ** 2
+    g1 = -4.0 * eps**2 * (sin2 @ (a * (1.0 - eps**2 * s_first - eps**2 * s_env)))
+    g2 = -8.0 * eps**3 * (sin2 @ np.real(prefac * np.conj(b)))
+    g3 = -8.0 * eps**4 * (sin2 @ np.real(prefac * np.conj(c - counter)))
+    g4 = (
+        -4.0 * eps**2
+        * ((np.sin(np.outer(times, f)) * np.sin(np.outer(times, eps**2 * shift_1j) / 2.0)) @ a)
+        - 4.0 * eps**4 * (sin2 @ (np.abs(b) ** 2))
+    )
+    iu, ju = np.triu_indices(n - 1, k=1)
+    pair_weights = a[iu] * a[ju]
+    g5 = -4.0 * eps**4 * (np.sin(np.outer(times, gaps[1 + iu, 1 + ju]) / 2.0) ** 2 @ pair_weights)
+    return 1.0 + g1 + g2 + g3 + g4 + g5
+
+
+def assert_matches_raw(series, raw, tol):
+    """``series`` stores ``raw`` clipped to [0, 1] and reports its excess."""
+    np.testing.assert_allclose(series.values, np.clip(raw, 0.0, 1.0), rtol=0.0, atol=tol)
+    excess = max(0.0, -raw.min(), raw.max() - 1.0)
+    assert abs(series.clip_excess - excess) <= tol * max(1.0, excess)
 
 
 def exact_survival(d, v, eps, times):
@@ -65,12 +125,22 @@ class TestSecondOrderShift:
         assert residuals[0] < 1e4 * 0.02**4
         assert residuals[0] / residuals[1] > 12.0
 
+    def test_single_level_has_no_shift(self):
+        split = PerturbationSplit(np.array([1.0]), np.zeros((1, 1)), 0.1)
+        assert perturbation.second_order_energy_shift(split, 0) == 0.0
+
+    def test_degenerate_pair_away_from_level_zero_named(self):
+        d = np.array([1.0, 1.3, 1.6, 1.6 + 1e-12])
+        split = PerturbationSplit(d, np.zeros((4, 4)), 0.1)
+        with pytest.raises(DegenerateLevels) as err:
+            perturbation.second_order_energy_shift(split, 3)
+        assert err.value.pair == (3, 2)
+
     def test_degenerate_levels_named(self):
         split = PerturbationSplit(np.array([1.0, 1.0, 2.0]), np.zeros((3, 3)), 0.1)
         with pytest.raises(DegenerateLevels) as err:
             perturbation.second_order_energy_shift(split, 0)
         assert err.value.pair == (0, 1)
-
 
 class TestSurvivalOrder2:
     def test_zero_strength_is_flat(self):
@@ -190,8 +260,63 @@ class TestSurvivalOrder4:
         assert series.values.dtype == np.float64
         assert np.all(series.values <= 1.0) and np.all(series.values >= 0.0)
 
+    def test_single_level_survives_with_certainty(self):
+        split = split_hamiltonian(np.array([[1.3]]), 0.1)
+        times = np.linspace(0.0, 50.0, 20)
+        for order in (perturbation.survival_order2, perturbation.survival_order4):
+            series = order(split, times)
+            np.testing.assert_array_equal(series.values, 1.0)
+            assert series.clip_excess == 0.0
+
+    def test_degenerate_pair_away_from_level_zero(self):
+        # only order 4 needs every gap; order 2 sees row 0 alone
+        d = np.array([1.0, 1.3, 1.6, 1.6 + 1e-12])
+        v = np.full((4, 4), 0.5)
+        np.fill_diagonal(v, 0.0)
+        split = PerturbationSplit(d, v, 0.01)
+        times = np.linspace(0.0, 10.0, 5)
+        with pytest.raises(DegenerateLevels) as err:
+            perturbation.survival_order4(split, times)
+        assert err.value.pair == (2, 3)
+        assert_matches_raw(perturbation.survival_order2(split, times), reference_order2(d, v, 0.01, times), 0.0)
+
     def test_degenerate_denominator_rejected(self):
         d = np.array([1.0, 1.0 + 1e-12, 1.5])
         v = np.array([[0.0, 1.0, 0.2], [1.0, 0.0, 0.1], [0.2, 0.1, 0.0]])
         with pytest.raises(DegenerateLevels):
             perturbation.survival_order4(PerturbationSplit(d, v, 0.01), np.array([1.0]))
+
+
+class TestAgainstReference:
+    @given(
+        n=st.integers(1, 12),
+        eps=st.floats(-0.03, 0.03),
+        seed=st.integers(0, 2**32 - 1),
+        hermitian=st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_orders_match_level_loop_and_pair_table(self, n, eps, seed, hermitian):
+        rng = np.random.default_rng(seed)
+        d = np.linspace(0.6, 1.4, n) + rng.uniform(-0.2, 0.2, n) * 0.8 / max(n - 1, 1)
+        m = rng.normal(0.0, 1.0, (n, n))
+        if hermitian:
+            m = m + 1j * rng.normal(0.0, 1.0, (n, n))
+        v = (m + m.conj().T) / 2.0
+        np.fill_diagonal(v, 0.0)
+        times = np.linspace(0.0, 200.0, 101)
+        split = PerturbationSplit(d, v, eps)
+        assert_matches_raw(perturbation.survival_order2(split, times), reference_order2(d, v, eps, times), 1e-12)
+        assert_matches_raw(perturbation.survival_order4(split, times), reference_order4(d, v, eps, times), 1e-12)
+
+    def test_order4_memory_is_linear_in_times(self):
+        # a (times x pairs) table of sin^2 at this size would take 79 MB
+        d, v = well_spaced_instance(11, n=200)
+        split = PerturbationSplit(d, v, 1e-3)
+        times = np.linspace(0.0, 2000.0, 500)
+        tracemalloc.start()
+        try:
+            perturbation.survival_order4(split, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
