@@ -206,7 +206,12 @@ def _atomic_write(path: str, text: str):
         raise
 
 
-def write_series_csv(path: str, times: np.ndarray, series: dict):
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+
+
+def write_series_csv(path: str, times: np.ndarray, series: dict, meta: dict):
+    """The series as CSV, and ``meta`` beside it as ``<stem>.annotations.json``."""
     names = list(series)
     lines = ["t," + ",".join(names)]
     cols = [np.asarray(series[name]) for name in names]
@@ -214,6 +219,8 @@ def write_series_csv(path: str, times: np.ndarray, series: dict):
         row = [_FLOAT_FMT % t] + [_FLOAT_FMT % col[i] for col in cols]
         lines.append(",".join(row))
     _atomic_write(path, "\n".join(lines) + "\n")
+    stem, _ = os.path.splitext(path)
+    _atomic_write(f"{stem}.annotations.json", _json_text(dict(meta, version=__version__)))
 
 
 def write_series_json(path: str, times: np.ndarray, series: dict, meta: dict):
@@ -222,26 +229,21 @@ def write_series_json(path: str, times: np.ndarray, series: dict, meta: dict):
         "grid": [float(t) for t in times],
         "series": {name: [float(v) for v in vals] for name, vals in series.items()},
     }
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _atomic_write(path, _json_text(doc))
 
 
 def write_json(path: str, doc: dict):
-    _atomic_write(path, json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    _atomic_write(path, _json_text(doc))
 
 
-def _emit_series(args, series: dict[str, SurvivalSeries], meta: dict, sidecar: bool = False):
-    """CSV (plus, with ``sidecar``, the meta as ``<stem>.annotations.json``) or JSON
-    of curves on one grid; the meta gains their largest ``clip_excess``."""
+def _emit_series(args, series: dict[str, SurvivalSeries], meta: dict):
+    """Curves on one grid, written by the writer of ``--format``; the meta gains
+    their largest ``clip_excess``."""
     times = next(iter(series.values())).times
     meta = dict(meta, clip_excess=max(curve.clip_excess for curve in series.values()))
     columns = {name: curve.values for name, curve in series.items()}
-    if args.format == "csv":
-        write_series_csv(args.out, times, columns)
-        if sidecar:
-            stem, _ = os.path.splitext(args.out)
-            write_json(f"{stem}.annotations.json", dict(meta, version=__version__))
-    else:
-        write_series_json(args.out, times, columns, meta)
+    writer = write_series_csv if args.format == "csv" else write_series_json
+    writer(args.out, times, columns, meta)
 
 
 # ----------------------------------------------------------------------
@@ -355,7 +357,7 @@ def cmd_lee(args) -> int:
     if isinstance(params, lee.LeeParams):
         annotations = {"van_hove_rate": lee.van_hove_rate(params), **_pole_fields(lee.poles(params))}
     meta = {"spec": repr(params), "seed": None, "method": curve.method, "annotations": annotations}
-    _emit_series(args, {"survival": curve}, meta, sidecar=True)
+    _emit_series(args, {"survival": curve}, meta)
     return EXIT_OK
 
 
@@ -404,7 +406,7 @@ def cmd_bound(args) -> int:
         "variance": variance,
         "zeno_time": None if math.isinf(tau) else tau,
     }
-    _emit_series(args, series, meta, sidecar=True)
+    _emit_series(args, series, meta)
     return EXIT_OK
 
 
@@ -436,9 +438,9 @@ def cmd_oracle_check(args) -> int:
             ),
             seed=int(rng.integers(0, 2**63)),
         )
-        model = fock_oracle.build_full_hamiltonian(spec)
-        full = fock_oracle.full_survival(model, times)
-        sector = survival_probability(decompose(ham.build(spec)), times).values
+        h = ham.build(spec)
+        full = fock_oracle.full_survival(fock_oracle.from_single_particle(h), times)
+        sector = survival_probability(decompose(h), times).values
         diff = float(np.max(np.abs(full.values - sector)))
         worst = max(worst, diff)
         results.append({"n": n, "seed": spec.seed, "max_abs_diff": diff, **_route_fields([full])})

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import sparse
 
-from . import hamiltonian as ham
 from .series import SurvivalSeries
 from .spectral import chebyshev_amplitude
 
@@ -29,7 +28,6 @@ __all__ = [
     "lowering_operator",
     "raising_operator",
     "number_operator",
-    "build_full_hamiltonian",
     "from_single_particle",
     "sector_indices",
     "sector_block",
@@ -166,11 +164,6 @@ def from_single_particle(matrix: np.ndarray) -> FullSpaceModel:
     psi0 = raising_operator(1, n) @ vacuum
     initial = int(abs(psi0).argmax())  # flat index of a column vector: its row
     return FullSpaceModel(n, _summed(terms, 2**n), initial)
-
-
-def build_full_hamiltonian(spec: ham.HamiltonianSpec, stream: int = 0) -> FullSpaceModel:
-    """Sample/build the one-excitation matrix for ``spec`` and lift it to 2^n."""
-    return from_single_particle(ham.build(spec, stream))
 
 
 def sector_indices(n: int, k: int) -> np.ndarray:

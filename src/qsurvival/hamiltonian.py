@@ -1,9 +1,13 @@
-"""Builders and samplers for single-excitation-sector Hamiltonians.
+"""Single-excitation-sector Hamiltonians: the model types and one builder.
 
-All functions produce dense real symmetric matrices in energy units of the
-central-qubit splitting. Randomness is counter-based: every draw is fully
-determined by a 64-bit seed plus a stream index (the realization index), so
-parallel ensemble runs are order-independent and reproducible.
+:func:`build` produces every model's dense real symmetric matrix, in energy
+units of the central-qubit splitting. Randomness is counter-based: every draw
+is fully determined by a 64-bit seed plus a stream index (the realization
+index), so parallel ensemble runs are order-independent and reproducible.
+The draw order is part of that contract: the experimental model draws its
+environment splittings, its first-row couplings and then, with a fully
+coupled environment, the environment upper triangle row by row; the
+Rosenzweig-Porter model draws its first-row couplings and then the GOE block.
 """
 
 from __future__ import annotations
@@ -23,10 +27,7 @@ __all__ = [
     "RosenzweigPorter",
     "HamiltonianSpec",
     "stream_rng",
-    "build_chain",
     "draw_arrowhead",
-    "sample_experimental",
-    "sample_rosenzweig_porter",
     "build",
 ]
 
@@ -109,7 +110,7 @@ class HamiltonianSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if not isinstance(self.model, (Chain, Experimental, RosenzweigPorter)):
+        if not isinstance(self.model, Model):
             raise TypeError(f"unknown model type: {type(self.model).__name__}")
         if not (0 <= int(self.seed) < 2**64):
             raise ValueError("seed must fit in an unsigned 64-bit integer")
@@ -132,17 +133,6 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),)))
 
 
-def build_chain(n: int, omega: float, g: float) -> np.ndarray:
-    """Tridiagonal chain matrix: omega on the diagonal, g on the first off-diagonals."""
-    Chain(n, omega, g)  # refuses the values a Chain refuses
-    h = np.zeros((n, n))
-    np.fill_diagonal(h, omega)
-    idx = np.arange(n - 1)
-    h[idx, idx + 1] = g
-    h[idx + 1, idx] = g
-    return h
-
-
 def _draw_couplings(rng: np.random.Generator, law, count: int, sigma: float, n: int) -> np.ndarray:
     if isinstance(law, GaussianCouplings):
         return rng.normal(0.0, sigma / math.sqrt(n), size=count)
@@ -155,47 +145,14 @@ def draw_arrowhead(model: Experimental, rng: np.random.Generator) -> tuple[np.nd
     """Diagonal (length n) and first-row couplings (length n - 1) of one draw
     of the experimental model: the environment splittings, then the couplings.
 
-    This is the start of the draw order of :func:`sample_experimental`; for
-    the diagonal environment it is the whole draw.
+    This is the start of the draw order of :func:`build`; for the diagonal
+    environment it is the whole draw.
     """
     n = model.n
     diag = np.full(n, float(model.omega))
     diag[1:] = model.omega + rng.uniform(-model.delta, model.delta, size=n - 1)
     g = _draw_couplings(rng, model.off_diag, n - 1, model.sigma, n)
     return diag, g
-
-
-def sample_experimental(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
-    """Draw one realization of the experimentally motivated model.
-
-    Entry (0, 0) is omega exactly; the remaining diagonal is omega + xi with
-    xi ~ U[-delta, delta]; the first row carries the central-to-environment
-    couplings. With ``Environment.FULL`` every environment off-diagonal entry
-    is drawn from the same coupling law as the first row.
-
-    Draw order (fixed for reproducibility): environment splittings, first-row
-    couplings, then the environment upper triangle row by row.
-    """
-    model = spec.model
-    if not isinstance(model, Experimental):
-        raise TypeError("spec.model must be Experimental")
-    rng = stream_rng(spec.seed, stream)
-    n = model.n
-    h = np.zeros((n, n))
-    h[0, 0] = model.omega
-    if n == 1:
-        return h
-    diag, g = draw_arrowhead(model, rng)
-    np.fill_diagonal(h, diag)
-    h[0, 1:] = g
-    h[1:, 0] = g
-    if model.env is Environment.FULL and n > 2:
-        iu = np.triu_indices(n - 1, k=1)
-        c = _draw_couplings(rng, model.off_diag, iu[0].size, model.sigma, n)
-        block = h[1:, 1:]
-        block[iu] = c
-        block[(iu[1], iu[0])] = c
-    return h
 
 
 def _goe(rng: np.random.Generator, m: int) -> np.ndarray:
@@ -209,38 +166,42 @@ def _goe(rng: np.random.Generator, m: int) -> np.ndarray:
     return (a + a.T) / math.sqrt(2.0)
 
 
-def sample_rosenzweig_porter(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
-    """Draw one realization with a GOE environment block.
+def build(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
+    """The matrix of ``spec``; the random models draw from ``stream_rng(spec.seed, stream)``.
 
-    The first row holds Gaussian couplings of variance sigma^2 / n; the
-    environment block is omega*I + (sigma/sqrt(n))*G with G a GOE draw.
-    Draw order (fixed for reproducibility), both from the one stream of
-    (seed, stream): the n - 1 couplings, then the GOE block.
+    Every model starts from omega on the diagonal, so entry (0, 0) is omega
+    exactly and n = 1 gives [[omega]]. The chain sets g on the first
+    off-diagonals and draws nothing. The draw order of the random models is
+    fixed, for reproducibility:
+
+    - ``Experimental``: the n - 1 environment splittings omega + U[-delta,
+      delta], the n - 1 first-row couplings (both :func:`draw_arrowhead`),
+      then with ``Environment.FULL`` the environment upper triangle, row by
+      row, from the same coupling law;
+    - ``RosenzweigPorter``: the n - 1 Gaussian first-row couplings of
+      variance sigma^2 / n, then the GOE block G, which enters as
+      omega*I + (sigma/sqrt(n))*G.
     """
     model = spec.model
-    if not isinstance(model, RosenzweigPorter):
-        raise TypeError("spec.model must be RosenzweigPorter")
-    rng = stream_rng(spec.seed, stream)
     n = model.n
-    h = np.zeros((n, n))
-    h[0, 0] = model.omega
-    if n == 1:
-        return h
-    g = rng.normal(0.0, model.sigma / math.sqrt(n), size=n - 1)
-    h[0, 1:] = g
-    h[1:, 0] = g
-    h[1:, 1:] = _goe(rng, n - 1) * (model.sigma / math.sqrt(n))
-    h[np.arange(1, n), np.arange(1, n)] += model.omega
-    return h
-
-
-def build(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
-    """Build or sample the matrix described by ``spec``."""
-    model = spec.model
+    h = np.diag(np.full(n, float(model.omega)))
     if isinstance(model, Chain):
-        return build_chain(model.n, model.omega, model.g)
+        idx = np.arange(n - 1)
+        h[idx, idx + 1] = h[idx + 1, idx] = model.g
+        return h
+    rng = stream_rng(spec.seed, stream)
     if isinstance(model, Experimental):
-        return sample_experimental(spec, stream)
-    if isinstance(model, RosenzweigPorter):
-        return sample_rosenzweig_porter(spec, stream)
-    raise TypeError(f"unknown model type: {type(model).__name__}")
+        diag, g = draw_arrowhead(model, rng)
+        np.fill_diagonal(h, diag)
+        if model.env is Environment.FULL:
+            iu = np.triu_indices(n - 1, k=1)
+            c = _draw_couplings(rng, model.off_diag, iu[0].size, model.sigma, n)
+            block = h[1:, 1:]
+            block[iu] = block[iu[::-1]] = c
+    else:  # RosenzweigPorter
+        scale = model.sigma / math.sqrt(n)
+        g = rng.normal(0.0, scale, size=n - 1)
+        h[1:, 1:] = _goe(rng, n - 1) * scale
+        h[np.arange(1, n), np.arange(1, n)] += model.omega
+    h[0, 1:] = h[1:, 0] = g
+    return h

@@ -208,7 +208,9 @@ def build_report(
     """Analytic estimate plus optional empirical validation.
 
     nu, tau and the suggested observation time all come from one set of
-    moments; the default scan step comes from the same merged spectrum.
+    moments; the default scan step and the crossing count come from the same
+    merged spectrum (merging it again inside :func:`count_crossings` changes
+    nothing: its gaps stay above the tolerance, which can only shrink).
     """
     merged = merge_close_frequencies(decomp)
     m = _merged_moments(merged)
@@ -223,7 +225,7 @@ def build_report(
         if resolution is None:
             span = _span(merged)
             resolution = _STEP_SPAN_FACTOR / span if span > 0 else observation_time / 1000.0
-        empirical_nu = count_crossings(decomp, p, observation_time, resolution)
+        empirical_nu = count_crossings(merged, p, observation_time, resolution)
     return RecurrenceReport(
         threshold=p,
         moments=m,

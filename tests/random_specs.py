@@ -17,3 +17,8 @@ def random_experimental_spec(rng, n=None, env=None, seed=None):
         ),
         seed=seed if seed is not None else int(rng.integers(0, 2**63)),
     )
+
+
+def chain_matrix(n, omega, g):
+    """The chain's matrix, as ``hamiltonian.build`` draws it."""
+    return ham.build(ham.HamiltonianSpec(ham.Chain(n, omega, g)))

@@ -19,7 +19,7 @@ import time
 import numpy as np
 import pytest
 
-from random_specs import random_experimental_spec
+from random_specs import chain_matrix, random_experimental_spec
 from qsurvival import closedform, fock_oracle, lee, perturbation, recurrence, spectral
 from qsurvival import hamiltonian as ham
 from qsurvival.ensemble import ensemble_mean
@@ -42,8 +42,9 @@ class TestAcceptance:
         worst = 0.0
         for case in range(20):
             spec = random_experimental_spec(rng, n=int(rng.integers(2, 9)))
-            full = fock_oracle.full_survival(fock_oracle.build_full_hamiltonian(spec), times)
-            sector = spectral.survival_probability(spectral.decompose(ham.build(spec)), times)
+            h = ham.build(spec)
+            full = fock_oracle.full_survival(fock_oracle.from_single_particle(h), times)
+            sector = spectral.survival_probability(spectral.decompose(h), times)
             worst = max(worst, float(np.max(np.abs(full.values - sector.values))))
         elapsed = time.time() - start
         report(
@@ -55,7 +56,7 @@ class TestAcceptance:
     def test_02_chain_closed_form(self):
         worst_spec = 0.0
         for n in (2, 3, 10, 25, 50):
-            h = ham.build_chain(n, 1.0, G_CHAIN)
+            h = chain_matrix(n, 1.0, G_CHAIN)
             d = spectral.decompose(h)
             ell = np.arange(1, n + 1)
             theta = ell * math.pi / (n + 1)
@@ -191,7 +192,7 @@ class TestAcceptance:
             p = spectral.survival_probability(d, times).values
             bound = spectral.mandelstam_tamm_bound(var, times).values
             worst = min(worst, float(np.min(p - bound)))
-        chain_var = spectral.energy_variance(spectral.decompose(ham.build_chain(12, 1.0, 0.3)))
+        chain_var = spectral.energy_variance(spectral.decompose(chain_matrix(12, 1.0, 0.3)))
         report(
             "Mandelstam-Tamm bound",
             worst >= -1e-9 and abs(chain_var - 0.09) <= 1e-12,
@@ -203,7 +204,7 @@ class TestAcceptance:
         worst_return, worst_raw = 0.0, 0.0
         taus = {}
         for n in (8, 10, 12):
-            d = spectral.decompose(ham.build_chain(n, 1.0, G_CHAIN))
+            d = spectral.decompose(chain_matrix(n, 1.0, G_CHAIN))
             merged = spectral.merge_close_frequencies(d)
             resolution = 0.1 / float(merged.eigenvalues[-1] - merged.eigenvalues[0])
             for p in (0.3, 0.5, 0.7):

@@ -215,6 +215,38 @@ class TestCommands:
         for values in doc["series"].values():
             assert 0.0 <= min(values) and max(values) <= 1.0
 
+    def test_perturbation_csv_sidecar_reports_the_excess_of_its_orders(self, tmp_path):
+        out = tmp_path / "pt.csv"
+        assert main([
+            "perturbation", "--n", "8", "--omega", "1", "--delta", "0.1", "--sigma", "0.3",
+            "--eps", "1", "--seed", "1", "--tmax", "200", "--points", "100", "--out", str(out),
+        ]) == 0
+        assert json.loads((tmp_path / "pt.annotations.json").read_text())["clip_excess"] > 100.0
+
+    def test_ensemble_csv_sidecar_names_the_route(self, tmp_path):
+        out = tmp_path / "ens.csv"
+        assert main([
+            "ensemble", "--n", "700", "--omega", "1", "--delta", "0.1", "--sigma", "0.05",
+            "--realizations", "2", "--tmax", "200", "--points", "21", "--out", str(out),
+        ]) == 0
+        meta = json.loads((tmp_path / "ens.annotations.json").read_text())
+        assert meta["route"] == "chebyshev"
+        assert meta["chebyshev_terms"] > 200 * 0.1 and 0.0 <= meta["bessel_tail_bound"] < 1e-16
+
+    @pytest.mark.parametrize("argv", [
+        ["chain", "--sizes", "4,8", "--omega", "1", "--g", "0.5"],
+        ["ensemble", "--n", "12", "--omega", "1", "--delta", "0.1", "--sigma", "0.3", "--realizations", "2"],
+        ["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "7.5e-4"],
+        ["perturbation", "--n", "6", "--omega", "1", "--delta", "0.3", "--sigma", "0.02", "--eps", "1"],
+        ["bound", "--model", "chain", "--n", "10", "--omega", "1", "--g", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_csv_sidecar_is_the_json_meta(self, argv, tmp_path):
+        grid = ["--tmax", "20", "--points", "9"]
+        assert main([*argv, *grid, "--out", str(tmp_path / "s.csv")]) == 0
+        assert main([*argv, *grid, "--format", "json", "--out", str(tmp_path / "s.json")]) == 0
+        sidecar = json.loads((tmp_path / "s.annotations.json").read_text())
+        assert sidecar == json.loads((tmp_path / "s.json").read_text())["meta"]
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_exact_routes_report_round_off_excess_only(self, fmt, tmp_path):
         out = tmp_path / f"bound.{fmt}"

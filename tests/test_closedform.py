@@ -6,6 +6,7 @@ import pytest
 from scipy.special import j0 as scipy_j0
 from scipy.special import j1 as scipy_j1
 
+from random_specs import chain_matrix
 from qsurvival import closedform, hamiltonian, spectral
 
 mpmath.mp.dps = 30
@@ -79,7 +80,7 @@ class TestChainSurvival:
         g = 1.0 / math.sqrt(2.0)
         times = np.linspace(0.0, 30.0, 90)
         closed = closedform.chain_survival(hamiltonian.Chain(n, 1.0, g), times)
-        d = spectral.decompose(hamiltonian.build_chain(n, 1.0, g))
+        d = spectral.decompose(chain_matrix(n, 1.0, g))
         other = spectral.survival_probability(d, times)
         assert np.max(np.abs(closed.values - other.values)) < 1e-10
 

@@ -35,7 +35,7 @@ class TestLadderOperators:
 
     def test_number_conservation(self, rng):
         spec = random_experimental_spec(rng, n=5, env=ham.Environment.FULL)
-        model = fock_oracle.build_full_hamiltonian(spec)
+        model = fock_oracle.from_single_particle(ham.build(spec))
         num = fock_oracle.number_operator(5)
         comm = model.hamiltonian @ num - num @ model.hamiltonian
         assert np.max(np.abs(comm)) <= 1e-12
@@ -149,7 +149,7 @@ class TestFullSurvival:
 
     def test_chain_matches_closed_form(self):
         spec = ham.HamiltonianSpec(ham.Chain(6, 1.0, 0.45), seed=0)
-        model = fock_oracle.build_full_hamiltonian(spec)
+        model = fock_oracle.from_single_particle(ham.build(spec))
         times = np.linspace(0.0, 25.0, 120)
         full = fock_oracle.full_survival(model, times)
         closed = closedform.chain_survival(ham.Chain(6, 1.0, 0.45), times)
@@ -158,13 +158,14 @@ class TestFullSurvival:
     def test_random_model_matches_sector_route(self, rng):
         spec = random_experimental_spec(rng, n=8, env=ham.Environment.FULL)
         times = np.linspace(0.0, 30.0, 150)
-        full = fock_oracle.full_survival(fock_oracle.build_full_hamiltonian(spec), times)
-        sector = spectral.survival_probability(spectral.decompose(ham.build(spec)), times)
+        h = ham.build(spec)
+        full = fock_oracle.full_survival(fock_oracle.from_single_particle(h), times)
+        sector = spectral.survival_probability(spectral.decompose(h), times)
         assert np.max(np.abs(full.values - sector.values)) < 1e-10
 
     def test_sector_closure_under_evolution(self, rng):
         spec = random_experimental_spec(rng, n=6, env=ham.Environment.FULL)
-        model = fock_oracle.build_full_hamiltonian(spec)
+        model = fock_oracle.from_single_particle(ham.build(spec))
         eigenvalues, vectors = np.linalg.eigh(model.hamiltonian.toarray())
         psi0 = np.zeros(2**6)
         psi0[model.initial_state] = 1.0
@@ -176,7 +177,7 @@ class TestFullSurvival:
 
     def test_chain_block_eigenvalues(self):
         spec = ham.HamiltonianSpec(ham.Chain(5, 1.0, 0.3), seed=0)
-        model = fock_oracle.build_full_hamiltonian(spec)
+        model = fock_oracle.from_single_particle(ham.build(spec))
         block = fock_oracle.sector_block(model, 1)
         ell = np.arange(1, 6)
         expected = np.sort(1.0 + 0.6 * np.cos(ell * np.pi / 6.0))
@@ -237,8 +238,9 @@ class TestSparseOracle:
     @settings(max_examples=40, deadline=None)
     def test_full_space_matches_sector(self, case):
         spec, times = case
-        full = fock_oracle.full_survival(fock_oracle.build_full_hamiltonian(spec), times)
-        sector = spectral.survival_probability(spectral.decompose(ham.build(spec)), times)
+        h = ham.build(spec)
+        full = fock_oracle.full_survival(fock_oracle.from_single_particle(h), times)
+        sector = spectral.survival_probability(spectral.decompose(h), times)
         assert np.max(np.abs(full.values - sector.values)) <= 1e-10
 
     @pytest.mark.parametrize("n", [12, 14])
@@ -254,7 +256,7 @@ class TestSparseOracle:
             monkeypatch.setattr(owner, name, refuse)
         tracemalloc.start()
         try:
-            model = fock_oracle.build_full_hamiltonian(spec)
+            model = fock_oracle.from_single_particle(ham.build(spec))
             full = fock_oracle.full_survival(model, times)
             peak = tracemalloc.get_traced_memory()[1]
         finally:

@@ -62,7 +62,7 @@ class TestUnitarity:
     @given(experimental_specs(2, 8), time_grids(30.0))
     @settings(max_examples=20, deadline=None)
     def test_full_space_oracle(self, spec, times):
-        model = fock_oracle.build_full_hamiltonian(spec)
+        model = fock_oracle.from_single_particle(ham.build(spec))
         assert fock_oracle.full_survival(model, times).clip_excess <= UNITARITY_TOL
 
 

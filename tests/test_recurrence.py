@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from random_specs import random_experimental_spec
+from random_specs import chain_matrix, random_experimental_spec
 from qsurvival import hamiltonian as ham
 from qsurvival import recurrence, spectral
 
@@ -11,7 +11,7 @@ G = 1.0 / math.sqrt(2.0)
 
 
 def chain_decomp(n):
-    return spectral.decompose(ham.build_chain(n, 1.0, G))
+    return spectral.decompose(chain_matrix(n, 1.0, G))
 
 
 class TestMoments:
@@ -75,7 +75,7 @@ class TestCountCrossings:
         # p(t) = cos^2(g t) crosses one half at t = (pi/4 + k pi/2)/g:
         # rate over [0, T] is 2g/pi, halved by the two-sided normalization
         g = 0.4
-        d = spectral.decompose(ham.build_chain(2, 1.0, g))
+        d = spectral.decompose(chain_matrix(2, 1.0, g))
         total_time = 400.0
         rate = recurrence.count_crossings(d, 0.5, total_time, 0.02)
         expected = g / math.pi

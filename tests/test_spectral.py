@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from random_specs import random_experimental_spec
+from random_specs import chain_matrix, random_experimental_spec
 from qsurvival import hamiltonian as ham
 from qsurvival import spectral
-from qsurvival.fock_oracle import build_full_hamiltonian, full_survival
+from qsurvival.fock_oracle import from_single_particle, full_survival
 
 
 class TestDecompose:
@@ -18,12 +18,12 @@ class TestDecompose:
         np.testing.assert_allclose(series.values, 1.0, atol=1e-12)
 
     def test_two_level_chain(self):
-        d = spectral.decompose(ham.build_chain(2, 1.0, 0.7))
+        d = spectral.decompose(chain_matrix(2, 1.0, 0.7))
         np.testing.assert_allclose(d.eigenvalues, [0.3, 1.7], atol=1e-14)
         np.testing.assert_allclose(d.weights, [0.5, 0.5], atol=1e-14)
 
     def test_four_site_chain_weights(self):
-        d = spectral.decompose(ham.build_chain(4, 1.0, 1.0 / math.sqrt(2.0)))
+        d = spectral.decompose(chain_matrix(4, 1.0, 1.0 / math.sqrt(2.0)))
         ell = np.arange(1, 5)
         expected = np.sin(ell * np.pi / 5.0) ** 2 / 2.5
         order = np.argsort(2.0 / math.sqrt(2.0) * np.cos(ell * np.pi / 5.0))
@@ -73,16 +73,16 @@ class TestSurvivalAmplitude:
 
     def test_two_level_closed_form(self):
         g = 0.7
-        d = spectral.decompose(ham.build_chain(2, 1.0, g))
+        d = spectral.decompose(chain_matrix(2, 1.0, g))
         for t in (0.3, 1.7, 5.0):
             expected = np.exp(-1j * t) * math.cos(g * t)
             assert spectral.survival_amplitude(d, t) == pytest.approx(expected, abs=1e-12)
 
     def test_matches_full_space_oracle(self, rng):
         spec = random_experimental_spec(rng, n=8, env=ham.Environment.FULL)
-        d = spectral.decompose(ham.build(spec))
-        amp = spectral.survival_amplitude(d, 3.0)
-        oracle = full_survival(build_full_hamiltonian(spec), np.array([3.0])).values[0]
+        h = ham.build(spec)
+        amp = spectral.survival_amplitude(spectral.decompose(h), 3.0)
+        oracle = full_survival(from_single_particle(h), np.array([3.0])).values[0]
         assert abs(abs(amp) ** 2 - oracle) < 1e-10
 
 
@@ -94,7 +94,7 @@ class TestSurvivalProbability:
 
     def test_two_level_cosine_squared(self):
         g = 0.4
-        d = spectral.decompose(ham.build_chain(2, 1.0, g))
+        d = spectral.decompose(chain_matrix(2, 1.0, g))
         times = np.linspace(0, 20, 100)
         series = spectral.survival_probability(d, times)
         np.testing.assert_allclose(series.values, np.cos(g * times) ** 2, atol=1e-12)
@@ -104,7 +104,7 @@ class TestSurvivalProbability:
 
         g = 1.0 / math.sqrt(2.0)
         times = np.linspace(0.0, 10.0 / g, 200)
-        d = spectral.decompose(ham.build_chain(100, 1.0, g))
+        d = spectral.decompose(chain_matrix(100, 1.0, g))
         series = spectral.survival_probability(d, times)
         limit = chain_bessel_limit(g, times)
         assert np.max(np.abs(series.values - limit.values)) < 1e-2
@@ -142,7 +142,7 @@ class TestEnergyVariance:
     @pytest.mark.parametrize("n", [3, 7, 20])
     def test_chain_variance_is_g_squared(self, n):
         g = 0.37
-        d = spectral.decompose(ham.build_chain(n, 1.0, g))
+        d = spectral.decompose(chain_matrix(n, 1.0, g))
         assert spectral.energy_variance(d) == pytest.approx(g * g, abs=1e-12)
 
     def test_matches_direct_quadratic_form(self, rng):
