@@ -84,6 +84,10 @@ class Experimental:
         _check_common(self.n, self.omega)
         _check_scale("delta", self.delta)
         _check_scale("sigma", self.sigma)
+        if not isinstance(self.off_diag, (GaussianCouplings, UniformCouplings)):
+            raise TypeError(f"off_diag must be GaussianCouplings or UniformCouplings, got {self.off_diag!r}")
+        if not isinstance(self.env, Environment):
+            raise TypeError(f"env must be an Environment, got {self.env!r}")
 
 
 @dataclass(frozen=True)
@@ -136,9 +140,7 @@ def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
 def _draw_couplings(rng: np.random.Generator, law, count: int, sigma: float, n: int) -> np.ndarray:
     if isinstance(law, GaussianCouplings):
         return rng.normal(0.0, sigma / math.sqrt(n), size=count)
-    if isinstance(law, UniformCouplings):
-        return rng.uniform(-law.half_width, law.half_width, size=count)
-    raise TypeError(f"unknown coupling law: {type(law).__name__}")
+    return rng.uniform(-law.half_width, law.half_width, size=count)
 
 
 def draw_arrowhead(model: Experimental, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

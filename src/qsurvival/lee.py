@@ -23,7 +23,6 @@ asymptotics and the power-law tail can be inspected individually.
 
 from __future__ import annotations
 
-import cmath
 import functools
 import math
 from dataclasses import dataclass
@@ -45,7 +44,6 @@ __all__ = [
     "BranchPointError",
     "PoleSearchError",
     "coupling_from_gaussian",
-    "coupling_from_uniform",
     "van_hove_rate",
     "level_shift_first_sheet",
     "level_shift_second_sheet",
@@ -164,13 +162,6 @@ def coupling_from_gaussian(sigma: float, omega: float, delta: float) -> float:
     if sigma < 0 or omega <= 0 or delta <= 0:
         raise ValueError("sigma >= 0, omega > 0, delta > 0 required")
     return sigma**2 / (2.0 * omega * delta)
-
-
-def coupling_from_uniform(half_width: float, omega: float, delta: float) -> float:
-    """kappa2 = hw^2 / (3 omega delta) for uniform couplings on [-hw, hw]."""
-    if half_width < 0 or omega <= 0 or delta <= 0:
-        raise ValueError("half_width >= 0, omega > 0, delta > 0 required")
-    return half_width**2 / (3.0 * omega * delta)
 
 
 def van_hove_rate(params: LeeParams) -> float:
@@ -469,8 +460,12 @@ def _seam_data(params: LeeParams, edge: float, pole_depth: float, s_max: float):
 
 
 def _second_sheet_terms(params: LeeParams, times: np.ndarray):
-    """Per-time pole and seam contributions (the t-independent seam integrand
-    is evaluated once and reused across the whole grid)."""
+    """Pole and seam contributions on the grid ``times``.
+
+    Each seam integral is -i e^{-i edge t} sum_j g_j e^{-s_j t} over the seam
+    nodes s_j, whose t-independent weights g_j are evaluated once; the sum
+    over nodes is ``phase_sum`` at the imaginary frequencies -i s_j.
+    """
     rp = real_poles(params)
     real_term = phase_sum([p.location for p in rp], [p.residue for p in rp], times)
     if params.kappa2 == 0.0:
@@ -489,12 +484,9 @@ def _second_sheet_terms(params: LeeParams, times: np.ndarray):
     a, b = params.cut
     s_a, g_a = _seam_data(params, a, depth, s_max)
     s_b, g_b = _seam_data(params, b, depth, s_max)
-    lines = np.empty(times.size, dtype=complex)
-    for k, t in enumerate(times):
-        v_a = -1j * cmath.exp(-1j * a * t) * np.sum(g_a * np.exp(-s_a * t))
-        v_b = -1j * cmath.exp(-1j * b * t) * np.sum(g_b * np.exp(-s_b * t))
-        lines[k] = (v_b - v_a) / (2j * math.pi)
-    return real_term, resonance, lines
+    v_a = -1j * np.exp(-1j * a * times) * phase_sum(-1j * s_a, g_a, times)
+    v_b = -1j * np.exp(-1j * b * times) * phase_sum(-1j * s_b, g_b, times)
+    return real_term, resonance, (v_b - v_a) / (2j * math.pi)
 
 
 def amplitude_second_sheet(params: LeeParams, t) -> SecondSheetAmplitude:

@@ -26,7 +26,6 @@ __all__ = [
     "moments",
     "kac_frequency",
     "kac_return_time",
-    "suggested_observation_time",
     "count_crossings",
     "build_report",
 ]
@@ -118,11 +117,6 @@ def _kac(m: Moments, p: float) -> float:
 def kac_return_time(decomp: SpectralDecomposition, p: float) -> float:
     """Mean return time 1 / nu(p)."""
     return 1.0 / kac_frequency(decomp, p)
-
-
-def suggested_observation_time(decomp: SpectralDecomposition, p: float) -> float:
-    """Window long enough for ~50 analytic returns."""
-    return _TARGET_RETURNS / kac_frequency(decomp, p)
 
 
 def _span(merged: SpectralDecomposition) -> float:

@@ -94,17 +94,68 @@ def decompose(h: np.ndarray) -> SpectralDecomposition:
     return SpectralDecomposition(eigenvalues, weights, h.shape[0])
 
 
+def _uniform_step(times: np.ndarray) -> float | None:
+    """Step of an ascending grid t_0 + k * step that matches ``times`` within
+    4 ulp of max |t|; None for any other grid."""
+    step = (times[-1] - times[0]) / (times.size - 1)
+    if not 0.0 < step < math.inf:
+        return None
+    grid = times[0] + np.arange(times.size) * step
+    if not np.max(np.abs(times - grid)) <= 4.0 * np.spacing(np.max(np.abs(times))):
+        return None
+    return float(step)
+
+
+def _blocked_phase_sum(freqs, weights, t0: float, step: float, n: int, width: int) -> np.ndarray:
+    """The phase sum on the grid t0 + k step, k < n, as one product per chunk of terms."""
+    offsets = np.arange(width) * step
+    starts = t0 + np.arange(0, n, width) * step
+    out = np.zeros((starts.size, width), dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // (width + starts.size))
+    for lo in range(0, freqs.size, chunk):
+        rate = -1j * freqs[lo : lo + chunk]
+        inner = np.multiply.outer(rate, offsets)
+        outer = np.multiply.outer(starts, rate)
+        np.exp(inner, out=inner)
+        np.exp(outer, out=outer)
+        outer *= weights[lo : lo + chunk]
+        out += outer @ inner
+    return out.ravel()[:n]
+
+
 def phase_sum(freqs, weights, times) -> np.ndarray:
     """sum_j weights_j exp(-i freqs_j t) at each time of ``times``.
 
-    Frequencies and weights may be complex. The (times x terms) phase matrix
-    is built in chunks of times to bound memory.
+    Frequencies and weights may be complex. Two paths give the same sums:
+
+    - Blocked, on a uniform ascending grid t_k = t_0 + k step with t_0 >= 0
+      and no frequency of positive imaginary part. With M = ceil(sqrt(points))
+      and k = b M + m the sum is sum_j W[b, j] Z[j, m], where
+      Z[j, m] = exp(-i freqs_j m step) and
+      W[b, j] = weights_j exp(-i freqs_j (t_0 + b M step)). One complex
+      matrix product replaces points x terms exponentials with
+      (M + points / M) x terms. Every factor is an exact ``exp`` of modulus
+      at most |weights_j|, so no error builds up along the grid; the sums
+      differ from the direct ones by about the rounding of freqs * t.
+    - Direct, on every other grid, and wherever the blocked path would not
+      need fewer exponentials than there are points (up to five points):
+      the (times x terms) phase matrix, built in chunks of times.
+
+    Either path keeps each block within 4e6 entries; the blocked one chunks
+    over terms.
     """
     freqs = np.asarray(freqs)
+    weights = np.asarray(weights)
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    out = np.empty(times.size, dtype=complex)
+    n = times.size
+    width = math.isqrt(n - 1) + 1 if n else 1
+    if width + math.ceil(n / width) < n and times[0] >= 0.0 and not np.any(freqs.imag > 0.0):
+        step = _uniform_step(times)
+        if step is not None:
+            return _blocked_phase_sum(freqs, weights, float(times[0]), step, n, width)
+    out = np.empty(n, dtype=complex)
     step = max(1, _CHUNK_ENTRIES // max(freqs.size, 1))
-    for lo in range(0, times.size, step):
+    for lo in range(0, n, step):
         chunk = times[lo : lo + step, None] * freqs[None, :]
         out[lo : lo + step] = np.exp(-1j * chunk) @ weights
     return out

@@ -210,7 +210,8 @@ class TestAcceptance:
             for p in (0.3, 0.5, 0.7):
                 nu_formula = recurrence.kac_frequency(d, p)
                 taus[(n, p)] = 1.0 / nu_formula
-                total_time = min(recurrence.suggested_observation_time(d, p), 6e4)
+                # a window for about 50 analytic returns, capped
+                total_time = min(50.0 / nu_formula, 6e4)
                 nu_signchange = recurrence.count_crossings(
                     d, p, total_time, resolution, check_stability=False
                 )

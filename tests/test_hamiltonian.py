@@ -83,6 +83,15 @@ class TestModelValidation:
         with pytest.raises(ValueError, match="finite"):
             make(value)
 
+    def test_rejects_environment_given_as_string(self):
+        # "full" used to draw a diagonal environment without a word
+        with pytest.raises(TypeError, match="env must be an Environment"):
+            ham.Experimental(4, 1.0, 0.1, 0.1, env="full")
+
+    def test_rejects_coupling_law_given_as_string(self):
+        with pytest.raises(TypeError, match="off_diag must be"):
+            ham.Experimental(4, 1.0, 0.1, 0.1, off_diag="uniform")
+
 
 class TestExperimentalSampler:
     def test_zero_disorder_is_diagonal(self):

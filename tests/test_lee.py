@@ -21,10 +21,6 @@ class TestCoupling:
         sigma = math.sqrt(1.5e-3 * 0.1)
         assert lee.coupling_from_gaussian(sigma, 1.0, 0.1) == pytest.approx(7.5e-4, rel=1e-12)
 
-    def test_uniform_variant(self):
-        hw = 0.3
-        assert lee.coupling_from_uniform(hw, 1.0, 0.1) == pytest.approx(hw**2 / 0.3, rel=1e-12)
-
 
 class TestParameterTypes:
     @pytest.mark.parametrize("omega, delta, kappa2, field", [

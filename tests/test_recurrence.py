@@ -168,6 +168,13 @@ class TestFormulaVsEmpirics:
         assert "sign changes" in report.counting
         assert report.observation_time == 3000.0
 
+    @pytest.mark.parametrize("n, crossings", [(10, 437), (12, 499), (20, 1233)])
+    def test_chain_crossing_counts(self, n, crossings):
+        # the README chain at g = 0.70710678, default window and step, p = 1/2
+        d = spectral.decompose(chain_matrix(n, 1.0, 0.70710678))
+        report = recurrence.build_report(d, 0.5, empirical=True)
+        assert report.empirical_nu * 2.0 * report.observation_time == pytest.approx(crossings, abs=1e-9)
+
     def test_report_low_statistics_flag(self):
         d = chain_decomp(8)
         report = recurrence.build_report(d, 0.5, observation_time=50.0, empirical=True)

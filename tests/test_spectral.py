@@ -1,7 +1,10 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from random_specs import chain_matrix, random_experimental_spec
 from qsurvival import hamiltonian as ham
@@ -63,6 +66,86 @@ class TestPhaseSum:
 
     def test_no_terms_sum_to_zero(self):
         np.testing.assert_array_equal(spectral.phase_sum([], [], [0.0, 1.0]), 0.0)
+        np.testing.assert_array_equal(spectral.phase_sum([], [], np.arange(50.0)), 0.0)
+
+
+@st.composite
+def uniform_phase_sums(draw):
+    """Terms with real or decaying complex frequencies on a grid t_0 + k step,
+    t_0 >= 0, of r^2 + extra points (a perfect square when extra = 0)."""
+    terms = draw(st.integers(1, 25))
+    scale = draw(st.floats(1e-3, 10.0))
+    freqs = scale * np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=terms, max_size=terms)))
+    if draw(st.booleans()):
+        freqs = freqs - 1j * np.array(draw(st.lists(st.floats(0.0, 1.0), min_size=terms, max_size=terms)))
+    weights = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=terms, max_size=terms)))
+    if draw(st.booleans()):
+        weights = weights + 1j * weights[::-1]
+    root = draw(st.integers(3, 40))
+    points = root * root + draw(st.sampled_from([0, 1, root - 1, root, -1]))
+    t0 = draw(st.just(0.0) | st.floats(1e-3, 500.0))
+    times = t0 + np.arange(points) * draw(st.floats(1e-3, 10.0))
+    return freqs, weights, times
+
+
+class TestBlockedPhaseSum:
+    # c = 8: the blocked path rebuilds each time as (t_0 + b M step) + m step,
+    # which the grid check keeps within 4 ulp of max|t|, plus the rounding of
+    # both parts and of freqs * t; the 1 in the scale covers the rounding of
+    # the sum over terms
+    ULPS = 8.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(uniform_phase_sums())
+    @example((np.array([0.3, -2.0]), np.array([0.5, 0.5]), 7.0 + np.arange(36) * 0.25))
+    @example((np.array([0.3 - 0.1j, 1.0]), np.array([1.0, -1j]), 7.0 + np.arange(37) * 0.25))
+    def test_uniform_grid_matches_the_per_time_sum(self, case):
+        freqs, weights, times = case
+        blocked = spectral.phase_sum(freqs, weights, times)
+        reference = np.array([spectral.phase_sum(freqs, weights, [t])[0] for t in times])
+        scale = 1.0 + np.abs(freqs).max() * np.abs(times).max()
+        bound = self.ULPS * np.finfo(float).eps * scale * np.abs(weights).sum()
+        assert np.abs(blocked - reference).max() <= bound
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            pytest.param(np.array([3.0]), id="one-point"),
+            pytest.param(np.array([0.0, 2.5]), id="two-points"),
+            pytest.param(np.linspace(0.0, 50.0, 100) + np.eye(100)[37] * 1e-6, id="one-point-moved"),
+            pytest.param(np.linspace(50.0, 0.0, 100), id="descending"),
+            pytest.param(np.linspace(-5.0, 50.0, 100), id="negative-start"),
+        ],
+    )
+    def test_other_grids_take_the_direct_sum(self, times):
+        rng = np.random.default_rng(5)
+        freqs = rng.normal(size=9) - 1j * rng.uniform(0.0, 0.1, size=9)
+        weights = rng.normal(size=9) + 1j * rng.normal(size=9)
+        direct = np.exp(-1j * (times[:, None] * freqs[None, :])) @ weights
+        np.testing.assert_array_equal(spectral.phase_sum(freqs, weights, times), direct)
+
+    def test_growing_terms_take_the_direct_sum(self):
+        freqs, weights = np.array([0.5 + 0.01j]), np.array([1.0])
+        times = np.linspace(0.0, 50.0, 100)
+        direct = np.exp(-1j * (times[:, None] * freqs[None, :])) @ weights
+        np.testing.assert_array_equal(spectral.phase_sum(freqs, weights, times), direct)
+
+    def test_peak_memory_is_bounded_by_the_term_chunks(self):
+        # 10^4 terms x 2 * 10^6 points: the output, one block product and the
+        # chunk's two factor tables (4e6 entries together) are 32 + 32 + 64 MB;
+        # unchunked factor tables alone would take 450 MB
+        rng = np.random.default_rng(6)
+        freqs = rng.uniform(0.9, 1.1, size=10_000)
+        weights = np.full(10_000, 1e-4)
+        times = np.arange(2_000_000) * 0.05
+        tracemalloc.start()
+        try:
+            values = spectral.phase_sum(freqs, weights, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 160 * 2**20
+        assert abs(values[0] - 1.0) < 1e-12
 
 
 class TestSurvivalAmplitude:
