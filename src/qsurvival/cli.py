@@ -23,15 +23,9 @@ import numpy as np
 
 from . import __version__, closedform, fock_oracle, lee, perturbation, recurrence
 from . import hamiltonian as ham
-from .ensemble import ensemble_mean
+from .ensemble import draw_realization, ensemble_mean
 from .series import SurvivalSeries
-from .spectral import (
-    decompose,
-    energy_variance,
-    mandelstam_tamm_bound,
-    survival_probability,
-    zeno_time,
-)
+from .spectral import decompose, mandelstam_tamm_bound, survival_probability, zeno_time
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -357,6 +351,8 @@ def cmd_lee(args) -> int:
     if isinstance(params, lee.LeeParams):
         annotations = {"van_hove_rate": lee.van_hove_rate(params), **_pole_fields(lee.poles(params))}
     meta = {"spec": repr(params), "seed": None, "method": curve.method, "annotations": annotations}
+    if curve.tail_bound is not None:
+        meta["quadrature_error"] = curve.tail_bound
     _emit_series(args, {"survival": curve}, meta)
     return EXIT_OK
 
@@ -392,19 +388,18 @@ def cmd_bound(args) -> int:
     _require(args, ["out"])
     spec = _model_spec(args)
     times = _grid(args)
-    decomp = decompose(ham.build(spec))
-    variance = energy_variance(decomp)
-    series = {
-        "survival": survival_probability(decomp, times),
-        "bound": mandelstam_tamm_bound(variance, times),
-    }
+    draw = draw_realization(spec)
+    variance = draw.energy_variance()
+    survival = draw.survival(times)
+    series = {"survival": survival, "bound": mandelstam_tamm_bound(variance, times)}
     tau = zeno_time(variance)
     meta = {
         "spec": repr(spec),
         "seed": spec.seed,
-        "method": "spectral+bound",
+        "method": f"{survival.method}+bound",
         "variance": variance,
         "zeno_time": None if math.isinf(tau) else tau,
+        **_route_fields([survival]),
     }
     _emit_series(args, series, meta)
     return EXIT_OK

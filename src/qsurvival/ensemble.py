@@ -1,34 +1,93 @@
-"""Seeded parallel ensemble averaging of survival curves.
+"""Seeded parallel ensemble averaging of survival curves, and the route table
+that takes each realization by the cheapest exact route.
 
 Each realization is drawn from its own stream (stream index = realization
-index), so results are independent of scheduling order and worker count. For
-the diagonal-environment model at large size the Hamiltonian is an arrowhead
-matrix; the curve is then obtained by Chebyshev propagation
-(:func:`spectral.chebyshev_amplitude`) with an O(n) matrix-vector product
-and the spectral bounds of that draw, on any time grid, instead of a dense
-eigensolve, which is what makes the 10^4-qubit runs desk-scale.
+index), so results are independent of scheduling order and worker count.
+:func:`draw_realization` holds the one route table, by model and size:
+
+- ``arrowhead``: a diagonal-environment draw from 300 qubits is an arrowhead
+  matrix. Chebyshev propagation (:func:`spectral.chebyshev_amplitude`) runs
+  from its O(n) matrix-vector product inside Weyl bounds, with no n x n
+  array; this makes the 10^4-qubit runs desk-scale.
+- ``dense``: every other model (fully coupled environment, Rosenzweig-Porter,
+  chain) from 400 qubits is built once and propagated from its dense
+  product, inside the Ritz bounds of :func:`spectral.lanczos_bounds`; should
+  the moment check refuse them, inside Gershgorin bounds instead.
+- ``decompose``: smaller draws of every model take the dense eigensolve.
+
+The thresholds are the measured sizes above which each Chebyshev route beats
+the eigensolve (501 points to t = 2000). Both Chebyshev routes work on any
+time grid and agree with the eigensolve to round-off.
 """
 
 from __future__ import annotations
 
 import os
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import hamiltonian as ham
 from .series import SurvivalSeries
-from .spectral import chebyshev_amplitude, decompose, survival_probability
+from .spectral import (
+    BoundsError,
+    chebyshev_amplitude,
+    decompose,
+    gershgorin_bounds,
+    lanczos_bounds,
+    survival_probability,
+)
 
-__all__ = ["realization_survival", "ensemble_mean"]
+__all__ = ["Draw", "draw_realization", "realization_survival", "ensemble_mean"]
 
-# above this size, diagonal-environment draws take the Chebyshev propagation path
-_SPARSE_PATH_MIN_N = 600
+# smallest sizes at which the arrowhead and dense Chebyshev routes beat the eigensolve
+_ARROWHEAD_MIN_N = 300
+_DENSE_MIN_N = 400
 
 
-def _is_arrowhead(spec: ham.HamiltonianSpec) -> bool:
-    model = spec.model
-    return isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL
+@dataclass(frozen=True)
+class Draw:
+    """One realization, ready for its route.
+
+    ``route`` is ``"arrowhead"``, ``"dense"`` or ``"decompose"``; ``matvec``
+    is the product with the realization's matrix of size ``n``. ``matrix`` is
+    that matrix where the route builds it (None on the arrowhead route), and
+    ``bounds`` the Weyl interval of the arrowhead route (None elsewhere).
+    """
+
+    route: str
+    n: int
+    matvec: Callable[[np.ndarray], np.ndarray]
+    matrix: np.ndarray | None = None
+    bounds: tuple[float, float] | None = None
+
+    def energy_variance(self) -> float:
+        """<H^2> - <H>^2 in e_1, from one product: |H e_1|^2 - (H e_1)_0^2 is
+        the squared norm of the off-diagonal part of H e_1."""
+        e1 = np.zeros(self.n)
+        e1[0] = 1.0
+        column = self.matvec(e1)[1:]
+        return float(column @ column)
+
+    def survival(self, times) -> SurvivalSeries:
+        """Survival curve on ``times`` by the draw's route; the series' ``method``
+        is ``"chebyshev"`` or ``"spectral"``."""
+        times = np.asarray(times, dtype=float)
+        if self.route == "decompose":
+            return survival_probability(decompose(self.matrix), times)
+        if self.route == "arrowhead":
+            amplitude = chebyshev_amplitude(self.matvec, self.n, *self.bounds, times)
+        else:
+            try:
+                amplitude = chebyshev_amplitude(
+                    self.matvec, self.n, *lanczos_bounds(self.matvec, self.n), times)
+            except BoundsError:
+                amplitude = chebyshev_amplitude(
+                    self.matvec, self.n, *gershgorin_bounds(self.matrix), times)
+        return SurvivalSeries(times, np.abs(amplitude.values) ** 2, "chebyshev",
+                              amplitude.terms, amplitude.tail_bound)
 
 
 def _arrowhead(spec: ham.HamiltonianSpec, stream: int):
@@ -46,19 +105,21 @@ def _arrowhead(spec: ham.HamiltonianSpec, stream: int):
     return matvec, float(diag.min()) - radius, float(diag.max()) + radius
 
 
-def realization_survival(spec: ham.HamiltonianSpec, times: np.ndarray, stream: int) -> SurvivalSeries:
-    """Survival curve of one realization, by the cheapest exact route.
-
-    The series' ``method`` names the route: ``"chebyshev"`` or ``"spectral"``.
-    """
-    times = np.asarray(times, dtype=float)
+def draw_realization(spec: ham.HamiltonianSpec, stream: int = 0) -> Draw:
+    """Realization ``stream`` of ``spec``, on the route the table picks for its model and size."""
     model = spec.model
-    if _is_arrowhead(spec) and model.n >= _SPARSE_PATH_MIN_N:
+    diagonal = isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL
+    if diagonal and model.n >= _ARROWHEAD_MIN_N:
         matvec, lo, hi = _arrowhead(spec, stream)
-        amplitude = chebyshev_amplitude(matvec, model.n, lo, hi, times)
-        return SurvivalSeries(times, np.abs(amplitude.values) ** 2, "chebyshev",
-                              amplitude.terms, amplitude.tail_bound)
-    return survival_probability(decompose(ham.build(spec, stream)), times)
+        return Draw("arrowhead", model.n, matvec, bounds=(lo, hi))
+    h = ham.build(spec, stream)
+    route = "dense" if not diagonal and model.n >= _DENSE_MIN_N else "decompose"
+    return Draw(route, model.n, h.dot, h)
+
+
+def realization_survival(spec: ham.HamiltonianSpec, times: np.ndarray, stream: int) -> SurvivalSeries:
+    """Survival curve of one realization, by the route of :func:`draw_realization`."""
+    return draw_realization(spec, stream).survival(times)
 
 
 def ensemble_mean(

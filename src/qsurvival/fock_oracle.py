@@ -20,7 +20,7 @@ import numpy as np
 from scipy import sparse
 
 from .series import SurvivalSeries
-from .spectral import chebyshev_amplitude
+from .spectral import chebyshev_amplitude, gershgorin_bounds
 
 __all__ = [
     "FullSpaceModel",
@@ -189,18 +189,12 @@ def sector_block(model: FullSpaceModel, k: int) -> np.ndarray:
     return model.hamiltonian[np.ix_(idx, idx)].toarray()
 
 
-def _gershgorin_bounds(h: sparse.csr_array) -> tuple[float, float]:
-    diagonal = h.diagonal()
-    radii = abs(h).sum(axis=1) - np.abs(diagonal)
-    return float(np.min(diagonal - radii)), float(np.max(diagonal + radii))
-
-
 def full_survival(model: FullSpaceModel, times) -> SurvivalSeries:
     """Survival probability of the localized excitation evolved in 2^n space,
     with the ``terms`` and ``tail_bound`` of its Chebyshev expansion."""
     _check_size(model.n_qubits)
     h = model.hamiltonian
-    lo, hi = _gershgorin_bounds(h)
+    lo, hi = gershgorin_bounds(h)
     amplitude = chebyshev_amplitude(h.dot, h.shape[0], lo, hi, times, start=model.initial_state)
     return SurvivalSeries(times, np.abs(amplitude.values) ** 2, "chebyshev",
                           amplitude.terms, amplitude.tail_bound)

@@ -542,17 +542,18 @@ def _direct_breakpoints(params: LeeParams | WignerSemicircle, eps: float, half_w
     return pts
 
 
-def amplitude_direct(params: LeeParams | WignerSemicircle, t) -> complex:
-    """Numerical inverse Laplace transform along a line just above the real axis.
+def amplitude_direct(params: LeeParams | WignerSemicircle, t) -> tuple[complex, float]:
+    """Numerical inverse Laplace transform along a line just above the real
+    axis: the amplitude at ``t`` and its achieved error estimate.
 
     Known simple poles are subtracted and restored analytically; the
     remaining integrand is integrated with oscillation-capped Gauss-Legendre
     panels on an adaptively widened window, at two line heights eps and
     eps / 2, and the results Richardson-extrapolated to eps -> 0. The line
     height is eps = min(1e-3 s, 0.2 / max(t, 1)), at least 1e-9 s, with s the
-    box half-width delta or the semicircle sigma. Raises
-    :class:`QuadratureError` carrying the achieved estimate when the window
-    tail plus the disagreement of the two line heights exceeds 1e-7.
+    box half-width delta or the semicircle sigma. The achieved estimate is
+    the window tail plus the disagreement of the two line heights; above 1e-7
+    it raises :class:`QuadratureError`, which carries it.
     """
     t = float(t)
     _check_times(np.array([t]))
@@ -603,7 +604,7 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t) -> complex:
     if achieved > _DIRECT_TOL:
         raise QuadratureError("line heights disagree beyond tolerance", achieved)
     base = complex(phase_sum(np.append(xs, x_rest), np.append(rs, w_rest), t)[0])
-    return base + (2.0 * a2 - a1)
+    return base + (2.0 * a2 - a1), achieved
 
 
 # ----------------------------------------------------------------------
@@ -635,7 +636,9 @@ def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue
     asks for; the series is then tagged ``closed-form`` (``amplitude_direct``
     with the Stieltjes level shift remains available as a cross-check).
     ``direct`` re-runs the line quadrature at every grid point; prefer
-    ``residue_cut`` or ``second_sheet`` for long dense grids.
+    ``residue_cut`` or ``second_sheet`` for long dense grids. Its series
+    carries the largest achieved quadrature error over the grid as
+    ``tail_bound``.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -643,14 +646,17 @@ def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue
     _check_times(times)
     if isinstance(params, WignerSemicircle):
         return SurvivalSeries(times, _wigner_closed_form(params, times), method="closed-form")
+    error = None
     if method == "residue_cut":
         amp = amplitude_residue_cut(params, times)
     elif method == "second_sheet":
         real_term, resonance, lines = _second_sheet_terms(params, times)
         amp = real_term + resonance + lines
     else:  # direct
-        amp = np.array([amplitude_direct(params, t) for t in times])
-    series = SurvivalSeries(times, np.abs(np.atleast_1d(amp)) ** 2, method=method)
+        points = [amplitude_direct(params, t) for t in times]
+        amp = np.array([value for value, _ in points])
+        error = max(achieved for _, achieved in points)
+    series = SurvivalSeries(times, np.abs(np.atleast_1d(amp)) ** 2, method=method, tail_bound=error)
     if series.clip_excess > 1e-6:
         raise QuadratureError("survival exceeded unity beyond method tolerance", series.clip_excess)
     return series

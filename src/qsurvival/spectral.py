@@ -1,7 +1,9 @@
 """Eigendecomposition of single-excitation Hamiltonians and the exact
 survival machinery built on it: amplitudes, probabilities, energy variance,
 and the Mandelstam-Tamm lower bound; plus the eigensolver-free route,
-Chebyshev propagation of the amplitude from a matrix-vector product.
+Chebyshev propagation of the amplitude from a matrix-vector product, and the
+spectral intervals it needs: Ritz bounds from a short Lanczos run, and
+Gershgorin bounds.
 """
 
 from __future__ import annotations
@@ -17,10 +19,13 @@ from .series import SurvivalSeries
 __all__ = [
     "SpectralDecomposition",
     "EigensolverError",
+    "BoundsError",
     "decompose",
     "phase_sum",
     "bessel_table",
     "ChebyshevAmplitude",
+    "lanczos_bounds",
+    "gershgorin_bounds",
     "chebyshev_amplitude",
     "survival_amplitude",
     "survival_probability",
@@ -35,6 +40,12 @@ _WEIGHT_NORMALIZATION_TOL = 1e-10
 _MERGE_REL_TOL = 1e-12
 # entries of one (times x terms) block in the chunked sums
 _CHUNK_ENTRIES = 4_000_000
+# a Chebyshev moment beyond 1 + this (plus a round-off allowance) in modulus means
+# the spectrum is not inside [lo, hi]
+_MOMENT_TOL = 1e-10
+# plain Lanczos steps behind the Ritz bounds, and the widening of the Ritz span on each side
+_LANCZOS_STEPS = 60
+_RITZ_MARGIN = 0.05
 # Chebyshev orders whose |J_k(a t)| stays below this everywhere on the grid are dropped
 _BESSEL_TAIL_TOL = 1e-16
 # Miller recurrence: divide a column by this once it exceeds it
@@ -45,6 +56,11 @@ _SERIES_MAX_X = 1e-20
 
 class EigensolverError(RuntimeError):
     """Eigensolver failed to converge; carries a fingerprint of the matrix."""
+
+
+class BoundsError(RuntimeError):
+    """A Chebyshev moment exceeded 1 in modulus: the spectrum seen from the
+    start vector is not inside the interval the expansion was given."""
 
 
 @dataclass(frozen=True)
@@ -217,6 +233,45 @@ class ChebyshevAmplitude:
     tail_bound: float
 
 
+def lanczos_bounds(matvec, n: int, start: int = 0) -> tuple[float, float]:
+    """An interval for Chebyshev propagation from e_start: the extreme Ritz
+    values of 60 plain Lanczos steps, each widened by 5% of their span.
+
+    The steps run from e_start without reorthogonalization, and stop early
+    where the Krylov space closes; the Ritz values are the eigenvalues of the
+    Jacobi matrix they build (Golub & Meurant, *Matrices, Moments and
+    Quadrature*, 2010). Ritz values lie inside the spectrum, and the extreme
+    ones converge first, so the margin covers what is left; the moment check
+    of :func:`chebyshev_amplitude` refuses an interval it does not cover.
+    """
+    alpha, beta = [], [0.0]
+    previous = np.zeros(n)
+    current = np.zeros(n)
+    current[start] = 1.0
+    while len(alpha) < min(_LANCZOS_STEPS, n):
+        w = matvec(current) - beta[-1] * previous
+        alpha.append(float(current @ w))
+        w -= alpha[-1] * current
+        norm = float(np.linalg.norm(w))
+        if norm <= np.finfo(float).eps * (abs(alpha[-1]) + beta[-1]):
+            break
+        beta.append(norm)
+        previous, current = current, w / norm
+    off = beta[1 : len(alpha)]
+    ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+    margin = _RITZ_MARGIN * float(ritz[-1] - ritz[0])
+    return float(ritz[0]) - margin, float(ritz[-1]) + margin
+
+
+def gershgorin_bounds(h) -> tuple[float, float]:
+    """[min_i (h_ii - r_i), max_i (h_ii + r_i)], with r_i the off-diagonal
+    absolute row sum: an interval holding the whole spectrum of the dense or
+    scipy-sparse symmetric ``h``."""
+    diagonal = h.diagonal()
+    radii = abs(h).sum(axis=1) - np.abs(diagonal)
+    return float(np.min(diagonal - radii)), float(np.max(diagonal + radii))
+
+
 def _chebyshev_moments(
     matvec, n: int, center: float, radius: float, count: int, start: int = 0
 ) -> np.ndarray:
@@ -225,7 +280,14 @@ def _chebyshev_moments(
     With v_k = T_k(.) e_start, the doubling identities mu_2k = 2 <v_k, v_k> - mu_0
     and mu_2k-1 = 2 <v_k, v_k-1> - mu_1 give 2K + 1 moments from K products
     with H (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)).
+
+    Inside the interval every |mu_k| <= 1, so a moment beyond that raises
+    :class:`BoundsError` as soon as it appears. The limit allows for round-off:
+    the scaled operator is known to about d = 4 eps (|center| / radius + 1),
+    which moves a level at the interval's edge to 1 + d, where
+    T_k(1 + d) ~ 1 + k^2 d; so the limit is 1 + 1e-10 + k^2 d.
     """
+    slack = 4.0 * np.finfo(float).eps * (abs(center) / radius + 1.0)
     steps = max(1, count // 2)
     mu = np.empty(2 * steps + 1)
     previous = np.zeros(n)
@@ -235,6 +297,12 @@ def _chebyshev_moments(
     for k in range(1, steps + 1):
         mu[2 * k] = 2.0 * (current @ current) - mu[0]
         mu[2 * k - 1] = 2.0 * (current @ previous) - mu[1]
+        worst = max(abs(mu[2 * k]), abs(mu[2 * k - 1]))
+        if worst > 1.0 + _MOMENT_TOL + (2 * k) ** 2 * slack:
+            raise BoundsError(
+                f"Chebyshev moment of modulus {worst:.6g} > 1: "
+                f"the spectrum is not inside [{center - radius:.17g}, {center + radius:.17g}]"
+            )
         if k < steps:
             scaled = (matvec(current) - center * current) / radius
             previous, current = current, 2.0 * scaled - previous
@@ -251,6 +319,8 @@ def chebyshev_amplitude(
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). The expansion
     keeps every order up to the last with |J_k(a t)| >= 1e-16 somewhere on
     the grid. Any grid works: times may be unsorted, negative or non-uniform.
+    Raises :class:`BoundsError` if a moment shows that the spectrum seen from
+    e_start is not inside [lo, hi].
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):

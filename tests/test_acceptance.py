@@ -82,7 +82,7 @@ class TestAcceptance:
             k2 = float(np.exp(rng.uniform(math.log(1e-4), math.log(10.0))))
             t = float(rng.uniform(0.0, 1e3))
             params = lee.LeeParams(1.0, 0.1, k2)
-            a1 = lee.amplitude_direct(params, t)
+            a1, _ = lee.amplitude_direct(params, t)
             a2 = lee.amplitude_residue_cut(params, t)
             a3 = lee.amplitude_second_sheet(params, t).total
             worst = max(worst, abs(a1 - a2), abs(a2 - a3), abs(a1 - a3))

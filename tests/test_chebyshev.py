@@ -94,3 +94,110 @@ def test_start_index_matches_the_swapped_eigensolve(start, rng):
     amplitude = spectral.chebyshev_amplitude(lambda x: h @ x, n, -bound, bound, times, start=start)
     exact = spectral.survival_amplitude(spectral.decompose(h[np.ix_(order, order)]), times)
     assert np.max(np.abs(amplitude.values - exact)) <= 1e-12
+
+
+# either side of both route-table thresholds
+ROUTE_SIZES = st.integers(ensemble._ARROWHEAD_MIN_N - 50, ensemble._DENSE_MIN_N + 50)
+
+
+@st.composite
+def finite_specs(draw, sizes=ROUTE_SIZES):
+    """Every finite model: FULL with Gaussian or uniform couplings, the diagonal
+    environment, Rosenzweig-Porter and the chain."""
+    n = draw(sizes)
+    kind = draw(st.sampled_from(["full", "full-uniform", "diagonal", "rp", "chain"]))
+    if kind == "rp":
+        model = ham.RosenzweigPorter(n, draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 1.0)))
+    elif kind == "chain":
+        model = ham.Chain(n, draw(st.floats(0.2, 3.0)), draw(st.floats(-1.0, 1.0)))
+    else:
+        law = ham.GaussianCouplings()
+        if kind == "full-uniform":
+            law = ham.UniformCouplings(draw(st.floats(0.0, 0.05)))
+        env = ham.Environment.DIAGONAL if kind == "diagonal" else ham.Environment.FULL
+        model = ham.Experimental(n, draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 0.5)),
+                                 draw(st.floats(0.0, 1.0)), law, env)
+    return ham.HamiltonianSpec(model, seed=draw(st.integers(0, 2**63)))
+
+
+def eigh_survival(h, times):
+    return spectral.survival_probability(spectral.decompose(h), times).values
+
+
+def route_for(model):
+    if isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL:
+        return "arrowhead" if model.n >= ensemble._ARROWHEAD_MIN_N else "decompose"
+    return "dense" if model.n >= ensemble._DENSE_MIN_N else "decompose"
+
+
+def first_level_apart(h, level, coupling):
+    """``h`` with one more level at ``level``, coupled to e_1 by ``coupling`` alone."""
+    n = h.shape[0]
+    out = np.zeros((n + 1, n + 1))
+    out[:n, :n] = h
+    out[n, n] = level
+    out[0, n] = out[n, 0] = coupling
+    return out
+
+
+class TestRouteTable:
+    @given(finite_specs(), st.integers(0, 50), grids())
+    @settings(max_examples=40, deadline=None)
+    def test_every_route_matches_the_eigensolve(self, spec, stream, times):
+        draw = ensemble.draw_realization(spec, stream)
+        assert draw.route == route_for(spec.model)
+        series = draw.survival(times)
+        assert series.method == ("spectral" if draw.route == "decompose" else "chebyshev")
+        exact = eigh_survival(ham.build(spec, stream), times)
+        assert np.max(np.abs(series.values - exact)) <= 1e-12
+
+    @given(finite_specs(st.integers(1, ensemble._DENSE_MIN_N + 50)), st.integers(0, 50))
+    @settings(max_examples=40, deadline=None)
+    def test_variance_of_one_product_is_the_spectral_variance(self, spec, stream):
+        draw = ensemble.draw_realization(spec, stream)
+        h = ham.build(spec, stream)
+        # the variance is shift-invariant; centring on omega spares the reference
+        # sum_i w_i e_i^2 - (sum_i w_i e_i)^2 a cancellation of order omega^2 eps
+        centred = h - h[0, 0] * np.eye(h.shape[0])
+        assert abs(draw.energy_variance() - spectral.energy_variance(spectral.decompose(centred))) <= 1e-14
+
+    @pytest.mark.parametrize("coupling", [0.0, 1e-12])
+    def test_outlier_level_far_from_the_band(self, coupling):
+        spec = ham.HamiltonianSpec(ham.Experimental(500, 1.0, 0.1, 0.0122, env=ham.Environment.FULL), seed=4)
+        h = first_level_apart(ham.build(spec), 6.0, coupling)  # omega + 5
+        times = np.r_[-50.0, 0.0, np.geomspace(0.1, 2000.0, 150)]
+        series = ensemble.Draw("dense", h.shape[0], h.dot, h).survival(times)
+        assert np.max(np.abs(series.values - eigh_survival(h, times))) <= 1e-12
+        if coupling:
+            assert spectral.lanczos_bounds(h.dot, h.shape[0])[1] > 6.0
+
+    def test_too_narrow_interval_is_refused_and_the_fallback_agrees(self, monkeypatch):
+        spec = ham.HamiltonianSpec(ham.RosenzweigPorter(600, 1.0, 0.0122), seed=6)
+        h = ham.build(spec)
+        times = np.linspace(0.0, 400.0, 201)
+        lo, hi = spectral.lanczos_bounds(h.dot, h.shape[0])
+        narrow = (lo + 0.2 * (hi - lo), hi - 0.2 * (hi - lo))
+        with pytest.raises(spectral.BoundsError):
+            spectral.chebyshev_amplitude(h.dot, h.shape[0], *narrow, times)
+        monkeypatch.setattr(ensemble, "lanczos_bounds", lambda matvec, n: narrow)
+        fallback = ensemble.draw_realization(spec).survival(times)
+        wide = spectral.chebyshev_amplitude(h.dot, h.shape[0], *spectral.gershgorin_bounds(h), times)
+        assert fallback.terms == wide.terms
+        assert np.max(np.abs(fallback.values - eigh_survival(h, times))) <= 1e-12
+
+
+class TestBounds:
+    @pytest.mark.parametrize("n", [1, 2, 5, 60, 200])
+    def test_ritz_and_gershgorin_bounds_hold_the_spectrum(self, n, rng):
+        a = rng.normal(size=(n, n))
+        h = 0.5 * (a + a.T) + 3.0 * np.eye(n)
+        eigenvalues = np.linalg.eigvalsh(h)
+        for lo, hi in (spectral.lanczos_bounds(h.dot, n), spectral.gershgorin_bounds(h)):
+            assert lo <= eigenvalues[0] and eigenvalues[-1] <= hi
+
+    def test_ritz_bounds_of_a_closed_krylov_space(self):
+        # e_1 is an eigenvector: the space closes after one step, and the
+        # levels it cannot reach leave the interval
+        h = np.diag([2.0, -7.0, 9.0])
+        assert spectral.lanczos_bounds(h.dot, 3) == (2.0, 2.0)
+        assert spectral.lanczos_bounds(h.dot, 3, start=2) == (9.0, 9.0)

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from qsurvival import hamiltonian as ham
+from qsurvival import lee
 from qsurvival import spectral
 from qsurvival import cli
 from qsurvival.cli import _option_actions, _subcommands, build_parser, main
@@ -40,7 +41,7 @@ class TestEnsembleRunner:
             raise AssertionError("dense eigensolve on the Chebyshev route")
 
         monkeypatch.setattr(ensemble, "decompose", refuse)
-        spec = ham.HamiltonianSpec(ham.Experimental(ensemble._SPARSE_PATH_MIN_N, 1.0, 0.1, 0.05), seed=3)
+        spec = ham.HamiltonianSpec(ham.Experimental(ensemble._ARROWHEAD_MIN_N, 1.0, 0.1, 0.05), seed=3)
         for times in (np.linspace(0.0, 50.0, 11), np.array([-3.0, 0.0, 0.1, 7.0, 7.5])):
             draw = realization_survival(spec, times, stream=1)
             assert draw.method == "chebyshev" and draw.terms >= 1 and draw.tail_bound < 1e-16
@@ -271,6 +272,54 @@ class TestCommands:
         assert np.all(data[:, 1] >= data[:, 2] - 1e-9)
         meta = json.loads((tmp_path / "bound.annotations.json").read_text())
         assert meta["variance"] == pytest.approx(0.5, abs=1e-12)
+
+    @pytest.mark.parametrize("n, route", [(20, "spectral"), (2000, "chebyshev")])
+    def test_bound_meta_names_the_route(self, n, route, tmp_path):
+        out = tmp_path / "bound.json"
+        assert main([
+            "bound", "--model", "rp", "--n", str(n), "--omega", "1", "--sigma", "0.01224745",
+            "--seed", "3", "--tmax", "400", "--points", "50", "--format", "json", "--out", str(out),
+        ]) == 0
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["method"] == f"{route}+bound" and meta["route"] == route
+        if route == "chebyshev":
+            assert meta["chebyshev_terms"] > 400 * 0.02 and 0.0 <= meta["bessel_tail_bound"] < 1e-16
+        else:
+            assert "chebyshev_terms" not in meta and "bessel_tail_bound" not in meta
+
+    @pytest.mark.parametrize("argv", [
+        ["bound", "--model", "rp", "--n", "2000", "--sigma", "0.01224745", "--seed", "3"],
+        ["ensemble", "--env", "full", "--n", str(ensemble._DENSE_MIN_N), "--delta", "0.1",
+         "--sigma", "0.01224745", "--realizations", "2"],
+    ], ids=lambda argv: argv[0])
+    def test_large_dense_draws_never_decompose(self, argv, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("dense eigensolve on a Chebyshev route")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        for module in (spectral, ensemble, cli):
+            monkeypatch.setattr(module, "decompose", refuse)
+        builds = []
+        build = ham.build
+        monkeypatch.setattr(ham, "build", lambda *args: builds.append(args) or build(*args))
+        out = tmp_path / "out.csv"
+        assert main([*argv, "--omega", "1", "--tmax", "400", "--points", "101", "--out", str(out)]) == 0
+        assert json.loads((tmp_path / "out.annotations.json").read_text())["route"] == "chebyshev"
+        assert len(builds) == (1 if argv[0] == "bound" else 2)
+
+    @pytest.mark.parametrize("method", ["direct", "residue_cut"])
+    def test_lee_direct_meta_carries_the_quadrature_error(self, method, tmp_path):
+        out = tmp_path / "lee.csv"
+        argv = ["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "7.5e-4", "--method", method,
+                "--tmax", "200", "--points", "3", "--out", str(out)]
+        assert main(argv) == 0
+        meta = json.loads((tmp_path / "lee.annotations.json").read_text())
+        if method == "direct":
+            params = lee.LeeParams(1.0, 0.1, 7.5e-4)
+            achieved = [lee.amplitude_direct(params, t)[1] for t in (0.0, 100.0, 200.0)]
+            assert meta["quadrature_error"] == max(achieved) and 0.0 <= max(achieved) <= 1e-7
+        else:
+            assert "quadrature_error" not in meta
 
     def test_recurrence_report(self, tmp_path):
         out = tmp_path / "rec.json"
