@@ -271,11 +271,13 @@ def _model_spec(args) -> ham.HamiltonianSpec:
 
 
 def _route_fields(curves: list[SurvivalSeries]) -> dict:
-    """The route of ``curves``; on a Chebyshev route also their largest terms and tail bound."""
-    fields = {"route": curves[0].method}
-    if curves[0].terms is not None:
-        fields["chebyshev_terms"] = max(curve.terms for curve in curves)
-        fields["bessel_tail_bound"] = max(curve.tail_bound for curve in curves)
+    """The routes of ``curves``, joined by ``+`` where they differ; where any
+    took a Chebyshev route, also the largest terms and tail bound among those."""
+    fields = {"route": "+".join(sorted({curve.method for curve in curves}))}
+    chebyshev = [curve for curve in curves if curve.terms is not None]
+    if chebyshev:
+        fields["chebyshev_terms"] = max(curve.terms for curve in chebyshev)
+        fields["bessel_tail_bound"] = max(curve.tail_bound for curve in chebyshev)
     return fields
 
 
@@ -346,13 +348,17 @@ def cmd_lee(args) -> int:
     _require(args, ["out"])
     params = _lee_params(args)
     times = _grid(args)
-    curve = lee.survival(params, times, method=args.method)
+    error = None
+    if args.method == "direct" and isinstance(params, lee.LeeParams):
+        curve, error = lee.direct_survival(params, times)
+    else:
+        curve = lee.survival(params, times, method=args.method)
     annotations = {}
     if isinstance(params, lee.LeeParams):
         annotations = {"van_hove_rate": lee.van_hove_rate(params), **_pole_fields(lee.poles(params))}
     meta = {"spec": repr(params), "seed": None, "method": curve.method, "annotations": annotations}
-    if curve.tail_bound is not None:
-        meta["quadrature_error"] = curve.tail_bound
+    if error is not None:
+        meta["quadrature_error"] = error
     _emit_series(args, {"survival": curve}, meta)
     return EXIT_OK
 

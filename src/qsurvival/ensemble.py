@@ -1,27 +1,30 @@
 """Seeded parallel ensemble averaging of survival curves, and the route table
-that takes each realization by the cheapest exact route.
+that takes each realization by the cheaper exact route for its time grid.
 
 Each realization is drawn from its own stream (stream index = realization
 index), so results are independent of scheduling order and worker count.
-:func:`draw_realization` holds the one route table, by model and size:
+:meth:`Draw.survival` holds the one route table. A realization propagates by
+Chebyshev (:func:`spectral.chebyshev_amplitude`) where the cost model of
+:func:`_chebyshev_cheaper` puts that below the dense eigensolve, and
+decomposes otherwise:
 
-- ``arrowhead``: a diagonal-environment draw from 300 qubits is an arrowhead
-  matrix. Chebyshev propagation (:func:`spectral.chebyshev_amplitude`) runs
-  from its O(n) matrix-vector product inside Weyl bounds, with no n x n
-  array; this makes the 10^4-qubit runs desk-scale.
-- ``dense``: every other model (fully coupled environment, Rosenzweig-Porter,
-  chain) from 400 qubits is built once and propagated from its dense
-  product, inside the Ritz bounds of :func:`spectral.lanczos_bounds`; should
-  the moment check refuse them, inside Gershgorin bounds instead.
-- ``decompose``: smaller draws of every model take the dense eigensolve.
+- a diagonal-environment draw is an arrowhead matrix. Chebyshev propagation
+  runs from its O(n) product inside Weyl bounds, with no n x n array; this
+  makes the 10^4-qubit runs desk-scale;
+- every other model (fully coupled environment, Rosenzweig-Porter, chain) is
+  built once and propagates from its dense product, inside the Ritz bounds of
+  :func:`spectral.lanczos_bounds`; should the moment check refuse them,
+  inside Gershgorin bounds instead.
 
-The thresholds are the measured sizes above which each Chebyshev route beats
-the eigensolve (501 points to t = 2000). Both Chebyshev routes work on any
-time grid and agree with the eigensolve to round-off.
+The Chebyshev cost grows with its order count, about the spectral half-width
+times max|t|, while the eigensolve costs the same for any parameters; so the
+choice follows the size, the interval and the grid together. Both routes
+work on any time grid and agree to round-off.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -32,8 +35,11 @@ import numpy as np
 from . import hamiltonian as ham
 from .series import SurvivalSeries
 from .spectral import (
+    LANCZOS_STEPS,
     BoundsError,
+    ChebyshevAmplitude,
     chebyshev_amplitude,
+    chebyshev_orders,
     decompose,
     gershgorin_bounds,
     lanczos_bounds,
@@ -42,25 +48,42 @@ from .spectral import (
 
 __all__ = ["Draw", "draw_realization", "realization_survival", "ensemble_mean"]
 
-# smallest sizes at which the arrowhead and dense Chebyshev routes beat the eigensolve
-_ARROWHEAD_MIN_N = 300
-_DENSE_MIN_N = 400
+# Route costs in multiply-adds of one product with the dense n x n matrix
+# (about 0.17 ns each), fitted on a 2-core Xeon with OpenBLAS at n = 200-2000
+# and 1 to 5001 time points, each rounded towards the eigensolve. The
+# eigensolve and phase sum cost n^2 (0.4 n + 400); each Chebyshev order costs
+# half a product plus a step of two Bessel recurrences, 1.2e5 + 50 per point.
+_EIGENSOLVE_CUBIC = 0.4
+_EIGENSOLVE_QUADRATIC = 400.0
+_ORDER_COST = 1.2e5
+_ORDER_POINT_COST = 50.0
+
+
+def _chebyshev_cheaper(
+    n: int, lo: float, hi: float, times: np.ndarray, product: float, setup: int = 0
+) -> bool:
+    """Whether Chebyshev propagation inside [lo, hi] on ``times`` costs less
+    than the eigensolve of the n x n draw; ``product`` is the cost of one
+    product with its matrix, ``setup`` the products spent on the interval."""
+    orders = chebyshev_orders(lo, hi, times)
+    chebyshev = setup * product + orders * (0.5 * product + _ORDER_COST + _ORDER_POINT_COST * times.size)
+    return chebyshev < n * n * (_EIGENSOLVE_CUBIC * n + _EIGENSOLVE_QUADRATIC)
 
 
 @dataclass(frozen=True)
 class Draw:
-    """One realization, ready for its route.
+    """One realization, before its route is chosen.
 
-    ``route`` is ``"arrowhead"``, ``"dense"`` or ``"decompose"``; ``matvec``
-    is the product with the realization's matrix of size ``n``. ``matrix`` is
-    that matrix where the route builds it (None on the arrowhead route), and
-    ``bounds`` the Weyl interval of the arrowhead route (None elsewhere).
+    ``matvec`` is the product with the realization's matrix of size ``n``,
+    and ``build`` returns that matrix dense. A diagonal-environment draw is an
+    arrowhead: ``bounds`` holds its Weyl interval, and ``build`` draws the
+    matrix only where the eigensolve is the cheaper route. Every other draw
+    is built once; its ``bounds`` is None.
     """
 
-    route: str
     n: int
     matvec: Callable[[np.ndarray], np.ndarray]
-    matrix: np.ndarray | None = None
+    build: Callable[[], np.ndarray]
     bounds: tuple[float, float] | None = None
 
     def energy_variance(self) -> float:
@@ -72,22 +95,39 @@ class Draw:
         return float(column @ column)
 
     def survival(self, times) -> SurvivalSeries:
-        """Survival curve on ``times`` by the draw's route; the series' ``method``
-        is ``"chebyshev"`` or ``"spectral"``."""
+        """Survival curve on ``times`` by the cheaper route for this grid; the
+        series' ``method`` is ``"chebyshev"`` or ``"spectral"``."""
         times = np.asarray(times, dtype=float)
-        if self.route == "decompose":
-            return survival_probability(decompose(self.matrix), times)
-        if self.route == "arrowhead":
-            amplitude = chebyshev_amplitude(self.matvec, self.n, *self.bounds, times)
-        else:
-            try:
-                amplitude = chebyshev_amplitude(
-                    self.matvec, self.n, *lanczos_bounds(self.matvec, self.n), times)
-            except BoundsError:
-                amplitude = chebyshev_amplitude(
-                    self.matvec, self.n, *gershgorin_bounds(self.matrix), times)
+        amplitude = self._chebyshev(times)
+        if amplitude is None:
+            return survival_probability(decompose(self.build()), times)
         return SurvivalSeries(times, np.abs(amplitude.values) ** 2, "chebyshev",
                               amplitude.terms, amplitude.tail_bound)
+
+    def _chebyshev(self, times: np.ndarray) -> ChebyshevAmplitude | None:
+        """The amplitude by Chebyshev propagation, or None where the eigensolve costs less."""
+        n = self.n
+        if self.bounds is not None:
+            # an arrowhead product is about 4n multiply-adds
+            if not _chebyshev_cheaper(n, *self.bounds, times, product=4 * n):
+                return None
+            return chebyshev_amplitude(self.matvec, n, *self.bounds, times)
+        product = n * n
+        # the Ritz span is at least that of the first two Lanczos steps, which is at
+        # least 2 sqrt(variance): no Lanczos run where even that span costs too much
+        floor = math.sqrt(self.energy_variance())
+        if not _chebyshev_cheaper(n, -floor, floor, times, product, LANCZOS_STEPS):
+            return None
+        lo, hi = lanczos_bounds(self.matvec, n)
+        if not _chebyshev_cheaper(n, lo, hi, times, product, LANCZOS_STEPS):
+            return None
+        try:
+            return chebyshev_amplitude(self.matvec, n, lo, hi, times)
+        except BoundsError:
+            lo, hi = gershgorin_bounds(self.build())
+            if not _chebyshev_cheaper(n, lo, hi, times, product):
+                return None
+            return chebyshev_amplitude(self.matvec, n, lo, hi, times)
 
 
 def _arrowhead(spec: ham.HamiltonianSpec, stream: int):
@@ -106,19 +146,18 @@ def _arrowhead(spec: ham.HamiltonianSpec, stream: int):
 
 
 def draw_realization(spec: ham.HamiltonianSpec, stream: int = 0) -> Draw:
-    """Realization ``stream`` of ``spec``, on the route the table picks for its model and size."""
+    """Realization ``stream`` of ``spec``: an arrowhead product for the
+    diagonal environment, the built matrix for every other model."""
     model = spec.model
-    diagonal = isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL
-    if diagonal and model.n >= _ARROWHEAD_MIN_N:
+    if isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL:
         matvec, lo, hi = _arrowhead(spec, stream)
-        return Draw("arrowhead", model.n, matvec, bounds=(lo, hi))
+        return Draw(model.n, matvec, lambda: ham.build(spec, stream), (lo, hi))
     h = ham.build(spec, stream)
-    route = "dense" if not diagonal and model.n >= _DENSE_MIN_N else "decompose"
-    return Draw(route, model.n, h.dot, h)
+    return Draw(model.n, h.dot, lambda: h)
 
 
 def realization_survival(spec: ham.HamiltonianSpec, times: np.ndarray, stream: int) -> SurvivalSeries:
-    """Survival curve of one realization, by the route of :func:`draw_realization`."""
+    """Survival curve of one realization, by the route of :meth:`Draw.survival`."""
     return draw_realization(spec, stream).survival(times)
 
 

@@ -55,6 +55,7 @@ __all__ = [
     "amplitude_residue_cut",
     "amplitude_second_sheet",
     "SecondSheetAmplitude",
+    "direct_survival",
     "survival",
 ]
 
@@ -628,6 +629,26 @@ def _wigner_closed_form(params: WignerSemicircle, times: np.ndarray) -> np.ndarr
     return ratio**2
 
 
+def _probability_series(times: np.ndarray, amplitude, method: str) -> SurvivalSeries:
+    """|amplitude|^2 on ``times``; a probability above unity beyond the
+    route tolerance raises :class:`QuadratureError`."""
+    series = SurvivalSeries(times, np.abs(np.atleast_1d(amplitude)) ** 2, method=method)
+    if series.clip_excess > 1e-6:
+        raise QuadratureError("survival exceeded unity beyond method tolerance", series.clip_excess)
+    return series
+
+
+def direct_survival(params: LeeParams | WignerSemicircle, times) -> tuple[SurvivalSeries, float]:
+    """Survival probability by :func:`amplitude_direct` at every grid point
+    (the ``direct`` route of :func:`survival`, which it runs for the
+    semicircle too), and the largest achieved quadrature error over the grid."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    _check_times(times)
+    points = [amplitude_direct(params, t) for t in times]
+    series = _probability_series(times, np.array([value for value, _ in points]), "direct")
+    return series, max((achieved for _, achieved in points), default=0.0)
+
+
 def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue_cut") -> SurvivalSeries:
     """Survival probability on a grid by the chosen route.
 
@@ -636,9 +657,8 @@ def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue
     asks for; the series is then tagged ``closed-form`` (``amplitude_direct``
     with the Stieltjes level shift remains available as a cross-check).
     ``direct`` re-runs the line quadrature at every grid point; prefer
-    ``residue_cut`` or ``second_sheet`` for long dense grids. Its series
-    carries the largest achieved quadrature error over the grid as
-    ``tail_bound``.
+    ``residue_cut`` or ``second_sheet`` for long dense grids, and
+    :func:`direct_survival` for its achieved quadrature error.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -646,17 +666,11 @@ def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue
     _check_times(times)
     if isinstance(params, WignerSemicircle):
         return SurvivalSeries(times, _wigner_closed_form(params, times), method="closed-form")
-    error = None
+    if method == "direct":
+        return direct_survival(params, times)[0]
     if method == "residue_cut":
         amp = amplitude_residue_cut(params, times)
-    elif method == "second_sheet":
+    else:  # second_sheet
         real_term, resonance, lines = _second_sheet_terms(params, times)
         amp = real_term + resonance + lines
-    else:  # direct
-        points = [amplitude_direct(params, t) for t in times]
-        amp = np.array([value for value, _ in points])
-        error = max(achieved for _, achieved in points)
-    series = SurvivalSeries(times, np.abs(np.atleast_1d(amp)) ** 2, method=method, tail_bound=error)
-    if series.clip_excess > 1e-6:
-        raise QuadratureError("survival exceeded unity beyond method tolerance", series.clip_excess)
-    return series
+    return _probability_series(times, amp, method)

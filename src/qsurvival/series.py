@@ -29,10 +29,8 @@ class SurvivalSeries:
     method : str
         The route that computed the curve.
     terms, tail_bound : int or None, float or None
-        On a Chebyshev route, those of :class:`spectral.ChebyshevAmplitude`.
-        On the ``lee`` direct route ``tail_bound`` is the largest achieved
-        quadrature error over the grid (window tail plus line-height
-        disagreement) and ``terms`` is ``None``; both are ``None`` elsewhere.
+        On a Chebyshev route, those of :class:`spectral.ChebyshevAmplitude`;
+        ``None`` elsewhere.
     clip_excess : float
         Largest distance of the raw values outside [0, 1]; not a
         constructor argument.

@@ -24,8 +24,10 @@ __all__ = [
     "phase_sum",
     "bessel_table",
     "ChebyshevAmplitude",
+    "LANCZOS_STEPS",
     "lanczos_bounds",
     "gershgorin_bounds",
+    "chebyshev_orders",
     "chebyshev_amplitude",
     "survival_amplitude",
     "survival_probability",
@@ -44,7 +46,7 @@ _CHUNK_ENTRIES = 4_000_000
 # the spectrum is not inside [lo, hi]
 _MOMENT_TOL = 1e-10
 # plain Lanczos steps behind the Ritz bounds, and the widening of the Ritz span on each side
-_LANCZOS_STEPS = 60
+LANCZOS_STEPS = 60
 _RITZ_MARGIN = 0.05
 # Chebyshev orders whose |J_k(a t)| stays below this everywhere on the grid are dropped
 _BESSEL_TAIL_TOL = 1e-16
@@ -248,7 +250,7 @@ def lanczos_bounds(matvec, n: int, start: int = 0) -> tuple[float, float]:
     previous = np.zeros(n)
     current = np.zeros(n)
     current[start] = 1.0
-    while len(alpha) < min(_LANCZOS_STEPS, n):
+    while len(alpha) < min(LANCZOS_STEPS, n):
         w = matvec(current) - beta[-1] * previous
         alpha.append(float(current @ w))
         w -= alpha[-1] * current
@@ -307,6 +309,15 @@ def _chebyshev_moments(
             scaled = (matvec(current) - center * current) / radius
             previous, current = current, 2.0 * scaled - previous
     return mu[:count]
+
+
+def chebyshev_orders(lo: float, hi: float, times) -> int:
+    """Orders the Bessel recurrences of :func:`chebyshev_amplitude` run over
+    for the interval [lo, hi] on ``times``: a few dozen above the terms it
+    keeps, about (hi - lo) max|t| / 2, and found without evaluating a Bessel
+    function."""
+    radius = 0.5 * (hi - lo) or 1.0
+    return int(_miller_start(np.array(radius * float(np.max(np.abs(times), initial=0.0)))))
 
 
 def chebyshev_amplitude(

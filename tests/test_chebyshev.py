@@ -8,6 +8,7 @@ from scipy.special import jv
 
 from qsurvival import ensemble, spectral
 from qsurvival import hamiltonian as ham
+from qsurvival.ensemble import realization_survival
 
 
 class TestBesselTable:
@@ -96,8 +97,8 @@ def test_start_index_matches_the_swapped_eigensolve(start, rng):
     assert np.max(np.abs(amplitude.values - exact)) <= 1e-12
 
 
-# either side of both route-table thresholds
-ROUTE_SIZES = st.integers(ensemble._ARROWHEAD_MIN_N - 50, ensemble._DENSE_MIN_N + 50)
+# sizes either side of the crossovers of the route table's cost model
+ROUTE_SIZES = st.integers(150, 700)
 
 
 @st.composite
@@ -124,12 +125,6 @@ def eigh_survival(h, times):
     return spectral.survival_probability(spectral.decompose(h), times).values
 
 
-def route_for(model):
-    if isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL:
-        return "arrowhead" if model.n >= ensemble._ARROWHEAD_MIN_N else "decompose"
-    return "dense" if model.n >= ensemble._DENSE_MIN_N else "decompose"
-
-
 def first_level_apart(h, level, coupling):
     """``h`` with one more level at ``level``, coupled to e_1 by ``coupling`` alone."""
     n = h.shape[0]
@@ -144,14 +139,38 @@ class TestRouteTable:
     @given(finite_specs(), st.integers(0, 50), grids())
     @settings(max_examples=40, deadline=None)
     def test_every_route_matches_the_eigensolve(self, spec, stream, times):
-        draw = ensemble.draw_realization(spec, stream)
-        assert draw.route == route_for(spec.model)
-        series = draw.survival(times)
-        assert series.method == ("spectral" if draw.route == "decompose" else "chebyshev")
+        series = ensemble.draw_realization(spec, stream).survival(times)
+        assert series.method in ("spectral", "chebyshev")
+        assert (series.terms is None) == (series.method == "spectral")
         exact = eigh_survival(ham.build(spec, stream), times)
         assert np.max(np.abs(series.values - exact)) <= 1e-12
 
-    @given(finite_specs(st.integers(1, ensemble._DENSE_MIN_N + 50)), st.integers(0, 50))
+    @pytest.mark.parametrize("model, tmax, route", [
+        # measured times of the Chebyshev route over the eigensolve, 501 points:
+        # 0.38 and 1.48 for the chain, 3.3 for a wide FULL band, 0.09 for RP,
+        # 0.39 and 1.15 for narrow and wide diagonal environments
+        (ham.Chain(2000, 1.0, 0.70710678), 400.0, "chebyshev"),
+        (ham.Chain(2000, 1.0, 0.70710678), 2000.0, "spectral"),
+        (ham.Experimental(600, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02), ham.Environment.FULL),
+         2000.0, "spectral"),
+        (ham.RosenzweigPorter(2000, 1.0, 0.0122), 400.0, "chebyshev"),
+        (ham.Experimental(400, 1.0, 0.1, 0.0122), 2000.0, "chebyshev"),
+        (ham.Experimental(400, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02)), 2000.0, "spectral"),
+    ], ids=["chain-short", "chain-long", "full-wide", "rp", "diagonal", "diagonal-wide"])
+    def test_route_follows_the_spectral_width_and_the_grid(self, model, tmax, route):
+        times = np.linspace(0.0, tmax, 501)
+        assert realization_survival(ham.HamiltonianSpec(model, seed=1), times, stream=0).method == route
+
+    def test_long_chain_decomposes_without_a_lanczos_run(self, monkeypatch):
+        def refuse(matvec, n):
+            raise AssertionError("Lanczos run on a draw the variance already rules out")
+
+        monkeypatch.setattr(ensemble, "lanczos_bounds", refuse)
+        spec = ham.HamiltonianSpec(ham.Chain(1000, 1.0, 0.70710678))
+        series = realization_survival(spec, np.linspace(0.0, 2000.0, 501), stream=0)
+        assert series.method == "spectral"
+
+    @given(finite_specs(st.integers(1, 700)), st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
     def test_variance_of_one_product_is_the_spectral_variance(self, spec, stream):
         draw = ensemble.draw_realization(spec, stream)
@@ -165,11 +184,16 @@ class TestRouteTable:
     def test_outlier_level_far_from_the_band(self, coupling):
         spec = ham.HamiltonianSpec(ham.Experimental(500, 1.0, 0.1, 0.0122, env=ham.Environment.FULL), seed=4)
         h = first_level_apart(ham.build(spec), 6.0, coupling)  # omega + 5
+        n = h.shape[0]
         times = np.r_[-50.0, 0.0, np.geomspace(0.1, 2000.0, 150)]
-        series = ensemble.Draw("dense", h.shape[0], h.dot, h).survival(times)
-        assert np.max(np.abs(series.values - eigh_survival(h, times))) <= 1e-12
-        if coupling:
-            assert spectral.lanczos_bounds(h.dot, h.shape[0])[1] > 6.0
+        exact = eigh_survival(h, times)
+        lo, hi = spectral.lanczos_bounds(h.dot, n)
+        dense = spectral.chebyshev_amplitude(h.dot, n, lo, hi, times)
+        assert np.max(np.abs(np.abs(dense.values) ** 2 - exact)) <= 1e-12
+        series = ensemble.Draw(n, h.dot, lambda: h).survival(times)
+        assert np.max(np.abs(series.values - exact)) <= 1e-12
+        # the coupled level widens the interval about twenty-fold, past the eigensolve's cost
+        assert (hi > 6.0, series.method) == ((True, "spectral") if coupling else (False, "chebyshev"))
 
     def test_too_narrow_interval_is_refused_and_the_fallback_agrees(self, monkeypatch):
         spec = ham.HamiltonianSpec(ham.RosenzweigPorter(600, 1.0, 0.0122), seed=6)
@@ -182,7 +206,7 @@ class TestRouteTable:
         monkeypatch.setattr(ensemble, "lanczos_bounds", lambda matvec, n: narrow)
         fallback = ensemble.draw_realization(spec).survival(times)
         wide = spectral.chebyshev_amplitude(h.dot, h.shape[0], *spectral.gershgorin_bounds(h), times)
-        assert fallback.terms == wide.terms
+        assert fallback.method == "chebyshev" and fallback.terms == wide.terms
         assert np.max(np.abs(fallback.values - eigh_survival(h, times))) <= 1e-12
 
 

@@ -13,7 +13,7 @@ from qsurvival import cli
 from qsurvival.cli import _option_actions, _subcommands, build_parser, main
 from qsurvival import ensemble
 from qsurvival.ensemble import ensemble_mean, realization_survival
-from qsurvival.series import UNITARITY_TOL
+from qsurvival.series import UNITARITY_TOL, SurvivalSeries
 
 
 class TestEnsembleRunner:
@@ -41,7 +41,7 @@ class TestEnsembleRunner:
             raise AssertionError("dense eigensolve on the Chebyshev route")
 
         monkeypatch.setattr(ensemble, "decompose", refuse)
-        spec = ham.HamiltonianSpec(ham.Experimental(ensemble._ARROWHEAD_MIN_N, 1.0, 0.1, 0.05), seed=3)
+        spec = ham.HamiltonianSpec(ham.Experimental(300, 1.0, 0.1, 0.05), seed=3)
         for times in (np.linspace(0.0, 50.0, 11), np.array([-3.0, 0.0, 0.1, 7.0, 7.5])):
             draw = realization_survival(spec, times, stream=1)
             assert draw.method == "chebyshev" and draw.terms >= 1 and draw.tail_bound < 1e-16
@@ -289,7 +289,7 @@ class TestCommands:
 
     @pytest.mark.parametrize("argv", [
         ["bound", "--model", "rp", "--n", "2000", "--sigma", "0.01224745", "--seed", "3"],
-        ["ensemble", "--env", "full", "--n", str(ensemble._DENSE_MIN_N), "--delta", "0.1",
+        ["ensemble", "--env", "full", "--n", "800", "--delta", "0.1",
          "--sigma", "0.01224745", "--realizations", "2"],
     ], ids=lambda argv: argv[0])
     def test_large_dense_draws_never_decompose(self, argv, monkeypatch, tmp_path):
@@ -306,6 +306,15 @@ class TestCommands:
         assert main([*argv, "--omega", "1", "--tmax", "400", "--points", "101", "--out", str(out)]) == 0
         assert json.loads((tmp_path / "out.annotations.json").read_text())["route"] == "chebyshev"
         assert len(builds) == (1 if argv[0] == "bound" else 2)
+
+    def test_route_fields_of_an_ensemble_on_both_routes(self):
+        times = np.array([0.0, 1.0])
+        spectral_curve = SurvivalSeries(times, np.ones(2), "spectral")
+        curves = [SurvivalSeries(times, np.ones(2), "chebyshev", 40, 1e-17), spectral_curve,
+                  SurvivalSeries(times, np.ones(2), "chebyshev", 55, 1e-18)]
+        assert cli._route_fields(curves) == {
+            "route": "chebyshev+spectral", "chebyshev_terms": 55, "bessel_tail_bound": 1e-17}
+        assert cli._route_fields([spectral_curve]) == {"route": "spectral"}
 
     @pytest.mark.parametrize("method", ["direct", "residue_cut"])
     def test_lee_direct_meta_carries_the_quadrature_error(self, method, tmp_path):

@@ -320,6 +320,13 @@ class TestSurvival:
             series = lee.survival(lee.LeeParams(1.0, 0.1, 0.02), times, method=method)
             assert series.values.max() <= 1.0 + 1e-6
 
+    def test_direct_route_reports_its_largest_quadrature_error(self):
+        times = np.array([0.0, 35.0, 80.0])
+        series, error = lee.direct_survival(REF, times)
+        assert series.values.tobytes() == lee.survival(REF, times, method="direct").values.tobytes()
+        assert series.method == "direct" and series.tail_bound is None
+        assert error == max(lee.amplitude_direct(REF, t)[1] for t in times) and 0.0 <= error <= 1e-7
+
     def test_wigner_equals_bessel_limit(self):
         sigma = 0.37
         params = lee.WignerSemicircle(1.0, sigma)
