@@ -1,5 +1,5 @@
 """Command-line front end: build models, run any computation, emit plot-ready
-data files, and orchestrate seeded parallel ensemble averages.
+data files, and run seeded ensemble averages.
 
 Config handling: an optional INI-like flat file of ``key = value`` lines
 (``#`` comments allowed) provides defaults; command-line flags win. Output
@@ -334,7 +334,7 @@ def cmd_ensemble(args) -> int:
     _require(args, ["out"])
     spec = _model_spec(args)
     times = _grid(args)
-    mean, draws = ensemble_mean(spec, times, args.realizations, threads=args.threads)
+    mean, draws = ensemble_mean(spec, times, args.realizations)
     series = {"mean": SurvivalSeries(times, mean, method="ensemble")}
     for r, draw in enumerate(draws):
         series[f"r{r:03d}"] = draw
@@ -511,7 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     _add_model(p)
     p.add_argument("--realizations", type=_AT_LEAST_1, default=1, help="ensemble size")
-    p.add_argument("--threads", type=_AT_LEAST_1, help="worker count (None: all cores)")
+    p.add_argument("--threads", type=_AT_LEAST_1, help="accepted and ignored: realizations run on one thread")
     p.set_defaults(func=cmd_ensemble)
 
     p = add("lee", help="infinite-environment survival curve")

@@ -1,8 +1,9 @@
-"""Seeded parallel ensemble averaging of survival curves, and the route table
-that takes each realization by the cheaper exact route for its time grid.
+"""Seeded ensemble averaging of survival curves, and the route table that
+takes each realization by the cheaper exact route for its time grid.
 
 Each realization is drawn from its own stream (stream index = realization
-index), so results are independent of scheduling order and worker count.
+index), so a realization depends on its index alone, not on what was drawn
+before it.
 :meth:`Draw.survival` holds the one route table. A realization propagates by
 Chebyshev (:func:`spectral.chebyshev_amplitude`) where the cost model of
 :func:`_chebyshev_cheaper` puts that below the dense eigensolve, and
@@ -25,9 +26,7 @@ work on any time grid and agree to round-off.
 from __future__ import annotations
 
 import math
-import os
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -162,23 +161,15 @@ def realization_survival(spec: ham.HamiltonianSpec, times: np.ndarray, stream: i
 
 
 def ensemble_mean(
-    spec: ham.HamiltonianSpec,
-    times: np.ndarray,
-    realizations: int,
-    threads: int | None = None,
+    spec: ham.HamiltonianSpec, times: np.ndarray, realizations: int
 ) -> tuple[np.ndarray, list[SurvivalSeries]]:
     """Mean curve over ``realizations`` streams plus each stream's :class:`SurvivalSeries`.
 
-    The reduction is performed in stream order after all workers finish, so
-    the output is bit-identical for any worker count.
+    The streams run one after another on the calling thread, and the mean is
+    taken in stream order.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     times = np.asarray(times, dtype=float)
-    if threads is None:
-        threads = os.cpu_count() or 1
-    threads = max(1, min(threads, realizations))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(realization_survival, spec, times, r) for r in range(realizations)]
-        draws = [f.result() for f in futures]
+    draws = [realization_survival(spec, times, r) for r in range(realizations)]
     return np.vstack([d.values for d in draws]).mean(axis=0), draws

@@ -3,7 +3,7 @@
 :func:`build` produces every model's dense real symmetric matrix, in energy
 units of the central-qubit splitting. Randomness is counter-based: every draw
 is fully determined by a 64-bit seed plus a stream index (the realization
-index), so parallel ensemble runs are order-independent and reproducible.
+index), so any one realization can be redrawn alone, bit for bit.
 The draw order is part of that contract: the experimental model draws its
 environment splittings, its first-row couplings and then, with a fully
 coupled environment, the environment upper triangle row by row; the

@@ -173,8 +173,9 @@ def count_crossings(
     by 1% or more. A strict sign change always brackets a true crossing;
     tangential touches (no sign change) count as zero.
     """
-    if total_time <= 0.0:
-        raise ValueError("total_time must be positive")
+    for name, value in (("total_time", total_time), ("resolution", resolution)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     merged = merge_close_frequencies(decomp)

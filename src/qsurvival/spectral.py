@@ -235,11 +235,11 @@ class ChebyshevAmplitude:
     tail_bound: float
 
 
-def lanczos_bounds(matvec, n: int, start: int = 0) -> tuple[float, float]:
-    """An interval for Chebyshev propagation from e_start: the extreme Ritz
+def lanczos_bounds(matvec, n: int) -> tuple[float, float]:
+    """An interval for Chebyshev propagation from e_1: the extreme Ritz
     values of 60 plain Lanczos steps, each widened by 5% of their span.
 
-    The steps run from e_start without reorthogonalization, and stop early
+    The steps run from e_1 without reorthogonalization, and stop early
     where the Krylov space closes; the Ritz values are the eigenvalues of the
     Jacobi matrix they build (Golub & Meurant, *Matrices, Moments and
     Quadrature*, 2010). Ritz values lie inside the spectrum, and the extreme
@@ -249,7 +249,7 @@ def lanczos_bounds(matvec, n: int, start: int = 0) -> tuple[float, float]:
     alpha, beta = [], [0.0]
     previous = np.zeros(n)
     current = np.zeros(n)
-    current[start] = 1.0
+    current[0] = 1.0
     while len(alpha) < min(LANCZOS_STEPS, n):
         w = matvec(current) - beta[-1] * previous
         alpha.append(float(current @ w))
@@ -366,10 +366,9 @@ def survival_amplitude(decomp: SpectralDecomposition, t):
 
 
 def survival_probability(decomp: SpectralDecomposition, times) -> SurvivalSeries:
-    """|amplitude|^2 on an ascending grid of times."""
+    """|amplitude|^2 on a grid of finite times, which may be unsorted, negative
+    or non-uniform."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    if times.size and np.any(np.diff(times) < 0):
-        raise ValueError("times must be ascending")
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
     return SurvivalSeries(times, np.abs(survival_amplitude(decomp, times)) ** 2, method="spectral")

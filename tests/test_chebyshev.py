@@ -161,6 +161,17 @@ class TestRouteTable:
         times = np.linspace(0.0, tmax, 501)
         assert realization_survival(ham.HamiltonianSpec(model, seed=1), times, stream=0).method == route
 
+    @pytest.mark.parametrize("n, route", [(20, "spectral"), (800, "chebyshev")])
+    def test_unsorted_grid_gives_the_sorted_values_permuted(self, n, route):
+        spec = ham.HamiltonianSpec(ham.Experimental(n, 1.0, 0.1, 0.05), seed=2)
+        times = [5.0, 0.0, 2.0, 1.0]
+        order = np.argsort(times)
+        unsorted = realization_survival(spec, times, stream=0)
+        ordered = realization_survival(spec, np.sort(times), stream=0)
+        assert unsorted.method == ordered.method == route
+        np.testing.assert_array_equal(unsorted.times, times)
+        np.testing.assert_allclose(unsorted.values[order], ordered.values, rtol=0.0, atol=1e-15)
+
     def test_long_chain_decomposes_without_a_lanczos_run(self, monkeypatch):
         def refuse(matvec, n):
             raise AssertionError("Lanczos run on a draw the variance already rules out")
@@ -224,4 +235,3 @@ class TestBounds:
         # levels it cannot reach leave the interval
         h = np.diag([2.0, -7.0, 9.0])
         assert spectral.lanczos_bounds(h.dot, 3) == (2.0, 2.0)
-        assert spectral.lanczos_bounds(h.dot, 3, start=2) == (9.0, 9.0)

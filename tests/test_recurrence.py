@@ -86,6 +86,20 @@ class TestCountCrossings:
         with pytest.raises(recurrence.ResolutionTooCoarse):
             recurrence.count_crossings(d, 0.5, 100.0, 10.0)
 
+    @pytest.mark.parametrize("total_time, resolution, name", [
+        (100.0, -0.01, "resolution"),
+        (100.0, 0.0, "resolution"),
+        (100.0, math.nan, "resolution"),
+        (100.0, math.inf, "resolution"),
+        (0.0, 0.01, "total_time"),
+        (-5.0, 0.01, "total_time"),
+        (math.nan, 0.01, "total_time"),
+        (math.inf, 0.01, "total_time"),
+    ])
+    def test_refuses_a_window_or_step_that_is_not_finite_and_positive(self, total_time, resolution, name):
+        with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
+            recurrence.count_crossings(chain_decomp(10), 0.5, total_time, resolution)
+
     def test_stability_guard_accepts_fine_grid(self):
         d = chain_decomp(8)
         rate = recurrence.count_crossings(d, 0.5, 2000.0, 0.02, check_stability=True)

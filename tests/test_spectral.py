@@ -192,10 +192,11 @@ class TestSurvivalProbability:
         limit = chain_bessel_limit(g, times)
         assert np.max(np.abs(series.values - limit.values)) < 1e-2
 
-    def test_rejects_unsorted_times(self):
+    def test_rejects_non_finite_times(self):
         d = spectral.decompose(np.eye(2))
-        with pytest.raises(ValueError):
-            spectral.survival_probability(d, np.array([1.0, 0.5]))
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="finite"):
+                spectral.survival_probability(d, np.array([1.0, bad]))
 
     def test_double_sum_identity(self, rng):
         # |sum w e^{-i e t}|^2 equals 1 - 4 sum_{i<j} w_i w_j sin^2((e_i - e_j) t / 2)
