@@ -334,7 +334,7 @@ def cmd_ensemble(args) -> int:
     _require(args, ["out"])
     spec = _model_spec(args)
     times = _grid(args)
-    mean, draws = ensemble_mean(spec, times, args.realizations)
+    mean, draws = ensemble_mean(spec, times, args.realizations, args.threads)
     series = {"mean": SurvivalSeries(times, mean, method="ensemble")}
     for r, draw in enumerate(draws):
         series[f"r{r:03d}"] = draw
@@ -511,7 +511,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_grid(p)
     _add_model(p)
     p.add_argument("--realizations", type=_AT_LEAST_1, default=1, help="ensemble size")
-    p.add_argument("--threads", type=_AT_LEAST_1, help="accepted and ignored: realizations run on one thread")
+    p.add_argument("--threads", type=_AT_LEAST_1, default=1,
+                   help="worker threads for the realizations; any count gives the same bytes")
     p.set_defaults(func=cmd_ensemble)
 
     p = add("lee", help="infinite-environment survival curve")

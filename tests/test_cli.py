@@ -68,6 +68,25 @@ class TestEnsembleRunner:
         assert stack.shape == (6, 30)
         assert {d.method for d in draws} == {"spectral"}
 
+    def test_worker_count_does_not_change_result(self):
+        spec = ham.HamiltonianSpec(ham.Experimental(15, 1.0, 0.1, 0.3), seed=9)
+        times = np.linspace(0.0, 5.0, 20)
+        serial, _ = ensemble_mean(spec, times, realizations=5, threads=1)
+        parallel, _ = ensemble_mean(spec, times, realizations=5, threads=4)
+        assert serial.tobytes() == parallel.tobytes()
+
+    def test_worker_count_does_not_change_the_chebyshev_route(self):
+        spec = ham.HamiltonianSpec(ham.Experimental(700, 1.0, 0.1, 0.05), seed=9)
+        times = np.linspace(0.0, 300.0, 40)
+        serial, _ = ensemble_mean(spec, times, realizations=4, threads=1)
+        parallel, _ = ensemble_mean(spec, times, realizations=4, threads=3)
+        assert serial.tobytes() == parallel.tobytes()
+
+    def test_refuses_fewer_than_one_thread(self):
+        spec = ham.HamiltonianSpec(ham.Experimental(4, 1.0, 0.1, 0.3), seed=9)
+        with pytest.raises(ValueError, match="threads"):
+            ensemble_mean(spec, np.linspace(0.0, 1.0, 3), realizations=2, threads=0)
+
     def test_streams_run_in_order_on_the_calling_thread(self, monkeypatch):
         calls = []
         original = ensemble.realization_survival
@@ -498,8 +517,7 @@ CHAIN_MODEL = ["--model", "chain", "--n", "4", "--omega", "1", "--g", "0.5"]
 RECURRENCE = ["recurrence", *CHAIN_MODEL, "--threshold", "0.5"]
 WIGNER_LEE = ["lee", "--density", "wigner:0.1", "--omega", "1", "--tmax", "5"]
 
-# subcommand -> every option it declares; each one is read by its cmd_* function,
-# except ensemble's "threads": declared and validated (below 1 exits 2), but not read
+# subcommand -> every option it declares; each one is read by its cmd_* function
 OPTIONS = {
     "chain": {"config", "out", "format", "tmin", "tmax", "points", "sizes", "omega", "g"},
     "ensemble": {"config", "out", "format", "tmin", "tmax", "points", "seed", "model", "n", "omega",

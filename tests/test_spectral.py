@@ -92,19 +92,25 @@ class TestBlockedPhaseSum:
     # c = 8: the blocked path rebuilds each time as (t_0 + b M step) + m step,
     # which the grid check keeps within 4 ulp of max|t|, plus the rounding of
     # both parts and of freqs * t; the 1 in the scale covers the rounding of
-    # the sum over terms
+    # the sum over terms. A product that lands among the subnormals rounds to
+    # an absolute, not a relative, error of up to half the smallest subnormal,
+    # so the bound also allows c of those per term: subnormal weights such as
+    # 2.2e-313 differ by one subnormal between the two paths, while their
+    # relative term underflows to 0
     ULPS = 8.0
 
     @settings(max_examples=150, deadline=None)
     @given(uniform_phase_sums())
     @example((np.array([0.3, -2.0]), np.array([0.5, 0.5]), 7.0 + np.arange(36) * 0.25))
     @example((np.array([0.3 - 0.1j, 1.0]), np.array([1.0, -1j]), 7.0 + np.arange(37) * 0.25))
+    @example((np.array([1.0]), np.array([2.22507386e-313]), np.arange(9.0)))
     def test_uniform_grid_matches_the_per_time_sum(self, case):
         freqs, weights, times = case
         blocked = spectral.phase_sum(freqs, weights, times)
         reference = np.array([spectral.phase_sum(freqs, weights, [t])[0] for t in times])
         scale = 1.0 + np.abs(freqs).max() * np.abs(times).max()
-        bound = self.ULPS * np.finfo(float).eps * scale * np.abs(weights).sum()
+        tiny = np.finfo(float).smallest_subnormal
+        bound = self.ULPS * (np.finfo(float).eps * scale * np.abs(weights).sum() + freqs.size * tiny)
         assert np.abs(blocked - reference).max() <= bound
 
     @pytest.mark.parametrize(
