@@ -166,22 +166,17 @@ def ensemble_mean(
 ) -> tuple[np.ndarray, list[SurvivalSeries]]:
     """Mean curve over ``realizations`` streams plus each stream's :class:`SurvivalSeries`.
 
-    With ``threads = 1`` the streams run one after another on the calling
-    thread; this is the default, since a pool was slower on every route on 2
-    cores (BLAS threads inside the pool threads on the dense route, the GIL
-    held by the Bessel loop on the arrowhead route). A larger ``threads``
-    runs them in a pool of that many workers. Either way the mean is taken
-    in stream order, so the output is bit-identical for any worker count.
+    The streams run in a pool of ``threads`` workers, one by default: on 2
+    cores more workers were slower on every route (BLAS threads inside the
+    pool threads on the dense route, the GIL held by the Bessel loop on the
+    arrowhead route). The reduction is performed in stream order after all
+    workers finish, so the output is bit-identical for any worker count.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
-    if threads < 1:
-        raise ValueError("threads must be >= 1")
     times = np.asarray(times, dtype=float)
-    threads = min(threads, realizations)
-    if threads == 1:
-        draws = [realization_survival(spec, times, r) for r in range(realizations)]
-    else:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            draws = list(pool.map(lambda r: realization_survival(spec, times, r), range(realizations)))
+    threads = max(1, min(threads, realizations))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        futures = [pool.submit(realization_survival, spec, times, r) for r in range(realizations)]
+        draws = [f.result() for f in futures]
     return np.vstack([d.values for d in draws]).mean(axis=0), draws

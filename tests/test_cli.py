@@ -2,7 +2,6 @@ import json
 import pathlib
 import re
 import shlex
-import threading
 
 import numpy as np
 import pytest
@@ -62,7 +61,7 @@ class TestEnsembleRunner:
     def test_mean_is_mean_of_stack(self):
         spec = ham.HamiltonianSpec(ham.Experimental(20, 1.0, 0.1, 0.3), seed=5)
         times = np.linspace(0.0, 10.0, 30)
-        mean, draws = ensemble_mean(spec, times, realizations=6)
+        mean, draws = ensemble_mean(spec, times, realizations=6, threads=3)
         stack = np.vstack([d.values for d in draws])
         np.testing.assert_array_equal(mean, stack.mean(axis=0))
         assert stack.shape == (6, 30)
@@ -81,24 +80,6 @@ class TestEnsembleRunner:
         serial, _ = ensemble_mean(spec, times, realizations=4, threads=1)
         parallel, _ = ensemble_mean(spec, times, realizations=4, threads=3)
         assert serial.tobytes() == parallel.tobytes()
-
-    def test_refuses_fewer_than_one_thread(self):
-        spec = ham.HamiltonianSpec(ham.Experimental(4, 1.0, 0.1, 0.3), seed=9)
-        with pytest.raises(ValueError, match="threads"):
-            ensemble_mean(spec, np.linspace(0.0, 1.0, 3), realizations=2, threads=0)
-
-    def test_streams_run_in_order_on_the_calling_thread(self, monkeypatch):
-        calls = []
-        original = ensemble.realization_survival
-
-        def record(spec, times, stream):
-            calls.append((threading.get_ident(), stream))
-            return original(spec, times, stream)
-
-        monkeypatch.setattr(ensemble, "realization_survival", record)
-        spec = ham.HamiltonianSpec(ham.Experimental(15, 1.0, 0.1, 0.3), seed=9)
-        ensemble_mean(spec, np.linspace(0.0, 5.0, 20), realizations=5)
-        assert calls == [(threading.get_ident(), r) for r in range(5)]
 
 
 def read_csv(path):
@@ -252,20 +233,6 @@ class TestCommands:
         meta = json.loads((tmp_path / "ens.annotations.json").read_text())
         assert meta["route"] == "chebyshev"
         assert meta["chebyshev_terms"] > 200 * 0.1 and 0.0 <= meta["bessel_tail_bound"] < 1e-16
-
-    @pytest.mark.parametrize("n", ["15", "700"])
-    def test_threads_flag_changes_no_file(self, n, tmp_path):
-        files = {}
-        for threads in ("1", "4"):
-            out = tmp_path / f"t{threads}" / "ens.csv"
-            out.parent.mkdir()
-            assert main([
-                "ensemble", "--n", n, "--omega", "1", "--delta", "0.1", "--sigma", "0.05", "--seed", "9",
-                "--realizations", "4", "--tmax", "300", "--points", "40", "--threads", threads,
-                "--out", str(out),
-            ]) == 0
-            files[threads] = [out.read_bytes(), (out.parent / "ens.annotations.json").read_bytes()]
-        assert files["1"] == files["4"]
 
     @pytest.mark.parametrize("argv", [
         ["chain", "--sizes", "4,8", "--omega", "1", "--g", "0.5"],
