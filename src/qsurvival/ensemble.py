@@ -49,14 +49,15 @@ from .spectral import (
 __all__ = ["Draw", "draw_realization", "realization_survival", "ensemble_mean"]
 
 # Route costs in multiply-adds of one product with the dense n x n matrix
-# (about 0.17 ns each), fitted on a 2-core Xeon with OpenBLAS at n = 200-2000
+# (about 0.2 ns each), fitted on a 2-core Xeon with OpenBLAS at n = 200-2000
 # and 1 to 5001 time points, each rounded towards the eigensolve. The
-# eigensolve and phase sum cost n^2 (0.4 n + 400); each Chebyshev order costs
-# half a product plus a step of two Bessel recurrences, 1.2e5 + 50 per point.
+# eigensolve and phase sum cost n^2 (0.4 n + 400); each Chebyshev node costs
+# half a product, the rest of a moment step and its share of the phase sum:
+# 6e4 + 5 per point.
 _EIGENSOLVE_CUBIC = 0.4
 _EIGENSOLVE_QUADRATIC = 400.0
-_ORDER_COST = 1.2e5
-_ORDER_POINT_COST = 50.0
+_ORDER_COST = 6e4
+_ORDER_POINT_COST = 5.0
 
 
 def _chebyshev_cheaper(
@@ -168,9 +169,10 @@ def ensemble_mean(
 
     The streams run in a pool of ``threads`` workers, one by default: on 2
     cores more workers were slower on every route (BLAS threads inside the
-    pool threads on the dense route, the GIL held by the Bessel loop on the
-    arrowhead route). The reduction is performed in stream order after all
-    workers finish, so the output is bit-identical for any worker count.
+    pool threads on the dense route, the GIL held by the Chebyshev moment
+    loop between its small products on the arrowhead route). The reduction
+    is performed in stream order after all workers finish, so the output is
+    bit-identical for any worker count.
     """
     if realizations < 1:
         raise ValueError("realizations must be >= 1")

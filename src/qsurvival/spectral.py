@@ -1,9 +1,9 @@
 """Eigendecomposition of single-excitation Hamiltonians and the exact
 survival machinery built on it: amplitudes, probabilities, energy variance,
 and the Mandelstam-Tamm lower bound; plus the eigensolver-free route,
-Chebyshev propagation of the amplitude from a matrix-vector product, and the
-spectral intervals it needs: Ritz bounds from a short Lanczos run, and
-Gershgorin bounds.
+Chebyshev propagation of the amplitude from a matrix-vector product, summed
+as one phase sum over Chebyshev nodes, and the spectral intervals it needs:
+Ritz bounds from a short Lanczos run, and Gershgorin bounds.
 """
 
 from __future__ import annotations
@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.fft import dct
+from scipy.special import jv
 
 from .series import SurvivalSeries
 
@@ -22,7 +24,6 @@ __all__ = [
     "BoundsError",
     "decompose",
     "phase_sum",
-    "bessel_table",
     "ChebyshevAmplitude",
     "LANCZOS_STEPS",
     "lanczos_bounds",
@@ -50,10 +51,6 @@ LANCZOS_STEPS = 60
 _RITZ_MARGIN = 0.05
 # Chebyshev orders whose |J_k(a t)| stays below this everywhere on the grid are dropped
 _BESSEL_TAIL_TOL = 1e-16
-# Miller recurrence: divide a column by this once it exceeds it
-_MILLER_RESCALE = 1e250
-# below this |x| the Bessel table is the leading series term
-_SERIES_MAX_X = 1e-20
 
 
 class EigensolverError(RuntimeError):
@@ -179,49 +176,6 @@ def phase_sum(freqs, weights, times) -> np.ndarray:
     return out
 
 
-def _miller_start(x: np.ndarray) -> np.ndarray:
-    """Order at which the backward recurrence for J_k(x), x >= 0, starts."""
-    return np.ceil(x + 12.0 * np.cbrt(x) + 40.0).astype(int)
-
-
-def bessel_table(orders: int, x) -> np.ndarray:
-    """J_k(x) for k < ``orders`` at each ``x``, shape (orders, x.size).
-
-    Miller's backward recurrence J_{k-1} = (2k/x) J_k - J_{k+1}, vectorised
-    over x: each column starts from J_{s+1} = 0, J_s = 1 at its own order
-    s = ceil(|x| + 12 |x|^(1/3) + 40), is rescaled before it can overflow,
-    and is normalised by J_0 + 2 sum_k J_2k = 1. Below |x| = 1e-20 the
-    leading series term (x/2)^k / k! is exact in double precision. Negative
-    x use J_k(-x) = (-1)^k J_k(x).
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    ax = np.abs(x)
-    start = _miller_start(ax)
-    top = max(int(start.max(initial=0)), orders)
-    table = np.zeros((top + 1, x.size))
-    live = ax > _SERIES_MAX_X
-    inv = np.divide(2.0, ax, out=np.zeros_like(ax), where=live)
-    above = np.zeros(x.size)
-    here = np.zeros(x.size)
-    for k in range(top, 0, -1):
-        here[live & (start == k)] = 1.0
-        table[k] = here
-        above, here = here, k * inv * here - above
-        big = np.abs(here) > _MILLER_RESCALE
-        if big.any():
-            table[k:, big] /= _MILLER_RESCALE
-            above[big] /= _MILLER_RESCALE
-            here[big] /= _MILLER_RESCALE
-    table[0] = here
-    table[:, live] /= table[0, live] + 2.0 * table[2::2, live].sum(axis=0)
-    small = ~live
-    if small.any():
-        table[0, small] = 1.0
-        table[1:, small] = np.cumprod(0.5 * ax[small] / np.arange(1, top + 1)[:, None], axis=0)
-    table[1::2, x < 0.0] *= -1.0
-    return table[:orders]
-
-
 @dataclass(frozen=True)
 class ChebyshevAmplitude:
     """Survival amplitudes from a truncated Chebyshev expansion.
@@ -306,18 +260,21 @@ def _chebyshev_moments(
                 f"the spectrum is not inside [{center - radius:.17g}, {center + radius:.17g}]"
             )
         if k < steps:
-            scaled = (matvec(current) - center * current) / radius
-            previous, current = current, 2.0 * scaled - previous
+            following = matvec(current) - center * current
+            following *= 2.0 / radius
+            following -= previous
+            previous, current = current, following
     return mu[:count]
 
 
 def chebyshev_orders(lo: float, hi: float, times) -> int:
-    """Orders the Bessel recurrences of :func:`chebyshev_amplitude` run over
-    for the interval [lo, hi] on ``times``: a few dozen above the terms it
-    keeps, about (hi - lo) max|t| / 2, and found without evaluating a Bessel
-    function."""
+    """Chebyshev nodes M of the phase sum in :func:`chebyshev_amplitude` for
+    the interval [lo, hi] on ``times``: ceil(x + 12 x^(1/3) + 40) with
+    x = (hi - lo) max|t| / 2, a few dozen above the terms it keeps, and found
+    without evaluating a Bessel function."""
     radius = 0.5 * (hi - lo) or 1.0
-    return int(_miller_start(np.array(radius * float(np.max(np.abs(times), initial=0.0)))))
+    x = radius * float(np.max(np.abs(times), initial=0.0))
+    return math.ceil(x + 12.0 * np.cbrt(x) + 40.0)
 
 
 def chebyshev_amplitude(
@@ -329,7 +286,20 @@ def chebyshev_amplitude(
     b = (hi + lo) / 2, a = (hi - lo) / 2 and mu_k = <e_start|T_k((H - b) / a)|e_start>
     (Tal-Ezer & Kosloff, J. Chem. Phys. 81, 3967 (1984)). The expansion
     keeps every order up to the last with |J_k(a t)| >= 1e-16 somewhere on
-    the grid. Any grid works: times may be unsorted, negative or non-uniform.
+    the grid.
+
+    By (-i)^k J_k(x) = (1/pi) int_0^pi e^{-ix cos theta} cos k theta dtheta the
+    series is the integral of e^{-iat cos theta} g(theta) / pi with
+    g = sum_k (2 - delta_k0) mu_k cos k theta, the density of the kernel
+    polynomial method (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)). The
+    midpoint rule on the M = :func:`chebyshev_orders` nodes
+    theta_j = pi (j + 1/2) / M makes it the phase sum
+    sum_j w_j e^{-i a cos(theta_j) t}, with w_j = g(theta_j) / M from one
+    DCT-III of the moments. The first Bessel order the rule aliases,
+    2M - terms, is at least M, far into the dropped tail. The centre phase
+    stays outside the sum, so phase rounding grows with a |t|, not |b| |t|.
+
+    Any grid works: times may be unsorted, negative or non-uniform.
     Raises :class:`BoundsError` if a moment shows that the spectrum seen from
     e_start is not inside [lo, hi].
     """
@@ -340,22 +310,19 @@ def chebyshev_amplitude(
         raise ValueError("need hi >= lo")
     center = 0.5 * (hi + lo)
     radius = 0.5 * (hi - lo) or 1.0
-    # for k > x, |J_k(x)| grows with x, so the largest |t| bounds the tail on the grid
+    nodes = chebyshev_orders(lo, hi, times)
+    # for k > x, |J_k(x)| grows with x, so the largest |t| bounds the tail on the
+    # grid; J_k(x) at k = floor(x) lies before its first zero and far above
+    # 1e-16, so the last order kept is at least floor(x)
     x_max = radius * float(np.max(np.abs(times), initial=0.0))
-    column = np.abs(bessel_table(int(_miller_start(np.array(x_max))) + 1, x_max)[:, 0])
-    terms = int(np.flatnonzero(column >= _BESSEL_TAIL_TOL)[-1]) + 1
-    tail = float(column[terms:].max(initial=0.0))
-    k = np.arange(terms)
-    # real part of (2 - delta_k0) (-i)^k mu_k for even k, imaginary part for odd k
-    coeffs = np.where(k == 0, 1.0, 2.0) * np.array([1.0, -1.0, -1.0, 1.0])[k % 4]
-    coeffs *= _chebyshev_moments(matvec, n, center, radius, terms, start)
-    values = np.empty(times.size, dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // column.size)
-    for first in range(0, times.size, step):
-        chunk = times[first : first + step]
-        table = bessel_table(terms, radius * chunk)
-        series = coeffs[0::2] @ table[0::2] + 1j * (coeffs[1::2] @ table[1::2])
-        values[first : first + step] = np.exp(-1j * center * chunk) * series
+    first = math.floor(x_max)
+    column = np.abs(jv(np.arange(first, nodes + 1), x_max))
+    terms = first + int(np.flatnonzero(column >= _BESSEL_TAIL_TOL)[-1]) + 1
+    tail = float(column[terms - first :].max(initial=0.0))
+    moments = _chebyshev_moments(matvec, n, center, radius, terms, start)
+    weights = dct(np.pad(moments, (0, nodes - terms)), type=3) / nodes
+    levels = radius * np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
+    values = np.exp(-1j * center * times) * phase_sum(levels, weights, times)
     return ChebyshevAmplitude(values, terms, tail)
 
 

@@ -1,4 +1,6 @@
-"""The Chebyshev propagator and its Bessel table against independent routes."""
+"""The Chebyshev propagator and its term count against independent routes."""
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,27 +13,16 @@ from qsurvival import hamiltonian as ham
 from qsurvival.ensemble import realization_survival
 
 
-class TestBesselTable:
-    @pytest.mark.parametrize("x", [
-        np.array([0.0]),
-        np.array([1e-8, -1e-8, 1e-30, 3e-21]),
-        np.array([0.5, 1.0, 5.0, 39.9, 40.0, 40.1, 99.999, 100.0, 100.001]),
-        np.linspace(0.0, 1000.0, 401),
-        np.linspace(-1000.0, -0.25, 97),
-    ], ids=["zero", "tiny", "near-order", "up-to-1e3", "negative"])
-    def test_matches_scipy_jv(self, x):
-        orders = 1100
-        table = spectral.bessel_table(orders, x)
-        assert table.shape == (orders, x.size)
-        reference = jv(np.arange(orders)[:, None], x[None, :])
-        assert np.max(np.abs(table - reference)) <= 1e-13
-
-    def test_orders_past_the_start_are_zero_and_sums_are_one(self):
-        x = np.array([0.0, 2.0, -30.0, 250.0])
-        table = spectral.bessel_table(400, x)
-        np.testing.assert_array_equal(table[300:, :3], 0.0)
-        np.testing.assert_allclose(table[0] + 2.0 * table[2::2].sum(axis=0), 1.0, atol=1e-14)
-        np.testing.assert_allclose(table[0] ** 2 + 2.0 * (table[1:] ** 2).sum(axis=0), 1.0, atol=1e-13)
+class TestTermCount:
+    @pytest.mark.parametrize("x", [0.0, 1e-30, 1e-8, 0.5, 39.9, 40.0, 100.0, 3111.0, 3e4])
+    def test_terms_and_tail_match_the_whole_bessel_column(self, x):
+        """The count reads J_k(x) from order floor(x) on; the reference reads every
+        order up to the node count."""
+        amplitude = spectral.chebyshev_amplitude(lambda v: 0.0 * v, 1, -1.0, 1.0, [x])
+        column = np.abs(jv(np.arange(spectral.chebyshev_orders(-1.0, 1.0, [x]) + 1), x))
+        terms = int(np.flatnonzero(column >= 1e-16)[-1]) + 1
+        assert amplitude.terms == terms
+        np.testing.assert_allclose(amplitude.tail_bound, column[terms:].max(), rtol=1e-9, atol=0.0)
 
 
 @st.composite
@@ -75,7 +66,46 @@ class TestChebyshevAmplitude:
     def test_degenerate_spectrum_is_a_pure_phase(self):
         times = np.array([-2.0, 0.0, 1.5, 40.0])
         amplitude = spectral.chebyshev_amplitude(lambda x: 0.7 * x, 5, 0.7, 0.7, times)
-        np.testing.assert_allclose(amplitude.values, np.exp(-0.7j * times), rtol=0.0, atol=1e-15)
+        # b = 0.7, and a = 1 is the radius of an empty interval. The reference
+        # e^{-ibt} and the centre phase each round b t by eps |b t| / 2; the node
+        # phase a cos(theta_j) t rounds by about eps |a cos(theta_j) t|, and here
+        # sum_j |w_j cos theta_j| = 2 / pi < 1. So the two differ by at most
+        # eps (|b| + a) max|t|, 1.5e-14 (4.1e-15 measured at t = 40).
+        atol = np.finfo(float).eps * (0.7 + 1.0) * np.max(np.abs(times))
+        np.testing.assert_allclose(amplitude.values, np.exp(-0.7j * times), rtol=0.0, atol=atol)
+
+    @pytest.mark.parametrize("x", [1e2, 1e3, 1e4, 3e4])
+    def test_dense_matrix_in_gershgorin_bounds_at_long_times(self, x, rng):
+        n = 200
+        a = rng.normal(size=(n, n))
+        h = 0.5 * (a + a.T)
+        lo, hi = spectral.gershgorin_bounds(h)
+        times = np.linspace(0.0, 2.0 * x / (hi - lo), 201)
+        amplitude = spectral.chebyshev_amplitude(h.dot, n, lo, hi, times)
+        assert amplitude.terms > x
+        assert np.max(np.abs(np.abs(amplitude.values) ** 2 - eigh_survival(h, times))) <= 1e-12
+
+    def test_far_centre_rounds_with_the_width(self, rng):
+        """Spectrum of width ~70 centred at b = 1e3, to t = 400: with the centre
+        phase outside the node sum, |A|^2 rounds with a |t|, not |b| |t|."""
+        n, b = 50, 1e3
+        a = rng.normal(size=(n, n))
+        h = 0.5 * (a + a.T)
+        lo, hi = spectral.gershgorin_bounds(h)
+        times = np.linspace(0.0, 400.0, 201)
+        amplitude = spectral.chebyshev_amplitude(lambda x: h @ x + b * x, n, lo + b, hi + b, times)
+        assert np.max(np.abs(np.abs(amplitude.values) ** 2 - eigh_survival(h, times))) <= 1e-12
+
+    def test_wide_band_at_ten_thousand_levels_stays_small(self):
+        spec = ham.HamiltonianSpec(ham.Experimental(10_000, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02)), seed=1)
+        matvec, lo, hi = ensemble._arrowhead(spec, 0)
+        tracemalloc.start()
+        try:
+            spectral.chebyshev_amplitude(matvec, 10_000, lo, hi, np.linspace(0.0, 2000.0, 5001))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
 
     def test_rejects_non_finite_times(self):
         with pytest.raises(ValueError, match="finite"):
@@ -148,14 +178,14 @@ class TestRouteTable:
     @pytest.mark.parametrize("model, tmax, route", [
         # measured times of the Chebyshev route over the eigensolve, 501 points:
         # 0.38 and 1.48 for the chain, 3.3 for a wide FULL band, 0.09 for RP,
-        # 0.39 and 1.15 for narrow and wide diagonal environments
+        # 0.39 and 0.45 for narrow and wide diagonal environments
         (ham.Chain(2000, 1.0, 0.70710678), 400.0, "chebyshev"),
         (ham.Chain(2000, 1.0, 0.70710678), 2000.0, "spectral"),
         (ham.Experimental(600, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02), ham.Environment.FULL),
          2000.0, "spectral"),
         (ham.RosenzweigPorter(2000, 1.0, 0.0122), 400.0, "chebyshev"),
         (ham.Experimental(400, 1.0, 0.1, 0.0122), 2000.0, "chebyshev"),
-        (ham.Experimental(400, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02)), 2000.0, "spectral"),
+        (ham.Experimental(400, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02)), 2000.0, "chebyshev"),
     ], ids=["chain-short", "chain-long", "full-wide", "rp", "diagonal", "diagonal-wide"])
     def test_route_follows_the_spectral_width_and_the_grid(self, model, tmax, route):
         times = np.linspace(0.0, tmax, 501)
