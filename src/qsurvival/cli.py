@@ -414,7 +414,7 @@ def cmd_bound(args) -> int:
 def cmd_recurrence(args) -> int:
     _require(args, ["out", "threshold"])
     spec = _model_spec(args)
-    decomp = decompose(ham.build(spec))
+    decomp = draw_realization(spec).decompose()
     report = dataclasses.asdict(recurrence.build_report(
         decomp, args.threshold, args.observation_time, args.resolution, empirical=args.empirical
     ))

@@ -2,9 +2,9 @@
 Bessel functions J0, J1 they require.
 
 The chain formula is the phase sum over the analytic normal modes, the
-frequencies 2 g cos(l pi / (n + 1)) with weights sin^2(l pi / (n + 1)) /
+levels omega + 2 g cos(l pi / (n + 1)) with weights sin^2(l pi / (n + 1)) /
 ((n + 1) / 2); it takes no eigensolver, so it can cross-check the spectral
-route.
+route, and every finite chain draw takes its spectrum from them.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 
 from .hamiltonian import Chain
 from .series import SurvivalSeries
-from .spectral import phase_sum
+from .spectral import SpectralDecomposition, phase_sum
 
-__all__ = ["chain_survival", "chain_bessel_limit", "bessel_j"]
+__all__ = ["chain_modes", "chain_survival", "chain_bessel_limit", "bessel_j"]
 
 # Power series below, Hankel asymptotic expansion above. The two branches
 # overlap to better than 3e-12 in a band around the crossover.
@@ -88,25 +88,25 @@ def bessel_j(order: int, x):
     return out
 
 
-def _chain_modes(n: int, g: float):
-    ell = np.arange(1, n + 1)
-    theta = ell * math.pi / (n + 1)
-    freqs = 2.0 * g * np.cos(theta)
-    weights = np.sin(theta) ** 2 / ((n + 1) / 2.0)
-    return freqs, weights
+def chain_modes(model: Chain) -> SpectralDecomposition:
+    """Levels omega - 2 |g| cos(t_l), ascending, and weights sin^2(t_l) / ((n + 1) / 2), t_l = l pi / (n + 1)."""
+    n = model.n
+    theta = np.arange(1, n + 1) * math.pi / (n + 1)
+    levels = model.omega - 2.0 * abs(model.g) * np.cos(theta)
+    return SpectralDecomposition(levels, np.sin(theta) ** 2 / ((n + 1) / 2.0), n)
 
 
 def chain_survival(model: Chain, times) -> SurvivalSeries:
     """Survival probability of the first site of the chain, O(n) per time.
 
-    |sum_l w_l exp(-i f_l t)|^2 over the analytic normal modes, by
+    |sum_l w_l exp(-i e_l t)|^2 over the modes of :func:`chain_modes`, by
     ``spectral.phase_sum``; this equals the double sum of cosines of mode
-    frequency differences with sin^2 weights. Omega drops out of the
+    level differences with sin^2 weights, so omega drops out of the
     probability.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    freqs, weights = _chain_modes(model.n, model.g)
-    values = np.abs(phase_sum(freqs, weights, times)) ** 2
+    modes = chain_modes(model)
+    values = np.abs(phase_sum(modes.eigenvalues, modes.weights, times)) ** 2
     return SurvivalSeries(times, values, method="closed-form")
 
 

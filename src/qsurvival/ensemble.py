@@ -4,20 +4,24 @@ takes each realization by the cheaper exact route for its time grid.
 Each realization is drawn from its own stream (stream index = realization
 index), so a realization depends on its index alone, not on what was drawn
 before it, nor on which worker draws it.
-:meth:`Draw.survival` holds the one route table. A realization propagates by
-Chebyshev (:func:`spectral.chebyshev_amplitude`) where the cost model of
-:func:`_chebyshev_cheaper` puts that below the dense eigensolve, and
-decomposes otherwise:
+:meth:`Draw.decompose` is the one way a draw gets its spectrum, and
+:meth:`Draw.survival` holds the one route table:
 
+- a chain draws nothing, and its spectrum is known: it always takes the
+  phase sum over its analytic modes (:func:`closedform.chain_modes`), with
+  no eigensolve, no Lanczos run and no n x n array;
 - a diagonal-environment draw is an arrowhead matrix. Chebyshev propagation
-  runs from its O(n) product inside Weyl bounds, with no n x n array; this
-  makes the 10^4-qubit runs desk-scale;
-- every other model (fully coupled environment, Rosenzweig-Porter, chain) is
-  built once and propagates from its dense product, inside the Ritz bounds of
+  (:func:`spectral.chebyshev_amplitude`) runs from its O(n) product inside
+  Weyl bounds, with no n x n array; this makes the 10^4-qubit runs
+  desk-scale;
+- every other model (fully coupled environment, Rosenzweig-Porter) is built
+  once and propagates from its dense product, inside the Ritz bounds of
   :func:`spectral.lanczos_bounds`; should the moment check refuse them,
   inside Gershgorin bounds instead.
 
-The Chebyshev cost grows with its order count, about the spectral half-width
+The last two propagate where the cost model of :func:`_chebyshev_cheaper`
+puts Chebyshev below the dense eigensolve, and decompose otherwise. The
+Chebyshev cost grows with its order count, about the spectral half-width
 times max|t|, while the eigensolve costs the same for any parameters; so the
 choice follows the size, the interval and the grid together. Both routes
 work on any time grid and agree to round-off.
@@ -25,19 +29,21 @@ work on any time grid and agree to round-off.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from . import hamiltonian as ham
+from .closedform import chain_modes
 from .series import SurvivalSeries
 from .spectral import (
     LANCZOS_STEPS,
     BoundsError,
     ChebyshevAmplitude,
+    SpectralDecomposition,
     chebyshev_amplitude,
     chebyshev_orders,
     decompose,
@@ -76,16 +82,17 @@ class Draw:
     """One realization, before its route is chosen.
 
     ``matvec`` is the product with the realization's matrix of size ``n``,
-    and ``build`` returns that matrix dense. A diagonal-environment draw is an
-    arrowhead: ``bounds`` holds its Weyl interval, and ``build`` draws the
-    matrix only where the eigensolve is the cheaper route. Every other draw
-    is built once; its ``bounds`` is None.
+    and ``build`` returns that matrix dense. A chain holds its analytic
+    ``modes`` and is never built. A diagonal-environment draw is an arrowhead:
+    ``bounds`` holds its Weyl interval, and ``build`` draws the matrix only
+    where the eigensolve is the cheaper route. Every other draw is built once.
     """
 
     n: int
     matvec: Callable[[np.ndarray], np.ndarray]
     build: Callable[[], np.ndarray]
     bounds: tuple[float, float] | None = None
+    modes: SpectralDecomposition | None = None
 
     def energy_variance(self) -> float:
         """<H^2> - <H>^2 in e_1, from one product: |H e_1|^2 - (H e_1)_0^2 is
@@ -95,13 +102,17 @@ class Draw:
         column = self.matvec(e1)[1:]
         return float(column @ column)
 
+    def decompose(self) -> SpectralDecomposition:
+        """Levels and weights: a chain's analytic modes, else the eigensolve of ``build()``."""
+        return self.modes if self.modes is not None else decompose(self.build())
+
     def survival(self, times) -> SurvivalSeries:
-        """Survival curve on ``times`` by the cheaper route for this grid; the
-        series' ``method`` is ``"chebyshev"`` or ``"spectral"``."""
+        """Survival curve on ``times`` from a chain's modes, else by the cheaper route
+        for this grid; the series' ``method`` is ``"chebyshev"`` or ``"spectral"``."""
         times = np.asarray(times, dtype=float)
-        amplitude = self._chebyshev(times)
+        amplitude = None if self.modes is not None else self._chebyshev(times)
         if amplitude is None:
-            return survival_probability(decompose(self.build()), times)
+            return survival_probability(self.decompose(), times)
         return SurvivalSeries(times, np.abs(amplitude.values) ** 2, "chebyshev",
                               amplitude.terms, amplitude.tail_bound)
 
@@ -114,11 +125,6 @@ class Draw:
                 return None
             return chebyshev_amplitude(self.matvec, n, *self.bounds, times)
         product = n * n
-        # the Ritz span is at least that of the first two Lanczos steps, which is at
-        # least 2 sqrt(variance): no Lanczos run where even that span costs too much
-        floor = math.sqrt(self.energy_variance())
-        if not _chebyshev_cheaper(n, -floor, floor, times, product, LANCZOS_STEPS):
-            return None
         lo, hi = lanczos_bounds(self.matvec, n)
         if not _chebyshev_cheaper(n, lo, hi, times, product, LANCZOS_STEPS):
             return None
@@ -147,9 +153,12 @@ def _arrowhead(spec: ham.HamiltonianSpec, stream: int):
 
 
 def draw_realization(spec: ham.HamiltonianSpec, stream: int = 0) -> Draw:
-    """Realization ``stream`` of ``spec``: an arrowhead product for the
-    diagonal environment, the built matrix for every other model."""
+    """Realization ``stream`` of ``spec``: the analytic modes for the chain, an
+    arrowhead product for the diagonal environment, the built matrix otherwise."""
     model = spec.model
+    if isinstance(model, ham.Chain):
+        h = sparse.diags([model.g, model.omega, model.g], [-1, 0, 1], shape=(model.n, model.n))
+        return Draw(model.n, h.dot, lambda: ham.build(spec), modes=chain_modes(model))
     if isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL:
         matvec, lo, hi = _arrowhead(spec, stream)
         return Draw(model.n, matvec, lambda: ham.build(spec, stream), (lo, hi))

@@ -68,7 +68,8 @@ class RecurrenceReport:
     threshold: float
     moments: Moments
     nu: float
-    tau: float
+    log_nu: float
+    tau: float | None
     empirical_nu: float | None = None
     empirical_return_rate: float | None = None
     observation_time: float | None = None
@@ -102,16 +103,24 @@ def kac_frequency(decomp: SpectralDecomposition, p: float) -> float:
 
     nu(p) = sqrt(p (big_gamma - gamma^2/kappa) pi) / (2 pi kappa) * exp(-p/kappa).
     """
-    return _kac(moments(decomp), p)
+    return math.exp(_log_kac(moments(decomp), p))
 
 
-def _kac(m: Moments, p: float) -> float:
+def _log_kac(m: Moments, p: float) -> float:
+    """ln nu(p), which stays finite where nu underflows: a chain has
+    kappa = 3 / (2 (n + 1)), so p / kappa passes 745 at p = 1/2 from n ~ 2250."""
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     disp = m.dispersion
     if disp <= 0.0:
         raise DegenerateSpectrum("all spectral weight sits on a single frequency")
-    return math.sqrt(p * disp * math.pi) / (2.0 * math.pi * m.kappa) * math.exp(-p / m.kappa)
+    return 0.5 * math.log(p * disp * math.pi) - math.log(2.0 * math.pi * m.kappa) - p / m.kappa
+
+
+def _per_nu(x: float, nu: float) -> float | None:
+    """x / nu, or None where that is not finite."""
+    y = x / nu if nu > 0.0 else math.inf
+    return y if math.isfinite(y) else None
 
 
 def kac_return_time(decomp: SpectralDecomposition, p: float) -> float:
@@ -203,19 +212,25 @@ def build_report(
     """Analytic estimate plus optional empirical validation.
 
     nu, tau and the suggested observation time all come from one set of
-    moments; the default scan step and the crossing count come from the same
-    merged spectrum (merging it again inside :func:`count_crossings` changes
+    moments, through ln nu. tau is None where 1 / nu is not finite; with no
+    ``observation_time``, the empirical scan refuses where 50 / nu is not.
+    The default scan step and the crossing count come from the same merged
+    spectrum (merging it again inside :func:`count_crossings` changes
     nothing: its gaps stay above the tolerance, which can only shrink).
     """
     merged = merge_close_frequencies(decomp)
     m = _merged_moments(merged)
-    nu = _kac(m, p)
-    tau = 1.0 / nu
+    log_nu = _log_kac(m, p)
+    nu = math.exp(log_nu)
+    tau = _per_nu(1.0, nu)
     empirical_nu = None
     low_stats = False
     if empirical:
         if observation_time is None:
-            observation_time = _TARGET_RETURNS / nu
+            observation_time = _per_nu(_TARGET_RETURNS, nu)
+            if observation_time is None:
+                raise ValueError(f"ln nu = {log_nu:.6g}: nu underflows, so {_TARGET_RETURNS:g} returns"
+                                 " take no finite time; give an observation time")
         low_stats = observation_time * nu < _TARGET_RETURNS
         if resolution is None:
             span = _span(merged)
@@ -225,6 +240,7 @@ def build_report(
         threshold=p,
         moments=m,
         nu=nu,
+        log_nu=log_nu,
         tau=tau,
         empirical_nu=empirical_nu,
         empirical_return_rate=None if empirical_nu is None else empirical_nu / 2.0,

@@ -41,8 +41,10 @@ __all__ = [
 _WEIGHT_NORMALIZATION_TOL = 1e-10
 # eigenvalues closer than this fraction of the spectral span are merged
 _MERGE_REL_TOL = 1e-12
-# entries of one (times x terms) block in the chunked sums
+# entries of one (times x terms) block in the blocked phase sum, and complex
+# entries of one block of the direct one (4 MB)
 _CHUNK_ENTRIES = 4_000_000
+_DIRECT_ENTRIES = 250_000
 # a Chebyshev moment beyond 1 + this (plus a round-off allowance) in modulus means
 # the spectrum is not inside [lo, hi]
 _MOMENT_TOL = 1e-10
@@ -154,10 +156,10 @@ def phase_sum(freqs, weights, times) -> np.ndarray:
       differ from the direct ones by about the rounding of freqs * t.
     - Direct, on every other grid, and wherever the blocked path would not
       need fewer exponentials than there are points (up to five points):
-      the (times x terms) phase matrix, built in chunks of times.
+      the (times x terms) phase matrix, built in chunks of times of at most
+      2.5e5 complex entries and exponentiated in place.
 
-    Either path keeps each block within 4e6 entries; the blocked one chunks
-    over terms.
+    The blocked path keeps each block within 4e6 entries, chunking over terms.
     """
     freqs = np.asarray(freqs)
     weights = np.asarray(weights)
@@ -169,10 +171,11 @@ def phase_sum(freqs, weights, times) -> np.ndarray:
         if step is not None:
             return _blocked_phase_sum(freqs, weights, float(times[0]), step, n, width)
     out = np.empty(n, dtype=complex)
-    step = max(1, _CHUNK_ENTRIES // max(freqs.size, 1))
+    rate = -1j * freqs
+    step = max(1, _DIRECT_ENTRIES // max(freqs.size, 1))
     for lo in range(0, n, step):
-        chunk = times[lo : lo + step, None] * freqs[None, :]
-        out[lo : lo + step] = np.exp(-1j * chunk) @ weights
+        phases = np.multiply.outer(times[lo : lo + step], rate)
+        out[lo : lo + step] = np.exp(phases, out=phases) @ weights
     return out
 
 

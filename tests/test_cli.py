@@ -2,6 +2,8 @@ import json
 import pathlib
 import re
 import shlex
+import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -307,6 +309,64 @@ class TestCommands:
         assert json.loads((tmp_path / "out.annotations.json").read_text())["route"] == "chebyshev"
         assert len(builds) == (1 if argv[0] == "bound" else 2)
 
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--realizations", "2", "--tmax", "2000", "--points", "501"],
+        ["bound", "--tmax", "2000", "--points", "501"],
+        ["recurrence", "--threshold", "0.5"],
+        ["recurrence", "--threshold", "0.5", "--empirical"],
+    ], ids=["ensemble", "bound", "recurrence", "recurrence-empirical"])
+    def test_chain_takes_its_analytic_modes_only(self, argv, monkeypatch, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a chain left its analytic modes")
+
+        monkeypatch.setattr(np.linalg, "eigh", refuse)
+        monkeypatch.setattr(ham, "build", refuse)
+        for name in ("lanczos_bounds", "chebyshev_amplitude"):
+            monkeypatch.setattr(ensemble, name, refuse)
+        n = "12" if "--empirical" in argv else "300"
+        out = tmp_path / "out.json"
+        assert main([*argv, "--model", "chain", "--n", n, "--omega", "1", "--g", "0.70710678",
+                     "--out", str(out)]) == 0
+
+    @pytest.mark.parametrize("argv", [
+        ["ensemble", "--realizations", "2", "--tmax", "2000", "--points", "501"],
+        ["recurrence", "--threshold", "0.5"],
+    ], ids=lambda argv: argv[0])
+    def test_chain_peak_memory_is_far_below_one_dense_matrix(self, argv, tmp_path):
+        # one 4000 x 4000 matrix is 122 MiB; the bound is an eighth of it
+        argv = [*argv, "--model", "chain", "--n", "4000", "--omega", "1", "--g", "0.70710678",
+                "--out", str(tmp_path / "out.json")]
+        tracemalloc.start()
+        try:
+            code = main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 4000 * 4000 * 8 / 8
+
+    def test_recurrence_of_a_long_chain_reports_ln_nu_in_strict_json(self, tmp_path):
+        # p / kappa = 0.5 * 2 (n + 1) / 3 = 33334: nu underflows to 0
+        def refuse(constant):
+            raise ValueError(f"{constant} is not strict JSON")
+
+        out = tmp_path / "rec.json"
+        argv = ["recurrence", "--model", "chain", "--n", "100000", "--omega", "1", "--g", "0.70710678",
+                "--threshold", "0.5", "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 0
+        assert time.perf_counter() - start < 1.0
+        report = json.loads(out.read_text(), parse_constant=refuse)["report"]
+        assert report["nu"] == 0.0 and report["tau"] is None
+        assert report["log_nu"] == pytest.approx(-33330.27, abs=0.01)
+
+    def test_recurrence_refuses_to_suggest_an_infinite_window(self, tmp_path, capsys):
+        out = tmp_path / "rec.json"
+        argv = ["recurrence", "--model", "chain", "--n", "3000", "--omega", "1", "--g", "0.70710678",
+                "--threshold", "0.5", "--empirical", "--out", str(out)]
+        assert main(argv) == 3
+        assert "ln nu = -998.694" in capsys.readouterr().err and not out.exists()
+
     def test_route_fields_of_an_ensemble_on_both_routes(self):
         times = np.array([0.0, 1.0])
         spectral_curve = SurvivalSeries(times, np.ones(2), "spectral")
@@ -592,7 +652,7 @@ class TestOptionDeclarations:
         out = tmp_path / "rec.json"
         assert main([*RECURRENCE, "--out", str(out)]) == 0
         report = json.loads(out.read_text())["report"]
-        assert set(report) == {"threshold", "nu", "tau", "empirical_nu", "empirical_return_rate",
+        assert set(report) == {"threshold", "nu", "log_nu", "tau", "empirical_nu", "empirical_return_rate",
                                "observation_time", "low_statistics", "counting", "moments"}
         assert set(report["moments"]) == {"kappa", "big_gamma", "gamma", "kappa_star",
                                           "big_gamma_star", "gamma_star"}

@@ -7,7 +7,7 @@ from scipy.special import j0 as scipy_j0
 from scipy.special import j1 as scipy_j1
 
 from random_specs import chain_matrix
-from qsurvival import closedform, hamiltonian, spectral
+from qsurvival import closedform, ensemble, hamiltonian, spectral
 
 mpmath.mp.dps = 30
 
@@ -96,6 +96,26 @@ class TestChainSurvival:
         revived_100 = closedform.chain_survival(hamiltonian.Chain(100, 1.0, g), late).values.max()
         assert revived_10 > 0.5
         assert revived_100 < 0.1
+
+
+class TestChainModes:
+    @pytest.mark.parametrize("n", [2, 3, 10, 101, 2000, 100_000])
+    def test_inverse_participation_ratio(self, n):
+        # sum_l sin^4(l pi / (n + 1)) = 3 (n + 1) / 8 for n >= 2
+        modes = ensemble.draw_realization(hamiltonian.HamiltonianSpec(hamiltonian.Chain(n, 1.0, 0.7))).decompose()
+        kappa = float(modes.weights @ modes.weights)
+        assert kappa == pytest.approx(3.0 / (2.0 * (n + 1)), rel=1e-14, abs=0.0)
+
+    @pytest.mark.parametrize("n, omega, g", [
+        (1, 1.0, 0.5), (2, 1.0, 0.7), (3, 2.5, -0.3), (10, 1.0, 0.70710678), (101, 0.4, -1.0),
+        (2000, 1.0, 0.70710678),
+    ])
+    def test_modes_are_the_eigensolve(self, n, omega, g):
+        modes = closedform.chain_modes(hamiltonian.Chain(n, omega, g))
+        exact = spectral.decompose(chain_matrix(n, omega, g))
+        np.testing.assert_allclose(modes.eigenvalues, exact.eigenvalues, rtol=0.0, atol=1e-14)
+        np.testing.assert_allclose(modes.weights, exact.weights, rtol=0.0, atol=2e-15)
+        assert modes.n == n
 
 
 class TestBesselLimit:

@@ -64,6 +64,22 @@ class TestPhaseSum:
         single = np.array([spectral.phase_sum(freqs, weights, [t])[0] for t in times])
         np.testing.assert_allclose(chunked, single, rtol=1e-9)
 
+    def test_direct_path_peak_memory_is_one_complex_block(self):
+        # 2700 terms on 5001 geometric times take the direct path; each block of
+        # at most 2.5e5 complex entries (4 MB) is exponentiated in place, where
+        # real phases, their complex multiple and its exponential took 150 MB
+        rng = np.random.default_rng(7)
+        freqs, weights = rng.uniform(-0.1, 0.1, size=2700), np.full(2700, 1.0 / 2700)
+        times = np.geomspace(1e-3, 2000.0, 5001)
+        tracemalloc.start()
+        try:
+            values = spectral.phase_sum(freqs, weights, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
+        assert abs(values[0] - 1.0) < 1e-6
+
     def test_no_terms_sum_to_zero(self):
         np.testing.assert_array_equal(spectral.phase_sum([], [], [0.0, 1.0]), 0.0)
         np.testing.assert_array_equal(spectral.phase_sum([], [], np.arange(50.0)), 0.0)
