@@ -29,6 +29,7 @@ work on any time grid and agree to round-off.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -125,6 +126,11 @@ class Draw:
                 return None
             return chebyshev_amplitude(self.matvec, n, *self.bounds, times)
         product = n * n
+        # the Ritz span is at least that of the first two Lanczos steps, which is at
+        # least 2 sqrt(variance): no Lanczos run where even that span costs too much
+        floor = math.sqrt(self.energy_variance())
+        if not _chebyshev_cheaper(n, -floor, floor, times, product, LANCZOS_STEPS):
+            return None
         lo, hi = lanczos_bounds(self.matvec, n)
         if not _chebyshev_cheaper(n, lo, hi, times, product, LANCZOS_STEPS):
             return None

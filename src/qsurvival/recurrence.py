@@ -124,8 +124,9 @@ def _per_nu(x: float, nu: float) -> float | None:
 
 
 def kac_return_time(decomp: SpectralDecomposition, p: float) -> float:
-    """Mean return time 1 / nu(p)."""
-    return 1.0 / kac_frequency(decomp, p)
+    """Mean return time 1 / nu(p); inf where nu underflows."""
+    tau = _per_nu(1.0, kac_frequency(decomp, p))
+    return math.inf if tau is None else tau
 
 
 def _span(merged: SpectralDecomposition) -> float:

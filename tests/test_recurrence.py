@@ -5,7 +5,7 @@ import pytest
 
 from random_specs import chain_matrix, random_experimental_spec
 from qsurvival import hamiltonian as ham
-from qsurvival import recurrence, spectral
+from qsurvival import closedform, recurrence, spectral
 
 G = 1.0 / math.sqrt(2.0)
 
@@ -55,6 +55,11 @@ class TestKacFrequency:
         taus = [recurrence.kac_return_time(chain_decomp(n), 0.5) for n in (8, 16, 32)]
         assert taus[0] < taus[1] < taus[2]
         assert taus[2] / taus[1] > taus[1] / taus[0] > 2.0
+
+    def test_return_time_is_inf_where_nu_underflows(self):
+        # kappa = 3 / (2 (n + 1)), so p / kappa is 1000.5 at n = 3000
+        modes = closedform.chain_modes(ham.Chain(3000, 1.0, G))
+        assert recurrence.kac_return_time(modes, 0.5) == math.inf
 
     def test_rejects_degenerate_spectrum(self):
         d = spectral.SpectralDecomposition(np.array([1.0]), np.array([1.0]), 1)
