@@ -26,66 +26,61 @@ _SERIES_ASYMPTOTIC_CROSSOVER = 12.0
 _BESSEL_RATIO_SERIES_CUTOFF = 1e-4
 
 
-def _bessel_series(order: int, x: float) -> float:
-    # sum_k (-1)^k (x/2)^(2k+order) / (k! (k+order)!), fsum keeps the
-    # cancellation error near the crossover below 2e-12
+def _bessel_series(order: int, x: np.ndarray) -> np.ndarray:
+    # sum_k (-1)^k (x/2)^(2k+order) / (k! (k+order)!) on every element at
+    # once; Neumaier's compensated sum keeps the cancellation error near the
+    # crossover below 2e-12
     q = 0.25 * x * x
     term = (0.5 * x) ** order / math.factorial(order)
-    terms = [term]
+    total, comp = term.copy(), np.zeros_like(x)
     k = 0
-    while abs(term) > 1e-20 and k < 200:
+    while np.any(np.abs(term) > 1e-20) and k < 200:
         term = -term * q / ((k + 1) * (k + 1 + order))
-        terms.append(term)
+        new = total + term
+        comp += np.where(np.abs(total) >= np.abs(term), (total - new) + term, (term - new) + total)
+        total = new
         k += 1
-    return math.fsum(terms)
+    return total + comp
 
 
-def _bessel_asymptotic(order: int, x: float) -> float:
-    # Hankel expansion truncated at its smallest term
+def _bessel_asymptotic(order: int, x: np.ndarray) -> np.ndarray:
+    # Hankel expansion, each element truncated at its smallest term
     mu = 4.0 * order * order
     chi = x - (2 * order + 1) * math.pi / 4.0
-    p_terms, q_terms = [1.0], []
-    a = 1.0
-    prev = math.inf
+    p, q = np.ones_like(x), np.zeros_like(x)
+    a = np.ones_like(x)
+    prev = np.full_like(x, math.inf)
+    active = np.ones(x.shape, dtype=bool)
     for k in range(1, 60):
         a = a * (mu - (2 * k - 1) ** 2) / (k * 8.0 * x)
-        if abs(a) >= prev or abs(a) < 1e-18:
+        active &= (np.abs(a) < prev) & (np.abs(a) >= 1e-18)
+        if not active.any():
             break
-        prev = abs(a)
-        sign = -1.0 if (k // 2) % 2 else 1.0
+        prev = np.where(active, np.abs(a), prev)
+        term = np.where(active, (-1.0 if (k // 2) % 2 else 1.0) * a, 0.0)
         if k % 2:
-            q_terms.append(sign * a)
+            q += term
         else:
-            p_terms.append(sign * a)
-    p = math.fsum(p_terms)
-    q = math.fsum(q_terms)
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(chi) - q * math.sin(chi))
-
-
-def _bessel_scalar(order: int, x: float) -> float:
-    ax = abs(x)
-    val = _bessel_series(order, ax) if ax <= _SERIES_ASYMPTOTIC_CROSSOVER else _bessel_asymptotic(order, ax)
-    if x < 0.0 and order == 1:
-        return -val
-    return val
+            p += term
+    return np.sqrt(2.0 / (math.pi * x)) * (p * np.cos(chi) - q * np.sin(chi))
 
 
 def bessel_j(order: int, x):
-    """Bessel function of the first kind, order 0 or 1.
+    """Bessel function of the first kind, order 0 or 1, vectorised.
 
     Absolute error <= 2e-12 on the real line. Accepts scalars or arrays.
     """
     if order not in (0, 1):
         raise ValueError("only orders 0 and 1 are supported")
     x_arr = np.asarray(x, dtype=float)
-    if x_arr.ndim == 0:
-        return _bessel_scalar(order, float(x_arr))
+    ax = np.abs(x_arr)
     out = np.empty(x_arr.shape)
-    flat = x_arr.ravel()
-    out_flat = out.ravel()
-    for i, xi in enumerate(flat):
-        out_flat[i] = _bessel_scalar(order, float(xi))
-    return out
+    near = ax <= _SERIES_ASYMPTOTIC_CROSSOVER
+    out[near] = _bessel_series(order, ax[near])
+    out[~near] = _bessel_asymptotic(order, ax[~near])
+    if order == 1:
+        out = np.where(x_arr < 0.0, -out, out)
+    return float(out) if out.ndim == 0 else out
 
 
 def chain_modes(model: Chain) -> SpectralDecomposition:
@@ -110,16 +105,12 @@ def chain_survival(model: Chain, times) -> SurvivalSeries:
     return SurvivalSeries(times, values, method="closed-form")
 
 
-def _bessel_ratio(x: float) -> float:
-    # J1(x) / (x/2), continued through x = 0 by its power series
-    if abs(x) < _BESSEL_RATIO_SERIES_CUTOFF:
-        x2 = x * x
-        return 1.0 - x2 / 8.0 + x2 * x2 / 192.0
-    return _bessel_scalar(1, x) / (0.5 * x)
-
-
 def chain_bessel_limit(g: float, times) -> SurvivalSeries:
     """Infinite-chain limit |J1(2 g t) / (g t)|^2 with the t -> 0 value 1."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    values = np.array([_bessel_ratio(2.0 * g * t) ** 2 for t in times])
-    return SurvivalSeries(times, values, method="bessel-limit")
+    x = 2.0 * g * times
+    # J1(x) / (x/2), continued through x = 0 by its power series
+    ratio = 1.0 - x * x / 8.0 + (x * x) * (x * x) / 192.0
+    big = np.abs(x) >= _BESSEL_RATIO_SERIES_CUTOFF
+    ratio[big] = bessel_j(1, x[big]) / (0.5 * x[big])
+    return SurvivalSeries(times, ratio**2, method="bessel-limit")

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 _GL_NODES = 12
-# spacing ratio of the breakpoints that ``_geometric_cluster`` puts around a center
+# default spacing ratio of the breakpoints that ``_cluster`` puts around a center
 _CLUSTER_RATIO = 2.0
 # amplitude routes of ``survival``
 METHODS = ("direct", "residue_cut", "second_sheet")
@@ -347,59 +347,54 @@ def poles(params: LeeParams) -> PoleSet:
 # quadrature helpers
 
 
-def _gauss_panels(breaks: np.ndarray):
+def _cluster(center: float, inner: float, outer: float, ratio: float = _CLUSTER_RATIO) -> np.ndarray:
+    """center -+ inner * ratio^k for every step below ``outer``; the steps are
+    repeated products, inner, inner * ratio, (inner * ratio) * ratio, ..."""
+    count = max(int(math.log(outer / inner) / math.log(ratio)) + 2, 0)
+    steps = np.cumprod(np.append(inner, np.full(count, ratio)))
+    steps = steps[steps < outer]
+    return np.concatenate([center - steps, center + steps])
+
+
+def _panels(points, lo: float, hi: float, longest: float = math.inf):
+    """Gauss-Legendre nodes and weights on [lo, hi], the one panel rule of all
+    three routes: every point inside (lo, hi) is a panel edge, and each gap is
+    cut into ceil(gap / longest) equal panels with ``np.linspace`` arithmetic."""
+    pts = np.asarray(points, dtype=float)
+    edges = np.unique(np.concatenate([[lo], pts[(pts > lo) & (pts < hi)], [hi]]))
+    gaps = np.diff(edges)
+    count = np.maximum(np.ceil(gaps / longest), 1.0).astype(np.int64)
+    ends = np.cumsum(count)
+    k = np.arange(1, ends[-1] + 1) - np.repeat(ends - count, count)
+    right = k * np.repeat(gaps / count, count) + np.repeat(edges[:-1], count)
+    right[ends - 1] = edges[1:]
+    left = np.append(lo, right[:-1])
     xg, wg = np.polynomial.legendre.leggauss(_GL_NODES)
-    a, b = breaks[:-1], breaks[1:]
-    mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (
-        half[:, None] * wg[None, :]
-    ).ravel()
-
-
-def _geometric_cluster(center: float, inner: float, outer: float, lo: float, hi: float):
-    pts = []
-    d = inner
-    while d < outer:
-        for c in (center - d, center + d):
-            if lo < c < hi:
-                pts.append(c)
-        d *= _CLUSTER_RATIO
-    return pts
+    mid, half = 0.5 * (left + right), 0.5 * (right - left)
+    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
 
 
 def _cut_nodes(params: LeeParams, t_max: float):
-    """Panel nodes on the cut: oscillation-resolving, endpoint-graded, and
-    refined around the near-Lorentzian at the cut center."""
+    """Nodes on the cut by :func:`_panels`: edges graded geometrically toward
+    both branch points, a cluster around the near-Lorentzian at the cut
+    center, and no panel longer than pi / (4 t_max), a quarter period of the
+    fastest phase on the grid."""
     w, d, k2 = params.omega, params.delta, params.kappa2
     a, b = params.cut
-    pts = {a, b}
-    for edge, sgn in ((a, +1.0), (b, -1.0)):
-        step = d * 1e-15
-        while step < d / 2.0:
-            pts.add(edge + sgn * step)
-            step *= 3.0
     width = max(math.pi * w * k2, 1e-13)
-    pts.update(_geometric_cluster(w, width / 8.0, d, a, b))
-    h_osc = math.pi / (4.0 * max(t_max, 1e-12))
-    pts.update(np.arange(a, b, max(h_osc, 2.0 * d / 4096.0)).tolist())
-    return _gauss_panels(np.array(sorted(pts)))
+    pts = np.concatenate([_cluster(e, d * 1e-15, d / 2.0, 3.0) for e in (a, b)] + [_cluster(w, width / 8.0, d)])
+    return _panels(pts, a, b, math.pi / (4.0 * max(t_max, 1e-12)))
 
 
 def _seam_nodes(pole_depth: float, d: float, s_max: float):
-    """Nodes in s for the vertical seam integral from the real axis down.
+    """Nodes in s for the vertical seam integral from the real axis down, by
+    :func:`_panels` with no length cap.
 
     Geometric spacing resolves both the log feature at the branch point and
     the e^{-s t} factor at every t; a cluster at the resonance depth resolves
     the Lorentzian the pole projects onto the seam (horizontal distance d)."""
-    pts = {0.0}
-    pts.update(np.geomspace(1e-16, s_max, 700).tolist())
-    step = d / 64.0
-    while step < 64.0 * d:
-        for c in (pole_depth - step, pole_depth + step):
-            if 0.0 < c < s_max:
-                pts.add(c)
-        step *= 1.6
-    return _gauss_panels(np.array(sorted(pts)))
+    pts = np.append(np.geomspace(1e-16, s_max, 700), _cluster(pole_depth, d / 64.0, 64.0 * d, 1.6))
+    return _panels(pts, 0.0, s_max)
 
 
 # ----------------------------------------------------------------------
@@ -529,18 +524,14 @@ def _direct_subtractions(params: LeeParams | WignerSemicircle):
 
 def _direct_breakpoints(params: LeeParams | WignerSemicircle, eps: float, half_width: float, extra: list[float]):
     w = params.omega
-    lo, hi = w - half_width, w + half_width
-    pts = {lo, hi}
     if isinstance(params, WignerSemicircle):
         edges = [w - 2 * params.sigma, w + 2 * params.sigma]
         width = max(params.sigma * 1e-3, eps)
     else:
         edges = list(params.cut)
         width = max(math.pi * w * params.kappa2, eps)
-    for center in edges + extra + [w]:
-        pts.update(_geometric_cluster(center, max(eps / 2.0, 1e-13), half_width, lo, hi))
-    pts.update(_geometric_cluster(w, width / 8.0, half_width, lo, hi))
-    return pts
+    return np.concatenate([_cluster(c, max(eps / 2.0, 1e-13), half_width) for c in edges + extra + [w]]
+                          + [_cluster(w, width / 8.0, half_width)])
 
 
 def amplitude_direct(params: LeeParams | WignerSemicircle, t) -> tuple[complex, float]:
@@ -548,13 +539,14 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t) -> tuple[complex, 
     axis: the amplitude at ``t`` and its achieved error estimate.
 
     Known simple poles are subtracted and restored analytically; the
-    remaining integrand is integrated with oscillation-capped Gauss-Legendre
-    panels on an adaptively widened window, at two line heights eps and
-    eps / 2, and the results Richardson-extrapolated to eps -> 0. The line
-    height is eps = min(1e-3 s, 0.2 / max(t, 1)), at least 1e-9 s, with s the
-    box half-width delta or the semicircle sigma. The achieved estimate is
-    the window tail plus the disagreement of the two line heights; above 1e-7
-    it raises :class:`QuadratureError`, which carries it.
+    remaining integrand is integrated on an adaptively widened window by
+    :func:`_panels`, with edges clustered geometrically around the density
+    edges, the poles and omega, and no panel longer than pi / (4 t), at two
+    line heights eps and eps / 2, and the results Richardson-extrapolated to
+    eps -> 0. The line height is eps = min(1e-3 s, 0.2 / max(t, 1)), at least
+    1e-9 s, with s the box half-width delta or the semicircle sigma. The
+    achieved estimate is the window tail plus the disagreement of the two line
+    heights; above 1e-7 it raises :class:`QuadratureError`, which carries it.
     """
     t = float(t)
     _check_times(np.array([t]))
@@ -583,17 +575,7 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t) -> tuple[complex, 
         if tail >= _DIRECT_TOL:
             raise QuadratureError("window tail did not converge", tail)
         pts = _direct_breakpoints(params, eps_line, half, list(xs) + [x_rest])
-        h_osc = math.pi / (4.0 * max(t, 1e-12))
-        breaks = sorted(pts)
-        fine = [breaks[0]]
-        for nxt in breaks[1:]:
-            seg = nxt - fine[-1]
-            if seg > h_osc:
-                n = min(int(math.ceil(seg / h_osc)), 500_000)
-                fine.extend(np.linspace(fine[-1], nxt, n + 1)[1:].tolist())
-            else:
-                fine.append(nxt)
-        x, wq = _gauss_panels(np.array(fine))
+        x, wq = _panels(pts, w - half, w + half, math.pi / (4.0 * max(t, 1e-12)))
         z = x + 1j * eps_line
         integral = np.sum(wq * remainder(z) * np.exp(-1j * z * t))
         return -(1.0 / (2j * math.pi)) * integral, tail

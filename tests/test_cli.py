@@ -367,6 +367,18 @@ class TestCommands:
         assert main(argv) == 3
         assert "ln nu = -998.694" in capsys.readouterr().err and not out.exists()
 
+    def test_recurrence_refuses_a_scan_over_the_point_budget(self, tmp_path, capsys):
+        # the suggested window 50 / nu is T = 1.7e11 here, 9.6e12 grid points
+        out = tmp_path / "rec.json"
+        argv = ["recurrence", "--model", "chain", "--n", "64", "--omega", "1", "--g", "0.70710678",
+                "--threshold", "0.5", "--empirical", "--out", str(out)]
+        start = time.perf_counter()
+        assert main(argv) == 3
+        assert time.perf_counter() - start < 1.0
+        err = capsys.readouterr().err
+        assert "grid points" in err and "--observation-time" in err and "--resolution" in err
+        assert not out.exists()
+
     def test_route_fields_of_an_ensemble_on_both_routes(self):
         times = np.array([0.0, 1.0])
         spectral_curve = SurvivalSeries(times, np.ones(2), "spectral")

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from qsurvival import closedform, lee
@@ -289,6 +291,42 @@ class TestAmplitudes:
                 1.0 if t == 0.0 else 2.0 * closedform.bessel_j(1, 2.0 * sigma * t) / (2.0 * sigma * t)
             )
             assert abs(lee.amplitude_direct(params, t)[0] - closed) < 1e-6
+
+
+class TestPanelRule:
+    @given(
+        st.floats(-10.0, 10.0),
+        st.floats(1e-3, 20.0),
+        st.lists(st.floats(-0.5, 1.5), max_size=30),
+        st.one_of(st.just(math.inf), st.floats(5e-4, 2.0)),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_panels_hold_every_point_and_respect_the_longest_panel(self, lo, width, fractions, share):
+        hi = lo + width
+        longest = share * width
+        points = [lo + f * width for f in fractions]
+        x, wq = lee._panels(points, lo, hi, longest)
+        nodes, weights = x.reshape(-1, 12), wq.reshape(-1, 12)
+        lengths = weights.sum(axis=1)
+        # panel edges are doubles near lo and hi, so lengths carry their rounding
+        rounding = 1e-12 * (abs(lo) + abs(hi))
+        assert np.all(lengths <= longest + rounding)
+        assert math.isclose(wq.sum(), hi - lo, rel_tol=1e-12)
+        left = nodes.mean(axis=1) - 0.5 * lengths
+        for p in points:
+            if lo < p < hi:
+                assert not np.any((nodes[:, 0] < p) & (nodes[:, -1] > p))
+                assert np.min(np.abs(left - p)) <= rounding
+
+    @pytest.mark.parametrize("kappa2", [1e-4, 1.0])
+    def test_cut_matches_seams_at_long_times(self, kappa2):
+        # the cut needs panels of pi / (4 t) at every t; any floor on their
+        # length lets the cut route drift from the seams near t = 1e6
+        params = lee.LeeParams(1.0, 0.1, kappa2)
+        times = np.linspace(9e5, 1e6, 3)
+        cut = lee.survival(params, times, "residue_cut").values
+        seams = lee.survival(params, times, "second_sheet").values
+        assert np.max(np.abs(cut - seams)) < 1e-10
 
 
 class TestSurvival:
