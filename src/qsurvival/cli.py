@@ -422,10 +422,15 @@ def cmd_recurrence(args) -> int:
     return EXIT_OK
 
 
+def _finite_or_none(value: float) -> float | None:
+    """``value``, or ``None`` (JSON null) where it is not finite: JSON has no NaN."""
+    return value if math.isfinite(value) else None
+
+
 def cmd_oracle_check(args) -> int:
     times = _grid(args)
     rng = ham.stream_rng(args.seed, stream=987)
-    worst = 0.0
+    diffs = []
     results = []
     for case in range(args.count):
         n = int(rng.integers(2, args.max_qubits + 1))
@@ -443,12 +448,13 @@ def cmd_oracle_check(args) -> int:
         full = fock_oracle.full_survival(fock_oracle.from_single_particle(h), times)
         sector = survival_probability(decompose(h), times).values
         diff = float(np.max(np.abs(full.values - sector)))
-        worst = max(worst, diff)
-        results.append({"n": n, "seed": spec.seed, "max_abs_diff": diff, **_route_fields([full])})
+        diffs.append(diff)
+        results.append({"n": n, "seed": spec.seed, "max_abs_diff": _finite_or_none(diff), **_route_fields([full])})
+    worst = float(np.max(diffs))  # NaN if any case is NaN, where max() would skip it
     passed = worst <= 1e-10
     if args.out:
         meta = {"version": __version__, "count": args.count}
-        write_json(args.out, {"meta": meta, "worst": worst, "passed": passed, "cases": results})
+        write_json(args.out, {"meta": meta, "worst": _finite_or_none(worst), "passed": passed, "cases": results})
     print(f"oracle check: {args.count} cases, worst |full - sector| = {worst:.3e}: "
           f"{'PASS' if passed else 'FAIL'}")
     return EXIT_OK if passed else EXIT_NUMERICAL

@@ -1,13 +1,17 @@
 """Brute-force ground truth in the full 2^n qubit space.
 
-Ladder operators are assembled literally as Kronecker products of 2x2 raising
-and lowering matrices with identities, the many-qubit Hamiltonian from the
-single-excitation-sector matrix, and the localized excitation is evolved in
-the full space. Everything downstream (sector restriction, block structure,
-survival probability) can be checked against this module.
+Every operator is built on the bits of the basis states, as in exact
+diagonalisation (Sandvik, AIP Conf. Proc. 1297, 135 (2010)): qubit k (1-based)
+is bit n - k of the basis index, and the qubit is excited where that bit is 0,
+so the excited single-qubit state is the first basis vector of each tensor
+factor. The ladder operators, the number operator and the many-qubit
+Hamiltonian of a single-excitation-sector matrix follow from that one rule,
+and the localized excitation is evolved in the full space. Everything
+downstream (sector restriction, block structure, survival probability) can be
+checked against this module; the tests check the rule itself against literal
+Kronecker products of 2x2 matrices.
 
-The chains are formed as index arithmetic on (row, col, value) triplets and
-stored as sparse CSR matrices; the evolution is Chebyshev propagation
+The operators are sparse CSR matrices; the evolution is Chebyshev propagation
 (:func:`spectral.chebyshev_amplitude`) inside Gershgorin bounds of the whole
 2^n matrix, so no step uses the one-excitation restriction it checks.
 """
@@ -36,11 +40,6 @@ __all__ = [
 
 MAX_QUBITS = 16
 
-_SIGMA_MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])
-_SIGMA_PLUS = _SIGMA_MINUS.T
-_OCCUPIED = _SIGMA_PLUS @ _SIGMA_MINUS  # a^dag a on one qubit: projector onto excited
-_GROUND = np.array([[0.0], [1.0]])
-
 
 class SizeRefusal(ValueError):
     """Requested full-space size exceeds the guard."""
@@ -56,131 +55,102 @@ class FullSpaceModel:
 
 
 def _check_size(n: int) -> None:
+    if n < 1:
+        raise ValueError("the full space needs at least one qubit")
     if n > MAX_QUBITS:
         raise SizeRefusal(f"{n} qubits exceed the {MAX_QUBITS}-qubit guard")
 
 
-def _triplets(matrix: np.ndarray):
-    """(rows, cols, values, shape) of the nonzero entries of a small dense factor."""
-    rows, cols = np.nonzero(matrix)
-    return rows, cols, matrix[rows, cols], matrix.shape
+def _excited(n: int) -> np.ndarray:
+    """(n, 2^n) booleans: row k - 1 marks the basis states with qubit k excited (bit n - k clear)."""
+    return (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1 == 0
 
 
-def _identity(size: int):
-    diagonal = np.arange(size)
-    return diagonal, diagonal, np.ones(size), (size, size)
+def _operator(diagonal, links: np.ndarray, flips: np.ndarray, values: np.ndarray) -> sparse.csr_array:
+    """The 2^n matrix with ``diagonal`` (one value per state; ``None`` for none) on
+    its diagonal and entry (s, s ^ flips[t]) = values[t] wherever ``links[s, t]``.
 
-
-def _kron_chain(factors):
-    """(rows, cols, values) of the Kronecker product of (rows, cols, values, shape) factors.
-
-    Entry (r, c) of an m x k factor lands at (row * m + r, col * k + c) of the
-    product, with value value * v, for every entry (row, col) of the chain so far.
+    The entries come out row by row, so the CSR arrays are written directly, with
+    no sort or duplicate sum. Their indices are 32-bit (a 16-qubit Hamiltonian
+    holds under 2^23 entries), which speeds up the matrix-vector products of the
+    evolution at the largest sizes.
     """
-    rows = cols = np.zeros(1, dtype=np.int64)
-    values = np.ones(1)
-    for r, c, v, (m, k) in factors:
-        rows = (rows[:, None] * m + r).ravel()
-        cols = (cols[:, None] * k + c).ravel()
-        values = (values[:, None] * v).ravel()
-    return rows, cols, values
-
-
-def _slot_chain(n: int, slots: dict):
-    """Kronecker chain over qubits 1..n: ``slots[k]`` at slot k, the identity elsewhere.
-
-    Each run of identities between slots is one identity factor of size 2^gap.
-    """
-    factors = []
-    previous = 0
-    for k in sorted(slots):
-        factors += [_identity(2 ** (k - previous - 1)), _triplets(slots[k])]
-        previous = k
-    factors.append(_identity(2 ** (n - previous)))
-    return _kron_chain(factors)
-
-
-def _csr(triplets, shape) -> sparse.csr_array:
-    """CSR matrix of (rows, cols, values); the build sums duplicate entries."""
-    rows, cols, values = triplets
-    return sparse.csr_array((values, (rows, cols)), shape=shape)
+    dim, count = links.shape
+    if diagonal is not None:
+        links = np.column_stack([np.ones(dim, dtype=bool), links])
+        flips = np.concatenate([[0], flips])
+        values = np.concatenate([[0.0], values])
+        count += 1
+    states, terms = np.divmod(np.flatnonzero(links), count)
+    data = values[terms]
+    if diagonal is not None:
+        data[terms == 0] = diagonal
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(links, axis=1), out=indptr[1:])
+    cols = (states ^ flips[terms]).astype(np.int32)
+    return sparse.csr_array((data, cols, indptr), shape=(dim, dim))
 
 
 def lowering_operator(k: int, n: int) -> sparse.csr_array:
-    """Annihilation operator of qubit k (1-based) on n qubits."""
+    """Annihilation operator of qubit k (1-based) on n qubits: it maps each state
+    with qubit k excited to the state with that bit set."""
+    _check_size(n)
     if not 1 <= k <= n:
         raise ValueError("qubit index out of range")
-    return _csr(_slot_chain(n, {k: _SIGMA_MINUS}), (2**n, 2**n))
+    ground = ~_excited(n)[k - 1]
+    return _operator(None, ground[:, None], np.array([1 << (n - k)]), np.ones(1))
 
 
 def raising_operator(k: int, n: int) -> sparse.csr_array:
     return lowering_operator(k, n).T.tocsr()
 
 
-def _occupation_chain(i: int, n: int):
-    # a_i^dag a_i = (sigma+ sigma-) at slot i: a single Kronecker chain
-    return _slot_chain(n, {i: _OCCUPIED})
-
-
-def _hop_chain(i: int, j: int, n: int):
-    # a_i^dag a_j acts on disjoint tensor slots, so the product is a single
-    # Kronecker chain with sigma+ at slot i and sigma- at slot j
-    return _slot_chain(n, {i: _SIGMA_PLUS, j: _SIGMA_MINUS})
-
-
-def _summed(terms, dim: int) -> sparse.csr_array:
-    """One CSR matrix from a list of (rows, cols, values) terms, duplicates summed."""
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), np.zeros(0))
-    return _csr([np.concatenate(parts) for parts in zip(empty, *terms)], (dim, dim))
-
-
 def number_operator(n: int) -> sparse.csr_array:
     """Total excitation number operator (diagonal)."""
-    return _summed([_occupation_chain(k, n) for k in range(1, n + 1)], 2**n)
+    _check_size(n)
+    counts = _excited(n).sum(axis=0, dtype=float)
+    return _operator(counts, np.zeros((2**n, 0), dtype=bool), np.zeros(0, dtype=int), np.zeros(0))
 
 
 def from_single_particle(matrix: np.ndarray) -> FullSpaceModel:
     """Assemble the full 2^n Hamiltonian from a one-excitation-sector matrix.
 
     Diagonal entries become on-site splittings, off-diagonal entries the
-    exchange couplings between the corresponding qubits.
+    exchange couplings between the corresponding qubits. The matrix must be
+    square, finite and exactly symmetric: the build reads only its upper
+    triangle, so any asymmetry would be dropped unseen.
     """
     matrix = np.asarray(matrix, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise ValueError(f"need a square matrix, got shape {matrix.shape}")
     n = matrix.shape[0]
     _check_size(n)
-    terms = []
-    for i in range(1, n + 1):
-        e = matrix[i - 1, i - 1]
-        if e != 0.0:
-            rows, cols, values = _occupation_chain(i, n)
-            terms.append((rows, cols, e * values))
-    for i in range(1, n + 1):
-        for j in range(i + 1, n + 1):
-            g = matrix[i - 1, j - 1]
-            if g != 0.0:
-                rows, cols, values = _hop_chain(i, j, n)
-                terms += [(rows, cols, g * values), (cols, rows, g * values)]
-    vacuum = _csr(_kron_chain([_triplets(_GROUND)] * n), (2**n, 1))
-    psi0 = raising_operator(1, n) @ vacuum
-    initial = int(abs(psi0).argmax())  # flat index of a column vector: its row
-    return FullSpaceModel(n, _summed(terms, 2**n), initial)
+    if not np.all(np.isfinite(matrix)):
+        raise ValueError("the matrix must be finite")
+    if not np.array_equal(matrix, matrix.T):
+        raise ValueError("the matrix must be symmetric")
+    excited = _excited(n)
+    # a_i^dag a_j + a_j^dag a_i, i < j: the states where qubits i and j differ,
+    # each linked to the state with both bits flipped
+    i, j = np.nonzero(np.triu(matrix, 1))
+    links = (excited[i] != excited[j]).T
+    flips = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
+    hamiltonian = _operator(matrix.diagonal() @ excited, links, flips, matrix[i, j])
+    # a_1^dag on the vacuum (every bit set) clears the bit of qubit 1
+    return FullSpaceModel(n, hamiltonian, (2**n - 1) ^ (1 << (n - 1)))
 
 
 def sector_indices(n: int, k: int) -> np.ndarray:
     """Full-space basis indices of the k-excitation sector.
 
     Ordered lexicographically over occupation bit-strings with qubit 1 as the
-    most significant bit. The matrix index of occupation value v is
-    2^n - 1 - v because the excited single-qubit state is the first basis
-    vector of each factor.
+    most significant bit. An occupation bit is the complement of its index
+    bit, so that is descending index order.
     """
+    _check_size(n)
     if not 0 <= k <= n:
         raise ValueError("k must be between 0 and n")
-    occupations = np.arange(2**n)
-    counts = np.zeros(2**n, dtype=int)
-    for bit in range(n):
-        counts += (occupations >> bit) & 1
-    return 2**n - 1 - occupations[counts == k]
+    return np.flatnonzero(_excited(n).sum(axis=0) == k)[::-1]
 
 
 def sector_block(model: FullSpaceModel, k: int) -> np.ndarray:

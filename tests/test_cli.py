@@ -4,10 +4,12 @@ import re
 import shlex
 import time
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
+from qsurvival import fock_oracle
 from qsurvival import hamiltonian as ham
 from qsurvival import lee
 from qsurvival import spectral
@@ -435,6 +437,36 @@ class TestCommands:
             assert case["route"] == "chebyshev"
             assert case["chebyshev_terms"] > 10  # more than a t_max: the spectral half-width is >= 1
             assert 0.0 <= case["bessel_tail_bound"] < 1e-16
+
+    def test_oracle_check_fails_on_a_nan_case(self, tmp_path, capsys, monkeypatch):
+        real = fock_oracle.full_survival
+        calls = []
+
+        def nan_second(model, times):
+            calls.append(model.n_qubits)
+            curve = real(model, times)
+            if len(calls) != 2:  # not the first: max() keeps a leading NaN and drops a later one
+                return curve
+            return types.SimpleNamespace(values=np.full(curve.values.shape, np.nan), method=curve.method,
+                                         terms=curve.terms, tail_bound=curve.tail_bound)
+
+        monkeypatch.setattr(fock_oracle, "full_survival", nan_second)
+        out = tmp_path / "oracle.json"
+        assert main([
+            "oracle-check", "--count", "3", "--max-qubits", "5", "--seed", "1",
+            "--points", "21", "--tmax", "10", "--out", str(out),
+        ]) == 3
+        assert len(calls) == 3
+        assert "FAIL" in capsys.readouterr().out
+
+        def refuse(name):
+            raise ValueError(f"bare {name} in the JSON")
+
+        doc = json.loads(out.read_text(), parse_constant=refuse)
+        assert doc["passed"] is False
+        assert doc["worst"] is None
+        diffs = [case["max_abs_diff"] for case in doc["cases"]]
+        assert diffs[1] is None and diffs[0] <= 1e-10 and diffs[2] <= 1e-10
 
 
 class TestValidationAndConfig:

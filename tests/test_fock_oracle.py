@@ -191,24 +191,99 @@ class TestFullSurvival:
             fock_oracle.full_survival(model, np.array([0.0]))
 
 
+MINUS = np.array([[0.0, 0.0], [1.0, 0.0]])  # sigma^-: the excited state is the first basis vector
+GROUND = np.array([0.0, 1.0])
+
+
+def kron_chain(n, slots):
+    """Dense np.kron chain over qubits 1..n: ``slots[k]`` at slot k, the identity elsewhere."""
+    out = np.ones((1, 1))
+    for k in range(1, n + 1):
+        out = np.kron(out, slots.get(k, np.eye(2)))
+    return out
+
+
 def dense_kron_hamiltonian(matrix):
     """The full Hamiltonian summed term by term from dense np.kron chains."""
     n = matrix.shape[0]
-    minus = np.array([[0.0, 0.0], [1.0, 0.0]])
-
-    def chain(slots):
-        out = np.ones((1, 1))
-        for k in range(1, n + 1):
-            out = np.kron(out, slots.get(k, np.eye(2)))
-        return out
-
     h = np.zeros((2**n, 2**n))
     for i in range(1, n + 1):
-        h += matrix[i - 1, i - 1] * chain({i: minus.T @ minus})
+        h += matrix[i - 1, i - 1] * kron_chain(n, {i: MINUS.T @ MINUS})
         for j in range(i + 1, n + 1):
-            hop = chain({i: minus.T, j: minus})
+            hop = kron_chain(n, {i: MINUS.T, j: MINUS})
             h += matrix[i - 1, j - 1] * (hop + hop.T)
     return h
+
+
+class TestIndexRuleAgainstKronecker:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ladder_and_number_operators(self, n):
+        number = np.zeros((2**n, 2**n))
+        for k in range(1, n + 1):
+            np.testing.assert_array_equal(fock_oracle.lowering_operator(k, n).toarray(), kron_chain(n, {k: MINUS}))
+            np.testing.assert_array_equal(fock_oracle.raising_operator(k, n).toarray(), kron_chain(n, {k: MINUS.T}))
+            number += kron_chain(n, {k: MINUS.T @ MINUS})
+        np.testing.assert_array_equal(fock_oracle.number_operator(n).toarray(), number)
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_initial_state_is_qubit_one_raised_from_the_vacuum(self, n):
+        state = MINUS.T @ GROUND
+        for _ in range(n - 1):
+            state = np.kron(state, GROUND)
+        model = fock_oracle.from_single_particle(np.eye(n))
+        assert model.initial_state == int(np.argmax(state))
+
+    @given(st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_build_with_zero_couplings_matches_kron(self, data):
+        n = data.draw(st.integers(1, 7))
+        values = st.floats(-3.0, 3.0)
+        matrix = np.diag(data.draw(st.lists(values, min_size=n, max_size=n)))
+        for i in range(n):
+            for j in range(i + 1, n):
+                matrix[i, j] = matrix[j, i] = data.draw(st.one_of(st.just(0.0), values))
+        h = fock_oracle.from_single_particle(matrix).hamiltonian
+        diff = h.toarray() - dense_kron_hamiltonian(matrix)
+        assert np.max(np.abs(np.diag(diff))) <= 1e-14
+        np.testing.assert_array_equal(diff - np.diag(np.diag(diff)), 0.0)
+        # no stored entry for a zero coupling: each nonzero one links the 2^(n-1) states where its qubits differ
+        coo = h.tocoo()
+        assert np.count_nonzero(coo.row != coo.col) == 2 ** (n - 1) * np.count_nonzero(np.triu(matrix, 1))
+
+
+class TestRefusals:
+    @pytest.mark.parametrize("matrix", [
+        np.ones((2, 3)),
+        np.ones(3),
+        np.zeros((0, 0)),
+        np.array([[1.0, 0.3], [0.0, 1.1]]),
+        np.array([[1.0, np.nan], [np.nan, 1.0]]),
+        np.array([[np.inf, 0.2], [0.2, 1.0]]),
+    ], ids=["2x3", "1-D", "0x0", "asymmetric", "nan", "inf"])
+    def test_from_single_particle_refuses_bad_matrices(self, matrix):
+        with pytest.raises(ValueError) as info:
+            fock_oracle.from_single_particle(matrix)
+        assert not isinstance(info.value, fock_oracle.SizeRefusal)
+
+    @pytest.mark.parametrize("build", [
+        lambda n: fock_oracle.lowering_operator(1, n),
+        lambda n: fock_oracle.raising_operator(1, n),
+        fock_oracle.number_operator,
+        lambda n: fock_oracle.sector_indices(n, 1),
+    ], ids=["lowering", "raising", "number", "sector_indices"])
+    def test_every_full_space_function_guards_its_size(self, build):
+        n = fock_oracle.MAX_QUBITS + 1
+        tracemalloc.start()
+        try:
+            with pytest.raises(fock_oracle.SizeRefusal):
+                build(n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**n  # bytes: refused before any 2^n array
+        with pytest.raises(ValueError) as info:
+            build(0)
+        assert not isinstance(info.value, fock_oracle.SizeRefusal)
 
 
 @st.composite
