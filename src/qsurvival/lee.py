@@ -23,7 +23,6 @@ asymptotics and the power-law tail can be inspected individually.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -65,7 +64,7 @@ _CLUSTER_RATIO = 2.0
 # amplitude routes of ``survival``
 METHODS = ("direct", "residue_cut", "second_sheet")
 _POLE_RESIDUAL_TOL = 1e-10
-# Newton steps allowed at each coupling of the resonance-pole continuation
+# Newton steps allowed in the resonance-pole search
 _NEWTON_MAX_ITER = 100
 # largest achieved error ``amplitude_direct`` accepts
 _DIRECT_TOL = 1e-7
@@ -230,9 +229,7 @@ def _denominator_first(params: LeeParams | WignerSemicircle, z):
 
 
 def _denominator_second(params: LeeParams, z):
-    z = np.asarray(z, dtype=complex)
-    shift = np.where(z.imag < 0.0, 2j * math.pi, -2j * math.pi)
-    return _denominator_first(params, z) + params.omega * params.kappa2 * shift
+    return z - params.omega + params.omega * params.kappa2 * level_shift_second_sheet(params, z)
 
 
 def _denominator_derivative(params: LeeParams, z):
@@ -241,29 +238,6 @@ def _denominator_derivative(params: LeeParams, z):
 
 # ----------------------------------------------------------------------
 # poles
-
-
-@functools.lru_cache(maxsize=256)
-def _real_poles_cached(params: LeeParams) -> tuple[RealPole, ...]:
-    w, d, k2 = params.omega, params.delta, params.kappa2
-    if k2 == 0.0:
-        return (RealPole(w, 1.0, math.inf),)
-
-    def logged(s: float) -> float:
-        # pole equation at x = omega + delta + e^s
-        return d + math.exp(s) + w * k2 * (s - math.log(2.0 * d + math.exp(s)))
-
-    if logged(_LOG_OFFSET_FLOOR) > 0.0:
-        return ()
-    s_hi = math.log(max(10.0 * d, 3.0 * math.sqrt(2.0 * w * d * k2), 10.0 * w))
-    s_root = brentq(logged, _LOG_OFFSET_FLOOR, s_hi, xtol=1e-15, rtol=8.9e-16)
-    offset = math.exp(s_root)
-    u = d + offset
-    # residue 1/(1 + w k2 L'(x)) with L'(x) = 2 d / q, q = u^2 - d^2 evaluated
-    # stably; written as q / (q + 2 w k2 d) so that q underflowing to 0 gives 0
-    q = offset * (2.0 * d + offset)
-    residue = q / (q + 2.0 * w * k2 * d)
-    return (RealPole(w - u, residue, offset), RealPole(w + u, residue, offset))
 
 
 def real_poles(params: LeeParams) -> list[RealPole]:
@@ -275,7 +249,25 @@ def real_poles(params: LeeParams) -> list[RealPole]:
     below the double-precision floor the list is empty, which the t = 0 sum
     rule then attributes entirely to the cut.
     """
-    return list(_real_poles_cached(params))
+    w, d, k2 = params.omega, params.delta, params.kappa2
+    if k2 == 0.0:
+        return [RealPole(w, 1.0, math.inf)]
+
+    def logged(s: float) -> float:
+        # pole equation at x = omega + delta + e^s
+        return d + math.exp(s) + w * k2 * (s - math.log(2.0 * d + math.exp(s)))
+
+    if logged(_LOG_OFFSET_FLOOR) > 0.0:
+        return []
+    s_hi = math.log(max(10.0 * d, 3.0 * math.sqrt(2.0 * w * d * k2), 10.0 * w))
+    s_root = brentq(logged, _LOG_OFFSET_FLOOR, s_hi, xtol=1e-15, rtol=8.9e-16)
+    offset = math.exp(s_root)
+    u = d + offset
+    # residue 1/(1 + w k2 L'(x)) with L'(x) = 2 d / q, q = u^2 - d^2 evaluated
+    # stably; written as q / (q + 2 w k2 d) so that q underflowing to 0 gives 0
+    q = offset * (2.0 * d + offset)
+    residue = q / (q + 2.0 * w * k2 * d)
+    return [RealPole(w - u, residue, offset), RealPole(w + u, residue, offset)]
 
 
 def real_pole_equation(params: LeeParams, pole: RealPole) -> float:
@@ -290,46 +282,28 @@ def real_pole_equation(params: LeeParams, pole: RealPole) -> float:
 def second_sheet_pole(params: LeeParams) -> ResonancePole:
     """Resonance pole: the root of the second-sheet denominator with Im z < 0.
 
-    Newton iteration with the analytic derivative, starting from the
-    weak-coupling location omega - i pi omega kappa2 and continued in kappa2
-    toward strong coupling, at most 100 steps per coupling. Steps are halved
-    whenever an iterate would leave the lower half-plane.
+    Newton iteration with the analytic derivative at the requested coupling,
+    starting from the weak-coupling location omega - i pi omega kappa2, at
+    most 100 steps. Steps are halved whenever an iterate would leave the
+    lower half-plane.
     """
-    return _second_sheet_pole_cached(params)
-
-
-@functools.lru_cache(maxsize=256)
-def _second_sheet_pole_cached(params: LeeParams) -> ResonancePole:
     w, k2 = params.omega, params.kappa2
     if k2 <= 0.0:
         raise ValueError("second_sheet_pole requires kappa2 > 0")
-    ladder_start = 0.01
-    if k2 <= ladder_start:
-        ladder = [k2]
+    z = complex(w, -math.pi * w * k2)
+    for _ in range(_NEWTON_MAX_ITER):
+        step = complex(_denominator_second(params, z)) / complex(_denominator_derivative(params, z))
+        z_new = z - step
+        h = 1.0
+        while z_new.imag >= 0.0 and h > 1e-12:
+            h *= 0.5
+            z_new = z - h * step
+        converged = abs(z_new - z) < 1e-15 * max(1.0, abs(z))
+        z = z_new
+        if converged:
+            break
     else:
-        ladder = list(np.geomspace(ladder_start, k2, 40))
-    z = complex(w, -math.pi * w * ladder[0])
-    trace: list[complex] = []
-    for kk in ladder:
-        stage = LeeParams(w, params.delta, kk)
-        converged = False
-        for _ in range(_NEWTON_MAX_ITER):
-            f = complex(_denominator_second(stage, z))
-            step = f / complex(_denominator_derivative(stage, z))
-            z_new = z - step
-            h = 1.0
-            while z_new.imag >= 0.0 and h > 1e-12:
-                h *= 0.5
-                z_new = z - h * step
-            converged = abs(z_new - z) < 1e-15 * max(1.0, abs(z))
-            z = z_new
-            trace.append(z)
-            if converged:
-                break
-        if not converged:
-            raise PoleSearchError(
-                f"Newton did not converge at kappa2={kk:g}; last iterates {trace[-3:]}"
-            )
+        raise PoleSearchError(f"Newton did not converge at kappa2={k2:g}; last iterate {z}")
     residual = abs(complex(_denominator_second(params, z)))
     if residual > _POLE_RESIDUAL_TOL * max(1.0, abs(z)):
         raise PoleSearchError(f"converged point has residual {residual:.2e}")
@@ -446,10 +420,10 @@ class SecondSheetAmplitude:
     ``line_term`` (the two seam integrals) the long-time algebraic tail.
     """
 
-    total: complex
-    real_pole_term: complex
-    resonance_term: complex
-    line_term: complex
+    total: complex | np.ndarray
+    real_pole_term: complex | np.ndarray
+    resonance_term: complex | np.ndarray
+    line_term: complex | np.ndarray
 
 
 def _seam_data(params: LeeParams, edge: float, pole_depth: float, s_max: float):
@@ -460,47 +434,42 @@ def _seam_data(params: LeeParams, edge: float, pole_depth: float, s_max: float):
     return s, wq * diff
 
 
-def _second_sheet_terms(params: LeeParams, times: np.ndarray):
-    """Pole and seam contributions on the grid ``times``.
+def amplitude_second_sheet(params: LeeParams, t) -> SecondSheetAmplitude:
+    """Amplitude decomposed over the deformed contour through the cut, at each
+    time of scalar or array ``t`` (non-negative).
 
     Each seam integral is -i e^{-i edge t} sum_j g_j e^{-s_j t} over the seam
     nodes s_j, whose t-independent weights g_j are evaluated once; the sum
     over nodes is ``phase_sum`` at the imaginary frequencies -i s_j.
+    A scalar ``t`` gives complex fields, an array arrays.
     """
+    times = np.atleast_1d(np.asarray(t, dtype=float))
+    _check_times(times)
     rp = real_poles(params)
     real_term = phase_sum([p.location for p in rp], [p.residue for p in rp], times)
     if params.kappa2 == 0.0:
-        zeros = np.zeros(times.size, dtype=complex)
-        return real_term, zeros, zeros
-    res = second_sheet_pole(params)
-    resonance = phase_sum([res.location], [res.residue], times)
-    depth = abs(res.location.imag)
-    w, d, k2 = params.omega, params.delta, params.kappa2
-    s_max = max(1e8, 1e3 * depth, 1e4 * w)
-    # the two seam tails cancel to first order; the pair remainder scales
-    # like 8 pi w k2 d / s_max^2
-    tail = 8.0 * math.pi * w * k2 * d / s_max**2
-    if tail > 1e-9:
-        raise QuadratureError("seam tail not negligible", tail)
-    a, b = params.cut
-    s_a, g_a = _seam_data(params, a, depth, s_max)
-    s_b, g_b = _seam_data(params, b, depth, s_max)
-    v_a = -1j * np.exp(-1j * a * times) * phase_sum(-1j * s_a, g_a, times)
-    v_b = -1j * np.exp(-1j * b * times) * phase_sum(-1j * s_b, g_b, times)
-    return real_term, resonance, (v_b - v_a) / (2j * math.pi)
-
-
-def amplitude_second_sheet(params: LeeParams, t) -> SecondSheetAmplitude:
-    """Amplitude decomposed over the deformed contour through the cut."""
-    times = np.array([float(t)])
-    _check_times(times)
-    real_term, resonance, lines = _second_sheet_terms(params, times)
-    return SecondSheetAmplitude(
-        complex(real_term[0] + resonance[0] + lines[0]),
-        complex(real_term[0]),
-        complex(resonance[0]),
-        complex(lines[0]),
-    )
+        resonance = lines = np.zeros(times.size, dtype=complex)
+    else:
+        res = second_sheet_pole(params)
+        resonance = phase_sum([res.location], [res.residue], times)
+        depth = abs(res.location.imag)
+        w, d, k2 = params.omega, params.delta, params.kappa2
+        s_max = max(1e8, 1e3 * depth, 1e4 * w)
+        # the two seam tails cancel to first order; the pair remainder scales
+        # like 8 pi w k2 d / s_max^2
+        tail = 8.0 * math.pi * w * k2 * d / s_max**2
+        if tail > 1e-9:
+            raise QuadratureError("seam tail not negligible", tail)
+        a, b = params.cut
+        s_a, g_a = _seam_data(params, a, depth, s_max)
+        s_b, g_b = _seam_data(params, b, depth, s_max)
+        v_a = -1j * np.exp(-1j * a * times) * phase_sum(-1j * s_a, g_a, times)
+        v_b = -1j * np.exp(-1j * b * times) * phase_sum(-1j * s_b, g_b, times)
+        lines = (v_b - v_a) / (2j * math.pi)
+    parts = (real_term + resonance + lines, real_term, resonance, lines)
+    if np.asarray(t).ndim == 0:
+        parts = tuple(complex(part[0]) for part in parts)
+    return SecondSheetAmplitude(*parts)
 
 
 # ----------------------------------------------------------------------
@@ -674,6 +643,5 @@ def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue
     if method == "residue_cut":
         amp = amplitude_residue_cut(params, times)
     else:  # second_sheet
-        real_term, resonance, lines = _second_sheet_terms(params, times)
-        amp = real_term + resonance + lines
+        amp = amplitude_second_sheet(params, times).total
     return _probability_series(times, amp, method)

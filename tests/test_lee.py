@@ -229,6 +229,58 @@ class TestSecondSheetPole:
         free = lee.poles(lee.LeeParams(1.0, 0.1, 0.0))
         assert free.second_sheet is None
 
+    def test_non_convergence_is_refused(self, monkeypatch):
+        monkeypatch.setattr(lee, "_NEWTON_MAX_ITER", 1)
+        with pytest.raises(lee.PoleSearchError, match="did not converge at kappa2=1; last iterate"):
+            lee.second_sheet_pole(lee.LeeParams(1.0, 0.1, 1.0))
+
+    def test_residual_above_tolerance_is_refused(self, monkeypatch):
+        # the converged point at kappa2 = 1e-9 has a residual near 1e-24, not 0
+        monkeypatch.setattr(lee, "_POLE_RESIDUAL_TOL", 0.0)
+        with pytest.raises(lee.PoleSearchError, match="converged point has residual"):
+            lee.second_sheet_pole(lee.LeeParams(1.0, 0.1, 1e-9))
+
+    def test_poles_exits_3_when_the_search_fails(self, monkeypatch, tmp_path, capsys):
+        monkeypatch.setattr(lee, "_NEWTON_MAX_ITER", 1)
+        out = tmp_path / "poles.json"
+        assert main(["poles", "--omega", "1.0", "--delta", "0.1", "--kappa2-min", "1e-3",
+                     "--kappa2-max", "1.0", "--kappa2-points", "4", "--out", str(out)]) == 3
+        assert "PoleSearchError" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kappa2", [0.1, 1.0, 10.0, 100.0])
+    def test_one_solve_costs_few_denominator_calls(self, kappa2, monkeypatch):
+        # Newton from the weak-coupling location takes 5-6 calls at these couplings
+        calls = []
+        denominator = lee._denominator_second
+
+        def counted(params, z):
+            calls.append(z)
+            return denominator(params, z)
+
+        monkeypatch.setattr(lee, "_denominator_second", counted)
+        lee.second_sheet_pole(lee.LeeParams(1.0, 0.2, kappa2))
+        assert len(calls) <= 10
+
+    # omega in [0.1, 10], delta / omega in [1e-3, 2], kappa2 in [1e-6, 1e3]
+    # (log-uniform) and t in [0, 2000] contain the benchmark's omega = 1,
+    # delta = 0.1, kappa2 in [1e-4, 10] and grids to t = 2000
+    @given(
+        st.floats(math.log(0.1), math.log(10.0)),
+        st.floats(math.log(1e-3), math.log(2.0)),
+        st.floats(math.log(1e-6), math.log(1e3)),
+        st.floats(0.0, 2000.0),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_single_solve_finds_the_resonance(self, log_omega, log_ratio, log_kappa2, t):
+        omega = math.exp(log_omega)
+        params = lee.LeeParams(omega, omega * math.exp(log_ratio), math.exp(log_kappa2))
+        pole = lee.second_sheet_pole(params)
+        assert pole.residual <= 1e-10 * max(1.0, abs(pole.location))
+        assert pole.location.imag < 0.0
+        # a wrong root would move the independent residue-plus-cut route apart
+        assert abs(lee.amplitude_second_sheet(params, t).total - lee.amplitude_residue_cut(params, t)) < 1e-6
+
 
 class TestAmplitudes:
     def test_free_evolution(self):
@@ -279,6 +331,20 @@ class TestAmplitudes:
         assert abs(parts.resonance_term) < 1e-8
         assert abs(parts.total - parts.line_term - parts.real_pole_term) < 1e-8
         assert abs(parts.line_term) > 10.0 * abs(parts.resonance_term)
+
+    def test_second_sheet_takes_scalar_or_grid(self):
+        params = lee.LeeParams(1.0, 0.1, 0.3)
+        times = np.linspace(0.0, 400.0, 9)
+        grid = lee.amplitude_second_sheet(params, times)
+        fields = ("total", "real_pole_term", "resonance_term", "line_term")
+        for k, t in enumerate(times):
+            point = lee.amplitude_second_sheet(params, t)
+            for field in fields:
+                assert type(getattr(point, field)) is complex
+                assert getattr(point, field) == pytest.approx(getattr(grid, field)[k], abs=1e-12)
+        assert all(getattr(grid, field).shape == times.shape for field in fields)
+        values = lee.survival(params, times, method="second_sheet").values
+        assert np.array_equal(values, np.clip(np.abs(grid.total) ** 2, 0.0, 1.0))
 
     def test_direct_rejects_negative_time(self):
         with pytest.raises(ValueError):
