@@ -35,7 +35,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from . import hamiltonian as ham
 from .closedform import chain_modes
@@ -163,8 +162,13 @@ def draw_realization(spec: ham.HamiltonianSpec, stream: int = 0) -> Draw:
     arrowhead product for the diagonal environment, the built matrix otherwise."""
     model = spec.model
     if isinstance(model, ham.Chain):
-        h = sparse.diags([model.g, model.omega, model.g], [-1, 0, 1], shape=(model.n, model.n))
-        return Draw(model.n, h.dot, lambda: ham.build(spec), modes=chain_modes(model))
+        def matvec(x: np.ndarray) -> np.ndarray:
+            y = model.omega * x
+            y[1:] += model.g * x[:-1]
+            y[:-1] += model.g * x[1:]
+            return y
+
+        return Draw(model.n, matvec, lambda: ham.build(spec), modes=chain_modes(model))
     if isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL:
         matvec, lo, hi = _arrowhead(spec, stream)
         return Draw(model.n, matvec, lambda: ham.build(spec, stream), (lo, hi))

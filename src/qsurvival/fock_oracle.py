@@ -19,12 +19,15 @@ The operators are sparse CSR matrices; the evolution is Chebyshev propagation
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .series import SurvivalSeries
 from .spectral import chebyshev_amplitude, gershgorin_bounds
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "FullSpaceModel",
@@ -75,6 +78,9 @@ def _operator(diagonal, links: np.ndarray, flips: np.ndarray, values: np.ndarray
     holds under 2^23 entries), which speeds up the matrix-vector products of the
     evolution at the largest sizes.
     """
+    # imported here so that importing this module (the CLI reads MAX_QUBITS) loads no scipy
+    from scipy import sparse
+
     dim, count = links.shape
     if diagonal is not None:
         links = np.column_stack([np.ones(dim, dtype=bool), links])

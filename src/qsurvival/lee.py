@@ -27,8 +27,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import j1 as _scipy_j1
 
 from .series import SurvivalSeries
 from .spectral import phase_sum
@@ -71,6 +69,10 @@ _DIRECT_TOL = 1e-7
 # Log-offset below which a real pole is unrepresentable in doubles; its
 # residue is then far below any tolerance and the pole list is empty.
 _LOG_OFFSET_FLOOR = -745.0
+# Steps allowed in the real-pole solve. Of any two steps in a row one at least
+# halves the bracket, which starts under 2^11 wide and stops above
+# 1e-15 > 2^-50 wide, so 122 steps always suffice.
+_REAL_POLE_MAX_ITER = 128
 
 
 class QuadratureError(RuntimeError):
@@ -86,7 +88,7 @@ class BranchPointError(ValueError):
 
 
 class PoleSearchError(RuntimeError):
-    """Newton iteration for the resonance pole failed to converge."""
+    """A pole search failed to converge."""
 
 
 @dataclass(frozen=True)
@@ -245,9 +247,10 @@ def real_poles(params: LeeParams) -> list[RealPole]:
 
     The equation is odd in x - omega, so the two roots come in a symmetric
     pair with equal residues. The root offset from the cut edge is found in
-    log space (at weak coupling it is exponentially small); when it falls
-    below the double-precision floor the list is empty, which the t = 0 sum
-    rule then attributes entirely to the cut.
+    log space (at weak coupling it is exponentially small), where the pole
+    equation is increasing, by :func:`_increasing_root`; when it falls below
+    the double-precision floor the list is empty, which the t = 0 sum rule
+    then attributes entirely to the cut.
     """
     w, d, k2 = params.omega, params.delta, params.kappa2
     if k2 == 0.0:
@@ -257,17 +260,54 @@ def real_poles(params: LeeParams) -> list[RealPole]:
         # pole equation at x = omega + delta + e^s
         return d + math.exp(s) + w * k2 * (s - math.log(2.0 * d + math.exp(s)))
 
+    def slope(s: float) -> float:
+        return math.exp(s) + 2.0 * d * w * k2 / (2.0 * d + math.exp(s))
+
     if logged(_LOG_OFFSET_FLOOR) > 0.0:
         return []
     s_hi = math.log(max(10.0 * d, 3.0 * math.sqrt(2.0 * w * d * k2), 10.0 * w))
-    s_root = brentq(logged, _LOG_OFFSET_FLOOR, s_hi, xtol=1e-15, rtol=8.9e-16)
-    offset = math.exp(s_root)
+    offset = math.exp(_increasing_root(logged, slope, _LOG_OFFSET_FLOOR, s_hi))
     u = d + offset
     # residue 1/(1 + w k2 L'(x)) with L'(x) = 2 d / q, q = u^2 - d^2 evaluated
     # stably; written as q / (q + 2 w k2 d) so that q underflowing to 0 gives 0
     q = offset * (2.0 * d + offset)
     residue = q / (q + 2.0 * w * k2 * d)
     return [RealPole(w - u, residue, offset), RealPole(w + u, residue, offset)]
+
+
+def _increasing_root(f, slope, lo: float, hi: float) -> float:
+    """Root of the increasing ``f`` in [lo, hi], with f(lo) <= 0 < f(hi).
+
+    Each step is a Newton step from the bracket end of smaller |f|, or a
+    bisection where that step would leave the bracket or the step before
+    did not halve it. A Newton step shorter than half the tolerance is
+    lengthened to it, so that it crosses the root and closes the bracket.
+    The solve stops as ``scipy.optimize.brentq`` does, when the bracket is
+    narrower than 1e-15 + 8.9e-16 |s| at its end s of smaller |f|, and
+    returns that end; it raises :class:`PoleSearchError` after
+    ``_REAL_POLE_MAX_ITER`` steps.
+    """
+    f_lo, f_hi = f(lo), f(hi)
+    last = math.inf
+    for _ in range(_REAL_POLE_MAX_ITER):
+        s, f_s = (lo, f_lo) if -f_lo < f_hi else (hi, f_hi)
+        tol = 1e-15 + 8.9e-16 * abs(s)
+        width = hi - lo
+        if f_s == 0.0 or width < tol:
+            return s
+        step = f_s / slope(s)
+        if abs(step) < 0.5 * tol:
+            step = math.copysign(0.5 * tol, step)
+        x = s - step
+        if not lo < x < hi or width > 0.5 * last:
+            x = 0.5 * (lo + hi)
+        last = width
+        f_x = f(x)
+        if f_x <= 0.0:
+            lo, f_lo = x, f_x
+        else:
+            hi, f_hi = x, f_x
+    raise PoleSearchError(f"real-pole solve did not converge; bracket [{lo!r}, {hi!r}]")
 
 
 def real_pole_equation(params: LeeParams, pole: RealPole) -> float:
@@ -371,8 +411,12 @@ def _seam_nodes(pole_depth: float, d: float, s_max: float):
 
     Geometric spacing resolves both the log feature at the branch point and
     the e^{-s t} factor at every t; a cluster at the resonance depth resolves
-    the Lorentzian the pole projects onto the seam (horizontal distance d)."""
-    pts = np.append(np.geomspace(1e-16, s_max, 700), _cluster(pole_depth, d / 64.0, 64.0 * d, 1.6))
+    the Lorentzian the pole projects onto the seam (horizontal distance d).
+    The cluster reaches 64 d or a quarter of the depth, whichever is wider:
+    the geometric grid is about 8% of s apart, too coarse for the Lorentzian
+    tail when the band is narrow and the pole deep."""
+    reach = max(64.0 * d, 0.25 * pole_depth)
+    pts = np.append(np.geomspace(1e-16, s_max, 700), _cluster(pole_depth, d / 64.0, reach, 1.6))
     return _panels(pts, 0.0, s_max)
 
 
@@ -591,13 +635,17 @@ def _check_times(times: np.ndarray):
 
 
 def _wigner_closed_form(params: WignerSemicircle, times: np.ndarray) -> np.ndarray:
-    # amplitude e^{-i omega t} J1(2 sigma t)/(sigma t); probability is its square
+    # amplitude e^{-i omega t} J1(2 sigma t)/(sigma t); probability is its square.
+    # scipy's J1, independent of closedform.bessel_j, is imported here so that
+    # the box routes load no scipy
+    from scipy.special import j1
+
     s = params.sigma
     x = 2.0 * s * times
     ratio = np.ones_like(times)
     small = np.abs(x) < 1e-8
     big = ~small
-    ratio[big] = 2.0 * _scipy_j1(x[big]) / x[big]
+    ratio[big] = 2.0 * j1(x[big]) / x[big]
     ratio[small] = 1.0 - x[small] ** 2 / 8.0
     return ratio**2
 

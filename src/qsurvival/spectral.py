@@ -13,8 +13,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.fft import dct
-from scipy.special import jv
 
 from .series import SurvivalSeries
 
@@ -306,6 +304,10 @@ def chebyshev_amplitude(
     Raises :class:`BoundsError` if a moment shows that the spectrum seen from
     e_start is not inside [lo, hi].
     """
+    # imported here so that a process that never propagates loads no scipy
+    from scipy.fft import dct
+    from scipy.special import jv
+
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
