@@ -12,8 +12,11 @@ checked against this module; the tests check the rule itself against literal
 Kronecker products of 2x2 matrices.
 
 The operators are sparse CSR matrices; the evolution is Chebyshev propagation
-(:func:`spectral.chebyshev_amplitude`) inside Gershgorin bounds of the whole
-2^n matrix, so no step uses the one-excitation restriction it checks.
+(:func:`spectral.chebyshev_amplitude`) inside the Ritz bounds of a Lanczos run
+from the start state (:func:`spectral.lanczos_bounds`), with Gershgorin bounds
+of the whole 2^n matrix as the fallback should the moment check refuse them.
+The Krylov space of the start state finds its sector by itself, so no step
+uses the one-excitation restriction it checks.
 """
 
 from __future__ import annotations
@@ -24,7 +27,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .series import SurvivalSeries
-from .spectral import chebyshev_amplitude, gershgorin_bounds
+from .spectral import BoundsError, chebyshev_amplitude, gershgorin_bounds, lanczos_bounds
 
 if TYPE_CHECKING:
     from scipy import sparse
@@ -167,10 +170,21 @@ def sector_block(model: FullSpaceModel, k: int) -> np.ndarray:
 
 def full_survival(model: FullSpaceModel, times) -> SurvivalSeries:
     """Survival probability of the localized excitation evolved in 2^n space,
-    with the ``terms`` and ``tail_bound`` of its Chebyshev expansion."""
+    with the ``terms`` and ``tail_bound`` of its Chebyshev expansion.
+
+    The expansion runs inside the Ritz bounds of a Lanczos run from the start
+    state, which reaches only the start state's sector; should a moment show
+    that they miss part of what the start state sees, it runs again inside
+    Gershgorin bounds of the whole 2^n matrix.
+    """
     _check_size(model.n_qubits)
     h = model.hamiltonian
-    lo, hi = gershgorin_bounds(h)
-    amplitude = chebyshev_amplitude(h.dot, h.shape[0], lo, hi, times, start=model.initial_state)
+    dim, start = h.shape[0], model.initial_state
+    try:
+        lo, hi = lanczos_bounds(h.dot, dim, start=start)
+        amplitude = chebyshev_amplitude(h.dot, dim, lo, hi, times, start=start)
+    except BoundsError:
+        lo, hi = gershgorin_bounds(h)
+        amplitude = chebyshev_amplitude(h.dot, dim, lo, hi, times, start=start)
     return SurvivalSeries(times, np.abs(amplitude.values) ** 2, "chebyshev",
                           amplitude.terms, amplitude.tail_bound)

@@ -258,7 +258,8 @@ def real_poles(params: LeeParams) -> list[RealPole]:
 
     def logged(s: float) -> float:
         # pole equation at x = omega + delta + e^s
-        return d + math.exp(s) + w * k2 * (s - math.log(2.0 * d + math.exp(s)))
+        offset = math.exp(s)
+        return d + offset + w * k2 * _edge_log(s, offset, d)
 
     def slope(s: float) -> float:
         return math.exp(s) + 2.0 * d * w * k2 / (2.0 * d + math.exp(s))
@@ -273,6 +274,18 @@ def real_poles(params: LeeParams) -> list[RealPole]:
     q = offset * (2.0 * d + offset)
     residue = q / (q + 2.0 * w * k2 * d)
     return [RealPole(w - u, residue, offset), RealPole(w + u, residue, offset)]
+
+
+def _edge_log(s: float, offset: float, d: float) -> float:
+    """s - ln(2d + offset) for offset = e^s, the log term of the pole equation.
+
+    Where offset > 2d it is -log1p(2d / offset): the two logs of the plain form
+    then nearly cancel (strong coupling, narrow band), and their rounding
+    would fix the root only to about eps omega kappa2 (|s| + 1) over the slope.
+    """
+    if offset > 2.0 * d:
+        return -math.log1p(2.0 * d / offset)
+    return s - math.log(2.0 * d + offset)
 
 
 def _increasing_root(f, slope, lo: float, hi: float) -> float:
@@ -315,8 +328,7 @@ def real_pole_equation(params: LeeParams, pole: RealPole) -> float:
     w, d, k2 = params.omega, params.delta, params.kappa2
     if math.isinf(pole.cut_offset):
         return pole.location - w
-    s = math.log(pole.cut_offset)
-    return d + pole.cut_offset + w * k2 * (s - math.log(2.0 * d + pole.cut_offset))
+    return d + pole.cut_offset + w * k2 * _edge_log(math.log(pole.cut_offset), pole.cut_offset, d)
 
 
 def second_sheet_pole(params: LeeParams) -> ResonancePole:

@@ -46,7 +46,7 @@ _DIRECT_ENTRIES = 250_000
 # a Chebyshev moment beyond 1 + this (plus a round-off allowance) in modulus means
 # the spectrum is not inside [lo, hi]
 _MOMENT_TOL = 1e-10
-# plain Lanczos steps behind the Ritz bounds, and the widening of the Ritz span on each side
+# cap on the plain Lanczos steps behind the Ritz bounds, and the widening of the Ritz span on each side
 LANCZOS_STEPS = 60
 _RITZ_MARGIN = 0.05
 # Chebyshev orders whose |J_k(a t)| stays below this everywhere on the grid are dropped
@@ -190,33 +190,57 @@ class ChebyshevAmplitude:
     tail_bound: float
 
 
-def lanczos_bounds(matvec, n: int) -> tuple[float, float]:
-    """An interval for Chebyshev propagation from e_1: the extreme Ritz
-    values of 60 plain Lanczos steps, each widened by 5% of their span.
+def _last_component(alpha, beta, theta: float) -> float:
+    """|y_K| of the unit eigenvector y of the K x K Jacobi matrix with diagonal
+    ``alpha`` and off-diagonal ``beta`` at its eigenvalue ``theta``, in O(K).
 
-    The steps run from e_1 without reorthogonalization, and stop early
-    where the Krylov space closes; the Ritz values are the eigenvalues of the
-    Jacobi matrix they build (Golub & Meurant, *Matrices, Moments and
-    Quadrature*, 2010). Ritz values lie inside the spectrum, and the extreme
-    ones converge first, so the margin covers what is left; the moment check
-    of :func:`chebyshev_amplitude` refuses an interval it does not cover.
+    The components of y are the Lanczos polynomials p_0 = 1, ..., p_{K-1} at
+    theta, from beta_j p_j = (theta - alpha_j) p_{j-1} - beta_{j-1} p_{j-2}. Past
+    the range of doubles the result is 0 where an earlier component overflows
+    (y_K is then negligible), or nan, which no stop test accepts.
+    """
+    previous, p, total = 0.0, 1.0, 1.0
+    for a, b_previous, b in zip(alpha, [0.0, *beta], beta):
+        previous, p = p, ((theta - a) * p - b_previous * previous) / b
+        total += p * p
+    return abs(p) / math.sqrt(total)
+
+
+def lanczos_bounds(matvec, n: int, start: int = 0) -> tuple[float, float]:
+    """An interval for Chebyshev propagation from e_start: the extreme Ritz
+    values of a plain Lanczos run from e_start, each widened by 5% of their span.
+
+    The steps run without reorthogonalization; the Ritz values are the
+    eigenvalues of the Jacobi matrix they build (Golub & Meurant, *Matrices,
+    Moments and Quadrature*, 2010). After K steps, the Ritz pair (theta, y)
+    has residual beta_K |y_K|, with beta_K the norm of the next Lanczos vector
+    before it is normalized, and some eigenvalue lies within that residual of
+    theta (Paige, J. Inst. Math. Appl. 18, 341 (1976); Parlett, *The
+    Symmetric Eigenvalue Problem*, 1980, ch. 13). The run stops once both
+    extreme pairs have a residual of at most a fifth of the margin, at an
+    exact breakdown (beta_K = 0), or after ``LANCZOS_STEPS`` steps.
+
+    Ritz values lie inside the spectrum, and the margin covers what is left.
+    A level of small weight that the run has not yet found can still lie
+    outside; the moment check of :func:`chebyshev_amplitude` refuses an
+    interval that does not cover what the start vector sees.
     """
     alpha, beta = [], [0.0]
     previous = np.zeros(n)
     current = np.zeros(n)
-    current[0] = 1.0
-    while len(alpha) < min(LANCZOS_STEPS, n):
+    current[start] = 1.0
+    for _ in range(min(LANCZOS_STEPS, n)):
         w = matvec(current) - beta[-1] * previous
         alpha.append(float(current @ w))
         w -= alpha[-1] * current
         norm = float(np.linalg.norm(w))
-        if norm <= np.finfo(float).eps * (abs(alpha[-1]) + beta[-1]):
+        off = beta[1:]
+        ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
+        margin = _RITZ_MARGIN * float(ritz[-1] - ritz[0])
+        if all(norm * _last_component(alpha, off, theta) <= 0.2 * margin for theta in (ritz[0], ritz[-1])):
             break
         beta.append(norm)
         previous, current = current, w / norm
-    off = beta[1 : len(alpha)]
-    ritz = np.linalg.eigvalsh(np.diag(alpha) + np.diag(off, 1) + np.diag(off, -1))
-    margin = _RITZ_MARGIN * float(ritz[-1] - ritz[0])
     return float(ritz[0]) - margin, float(ritz[-1]) + margin
 
 

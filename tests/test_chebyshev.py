@@ -275,3 +275,39 @@ class TestBounds:
         # levels it cannot reach leave the interval
         h = np.diag([2.0, -7.0, 9.0])
         assert spectral.lanczos_bounds(h.dot, 3) == (2.0, 2.0)
+
+
+@st.composite
+def dense_draws(draw):
+    """A FULL-environment or Rosenzweig-Porter spec of 50..600 qubits, which
+    propagates inside Lanczos bounds wherever Chebyshev is the cheaper route."""
+    n = draw(st.integers(50, 600))
+    if draw(st.booleans()):
+        model = ham.RosenzweigPorter(n, draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 1.0)))
+    else:
+        law = draw(st.one_of(st.just(ham.GaussianCouplings()), st.floats(0.0, 0.05).map(ham.UniformCouplings)))
+        model = ham.Experimental(n, draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 0.5)),
+                                 draw(st.floats(0.0, 1.0)), law, ham.Environment.FULL)
+    return ham.HamiltonianSpec(model, seed=draw(st.integers(0, 2**63)))
+
+
+class TestLanczosStop:
+    def test_rosenzweig_porter_stops_well_before_the_cap(self):
+        # the extreme Ritz pairs converge after 18-31 products over seeds 1-8,
+        # well before the cap of LANCZOS_STEPS = 60
+        spec = ham.HamiltonianSpec(ham.RosenzweigPorter(2000, 1.0, 0.0122), seed=3)
+        draw = ensemble.draw_realization(spec)
+        products = []
+        lo, hi = spectral.lanczos_bounds(lambda x: products.append(1) or draw.matvec(x), 2000)
+        assert len(products) <= 40
+        levels = np.linalg.eigvalsh(draw.build())
+        assert lo <= levels[0] and levels[-1] <= hi
+
+    @given(dense_draws(), st.integers(0, 50), st.floats(1.0, 400.0), st.integers(2, 201))
+    @settings(max_examples=30, deadline=None)
+    def test_survival_matches_the_eigensolve(self, spec, stream, tmax, points):
+        times = np.linspace(0.0, tmax, points)
+        draw = ensemble.draw_realization(spec, stream)
+        series = draw.survival(times)
+        exact = spectral.survival_probability(draw.decompose(), times).values
+        assert np.max(np.abs(series.values - exact)) <= 1e-10

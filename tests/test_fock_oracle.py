@@ -340,3 +340,60 @@ class TestSparseOracle:
         assert peak < 4**n  # bytes: an eighth of one dense 2^n x 2^n float64 matrix
         assert np.max(np.abs(full.values - sector.values)) <= 1e-10
         assert full.tail_bound < 1e-16
+
+
+class TestLanczosInterval:
+    """The oracle propagates inside Ritz bounds from its start state, and falls
+    back to Gershgorin bounds of the whole 2^n matrix when the moments refuse them."""
+
+    def test_premature_stop_falls_back_to_gershgorin(self):
+        # the Lanczos run stops after four steps, before it finds the lowest level
+        # (weight 1.3e-5); the moment check refuses the interval
+        model = ham.Experimental(5, omega=1.0, delta=0.15593218021629082, sigma=0.23894699699947247,
+                                 env=ham.Environment.FULL)
+        h = ham.build(ham.HamiltonianSpec(model, seed=2443627535655194837))
+        decomposition = spectral.decompose(h)
+        full_space = fock_oracle.from_single_particle(h)
+        dim, start = 2**5, full_space.initial_state
+        lo, hi = spectral.lanczos_bounds(full_space.hamiltonian.dot, dim, start=start)
+        assert lo > decomposition.eigenvalues[0] and 1e-5 < decomposition.weights[0] < 2e-5
+        times = np.linspace(-5.0, 30.0, 141)
+        with pytest.raises(spectral.BoundsError):
+            spectral.chebyshev_amplitude(full_space.hamiltonian.dot, dim, lo, hi, times, start=start)
+        full = fock_oracle.full_survival(full_space, times)
+        wide = spectral.chebyshev_amplitude(full_space.hamiltonian.dot, dim,
+                                            *spectral.gershgorin_bounds(full_space.hamiltonian), times, start=start)
+        assert full.terms == wide.terms
+        sector = spectral.survival_probability(decomposition, times)
+        assert np.max(np.abs(full.values - sector.values)) <= 1e-10
+
+    def test_too_narrow_interval_falls_back_to_gershgorin(self, rng, monkeypatch):
+        spec = random_experimental_spec(rng, n=7, env=ham.Environment.FULL)
+        h = ham.build(spec)
+        levels = np.linalg.eigvalsh(h)
+        narrow = (levels[0] + 0.2 * (levels[-1] - levels[0]), levels[-1] - 0.2 * (levels[-1] - levels[0]))
+        calls = []
+        monkeypatch.setattr(fock_oracle, "lanczos_bounds", lambda *args, **kwargs: calls.append(kwargs) or narrow)
+        times = np.linspace(0.0, 25.0, 101)
+        full = fock_oracle.full_survival(fock_oracle.from_single_particle(h), times)
+        sector = spectral.survival_probability(spectral.decompose(h), times)
+        assert calls == [{"start": fock_oracle.from_single_particle(h).initial_state}]
+        assert np.max(np.abs(full.values - sector.values)) <= 1e-10
+
+    def test_ten_qubits_stop_at_the_sector_and_keep_few_terms(self, rng):
+        n = 10
+        h = ham.build(random_experimental_spec(rng, n=n, env=ham.Environment.FULL))
+        model = fock_oracle.from_single_particle(h)
+        products = []
+        dot = model.hamiltonian.dot
+        model.hamiltonian.dot = lambda x: products.append(1) or dot(x)
+        times = np.linspace(0.0, 20.0, 101)
+        full = fock_oracle.full_survival(model, times)
+        # at most n + 1 Lanczos steps (the sector has dimension n), and
+        # ceil(terms / 2) + 1 products for the moments
+        assert len(products) <= n + 1 + -(-full.terms // 2) + 1
+        wide = spectral.chebyshev_amplitude(dot, 2**n, *spectral.gershgorin_bounds(model.hamiltonian), times,
+                                            start=model.initial_state)
+        assert 3 * full.terms < wide.terms
+        sector = spectral.survival_probability(spectral.decompose(h), times)
+        assert np.max(np.abs(full.values - sector.values)) <= 1e-10

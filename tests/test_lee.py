@@ -3,6 +3,7 @@ import json
 import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -218,6 +219,24 @@ class TestRealPoles:
         assert lee.real_poles(lee.LeeParams(w, d, edge * (1.0 - 1e-9))) == []
         inside = lee.real_poles(lee.LeeParams(w, d, edge * (1.0 + 1e-9)))
         assert len(inside) == 2 and inside[0].cut_offset < 1e-300 and inside[0].residue == 0.0
+
+    def test_strong_coupling_root_is_fixed_to_round_off(self):
+        # e^s = 2.8 >> 2 delta: the plain form s - ln(2 delta + e^s) of the log term
+        # cancels, and its rounding (about eps omega kappa2 (|s| + 1) = 2e-11) left
+        # an equation residual of 7e-12 at the root it found
+        params = lee.LeeParams(22.0, 4.3e-5, 4155.0)
+        w, d, k2 = params.omega, params.delta, params.kappa2
+        pole = lee.real_poles(params)[1]
+        with mpmath.workdps(50):
+            x = mpmath.mpf(pole.cut_offset)
+            log_term = mpmath.log(x) - mpmath.log(2 * d + x)
+            residual = float(d + x + mpmath.mpf(w) * k2 * log_term)
+            slope = float(x + 2 * d * w * k2 / (2 * d + x))
+        s = math.log(pole.cut_offset)
+        # round-off of the terms, plus the solver's bracket width times the slope
+        round_off = 4.0 * np.finfo(float).eps * (d + pole.cut_offset + w * k2 * abs(float(log_term)))
+        assert abs(residual) <= slope * (1e-15 + 8.9e-16 * abs(s)) + round_off
+        assert abs(lee.real_pole_equation(params, pole) - residual) <= round_off
 
     def test_unconverged_solve_is_refused(self, monkeypatch):
         monkeypatch.setattr(lee, "_REAL_POLE_MAX_ITER", 1)
