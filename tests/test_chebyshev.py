@@ -132,11 +132,11 @@ ROUTE_SIZES = st.integers(150, 700)
 
 
 @st.composite
-def finite_specs(draw, sizes=ROUTE_SIZES):
-    """Every finite model: FULL with Gaussian or uniform couplings, the diagonal
-    environment, Rosenzweig-Porter and the chain."""
+def finite_specs(draw, sizes=ROUTE_SIZES, kinds=("full", "full-uniform", "diagonal", "rp", "chain")):
+    """Every finite model, or those of ``kinds``: FULL with Gaussian or uniform
+    couplings, the diagonal environment, Rosenzweig-Porter and the chain."""
     n = draw(sizes)
-    kind = draw(st.sampled_from(["full", "full-uniform", "diagonal", "rp", "chain"]))
+    kind = draw(st.sampled_from(list(kinds)))
     if kind == "rp":
         model = ham.RosenzweigPorter(n, draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 1.0)))
     elif kind == "chain":
@@ -277,20 +277,6 @@ class TestBounds:
         assert spectral.lanczos_bounds(h.dot, 3) == (2.0, 2.0)
 
 
-@st.composite
-def dense_draws(draw):
-    """A FULL-environment or Rosenzweig-Porter spec of 50..600 qubits, which
-    propagates inside Lanczos bounds wherever Chebyshev is the cheaper route."""
-    n = draw(st.integers(50, 600))
-    if draw(st.booleans()):
-        model = ham.RosenzweigPorter(n, draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 1.0)))
-    else:
-        law = draw(st.one_of(st.just(ham.GaussianCouplings()), st.floats(0.0, 0.05).map(ham.UniformCouplings)))
-        model = ham.Experimental(n, draw(st.floats(0.2, 3.0)), draw(st.floats(0.0, 0.5)),
-                                 draw(st.floats(0.0, 1.0)), law, ham.Environment.FULL)
-    return ham.HamiltonianSpec(model, seed=draw(st.integers(0, 2**63)))
-
-
 class TestLanczosStop:
     def test_rosenzweig_porter_stops_well_before_the_cap(self):
         # the extreme Ritz pairs converge after 18-31 products over seeds 1-8,
@@ -303,7 +289,9 @@ class TestLanczosStop:
         levels = np.linalg.eigvalsh(draw.build())
         assert lo <= levels[0] and levels[-1] <= hi
 
-    @given(dense_draws(), st.integers(0, 50), st.floats(1.0, 400.0), st.integers(2, 201))
+    # draws that propagate inside Lanczos bounds wherever Chebyshev is the cheaper route
+    @given(finite_specs(st.integers(50, 600), ("full", "full-uniform", "rp")), st.integers(0, 50),
+           st.floats(1.0, 400.0), st.integers(2, 201))
     @settings(max_examples=30, deadline=None)
     def test_survival_matches_the_eigensolve(self, spec, stream, tmax, points):
         times = np.linspace(0.0, tmax, points)

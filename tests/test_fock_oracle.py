@@ -374,10 +374,11 @@ class TestLanczosInterval:
         narrow = (levels[0] + 0.2 * (levels[-1] - levels[0]), levels[-1] - 0.2 * (levels[-1] - levels[0]))
         calls = []
         monkeypatch.setattr(fock_oracle, "lanczos_bounds", lambda *args, **kwargs: calls.append(kwargs) or narrow)
+        model = fock_oracle.from_single_particle(h)
         times = np.linspace(0.0, 25.0, 101)
-        full = fock_oracle.full_survival(fock_oracle.from_single_particle(h), times)
+        full = fock_oracle.full_survival(model, times)
         sector = spectral.survival_probability(spectral.decompose(h), times)
-        assert calls == [{"start": fock_oracle.from_single_particle(h).initial_state}]
+        assert calls == [{"start": model.initial_state}]
         assert np.max(np.abs(full.values - sector.values)) <= 1e-10
 
     def test_ten_qubits_stop_at_the_sector_and_keep_few_terms(self, rng):
