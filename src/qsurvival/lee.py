@@ -38,6 +38,7 @@ __all__ = [
     "ResonancePole",
     "PoleSet",
     "QuadratureError",
+    "NodeBudgetError",
     "BranchPointError",
     "PoleSearchError",
     "coupling_from_gaussian",
@@ -57,6 +58,8 @@ __all__ = [
 ]
 
 _GL_NODES = 12
+# most Gauss-Legendre nodes one panel rule may build: about 300 MiB on the cut
+_NODE_BUDGET = 4_000_000
 # default spacing ratio of the breakpoints that ``_cluster`` puts around a center
 _CLUSTER_RATIO = 2.0
 # amplitude routes of ``survival``
@@ -81,6 +84,10 @@ class QuadratureError(RuntimeError):
     def __init__(self, message: str, achieved: float):
         self.achieved = achieved
         super().__init__(f"{message} (achieved {achieved:.3e})")
+
+
+class NodeBudgetError(RuntimeError):
+    """A quadrature rule would need more nodes than its memory budget."""
 
 
 class BranchPointError(ValueError):
@@ -390,11 +397,21 @@ def _panels(points, lo: float, hi: float, longest: float = math.inf):
     The cut and the line pass one period 2 pi / t of their largest time as
     ``longest``. By the Bernstein-ellipse bound 12 nodes integrate e^{-ixt}
     over a period to round-off: on [-1, 1] the error for e^{i theta u} is
-    2.2e-16 at a quarter period, 8.8e-16 at one and 2.9e-12 at two."""
+    2.2e-16 at a quarter period, 8.8e-16 at one and 2.9e-12 at two.
+
+    More than 4e6 nodes (about 300 MiB at the cut's 80 bytes a node) raise
+    :class:`NodeBudgetError` before any node is built."""
     pts = np.asarray(points, dtype=float)
     edges = np.unique(np.concatenate([[lo], pts[(pts > lo) & (pts < hi)], [hi]]))
     gaps = np.diff(edges)
-    count = np.maximum(np.ceil(gaps / longest), 1.0).astype(np.int64)
+    count = np.maximum(np.ceil(gaps / longest), 1.0)
+    nodes = float(count.sum()) * _GL_NODES
+    if not nodes <= _NODE_BUDGET:
+        raise NodeBudgetError(
+            f"the quadrature would need {nodes:.3g} nodes, over the budget of {_NODE_BUDGET:.3g};"
+            " at such long times use --method second_sheet, whose nodes do not grow with t"
+        )
+    count = count.astype(np.int64)
     ends = np.cumsum(count)
     k = np.arange(1, ends[-1] + 1) - np.repeat(ends - count, count)
     right = k * np.repeat(gaps / count, count) + np.repeat(edges[:-1], count)
@@ -402,7 +419,11 @@ def _panels(points, lo: float, hi: float, longest: float = math.inf):
     left = np.append(lo, right[:-1])
     xg, wg = np.polynomial.legendre.leggauss(_GL_NODES)
     mid, half = 0.5 * (left + right), 0.5 * (right - left)
-    return (mid[:, None] + half[:, None] * xg[None, :]).ravel(), (half[:, None] * wg[None, :]).ravel()
+    nodes = mid[:, None] + half[:, None] * xg[None, :]
+    # among subnormals mid and half round by a whole unit, enough to push a
+    # node out of its panel and across a point
+    np.clip(nodes, left[:, None], right[:, None], out=nodes)
+    return nodes.ravel(), (half[:, None] * wg[None, :]).ravel()
 
 
 def _cut_nodes(params: LeeParams, t_max: float):

@@ -51,6 +51,8 @@ LANCZOS_STEPS = 60
 _RITZ_MARGIN = 0.05
 # Chebyshev orders whose |J_k(a t)| stays below this everywhere on the grid are dropped
 _BESSEL_TAIL_TOL = 1e-16
+# Miller's recurrence rescales its values whenever one passes this
+_MILLER_LIMIT = 2.0**600
 
 
 class EigensolverError(RuntimeError):
@@ -292,6 +294,55 @@ def _chebyshev_moments(
     return mu[:count]
 
 
+def _dct3(x: np.ndarray) -> np.ndarray:
+    """y_j = x_0 + 2 sum_{k>=1} x_k cos(pi k (2j + 1) / (2m)) for j < m = x.size,
+    the unnormalized DCT-III, from one inverse real FFT of length m.
+
+    With V_k = e^{i pi k / (2m)} (x_k - i x_{m-k}) and x_m = 0, V is Hermitian
+    and v = m * irfft(V) holds y at the even indices, y_2l = v_l, and at the
+    odd ones in reverse, y_{2m-1-2l} = v_l (Makhoul, IEEE Trans. Acoust.
+    Speech Signal Process. 28, 27 (1980)).
+    """
+    m = x.size
+    k = np.arange(m // 2 + 1)
+    padded = np.append(x, 0.0)
+    v = np.fft.irfft(np.exp(0.5j * np.pi / m * k) * (padded[k] - 1j * padded[m - k]), m)
+    y = np.empty(m)
+    y[0::2] = v[: (m + 1) // 2]
+    y[1::2] = v[::-1][: m // 2]
+    return m * y
+
+
+def _bessel_column(x: float, first: int, last: int) -> np.ndarray:
+    """J_k(x) for first <= k <= last, at x >= 0.
+
+    Below x = 1e-8 each J_k is the leading power-series term (x/2)^k / k!,
+    whose next term is below 2.5e-17 of it. Otherwise by Miller's backward
+    recurrence f_{k-1} = (2k / x) f_k - f_{k+1} (Gautschi, SIAM Rev. 9, 24
+    (1967)), started from f = 1, 0 at 20 + 6 x^(1/3) orders above ``last``,
+    where J has fallen below e^-29 of J_last (for last = x + 12 x^(1/3) + 40 or
+    more), and run down to order 0; f is divided by 2^600 whenever it passes
+    2^600 in modulus, and the whole column is normalized by
+    J_0 + 2 sum_k J_2k = 1. That is O(x + last) scalar steps.
+    """
+    if x < 1e-8:
+        return np.cumprod(np.append(1.0, 0.5 * x / np.arange(1, last + 1)))[first:]
+    start = last + math.ceil(20.0 + 6.0 * np.cbrt(x))
+    values = []
+    append = values.append
+    previous, current = 0.0, 1.0
+    for factor in (np.arange(start, 0, -1) * (2.0 / x)).tolist():
+        append(current)
+        previous, current = current, factor * current - previous
+        if abs(current) > _MILLER_LIMIT:
+            previous /= _MILLER_LIMIT
+            current /= _MILLER_LIMIT
+            values[:] = [value / _MILLER_LIMIT for value in values]
+    append(current)
+    f = np.array(values[::-1])
+    return f[first : last + 1] / (f[0] + 2.0 * f[2::2].sum())
+
+
 def chebyshev_orders(lo: float, hi: float, times) -> int:
     """Chebyshev nodes M of the phase sum in :func:`chebyshev_amplitude` for
     the interval [lo, hi] on ``times``: ceil(x + 12 x^(1/3) + 40) with
@@ -320,18 +371,18 @@ def chebyshev_amplitude(
     midpoint rule on the M = :func:`chebyshev_orders` nodes
     theta_j = pi (j + 1/2) / M makes it the phase sum
     sum_j w_j e^{-i a cos(theta_j) t}, with w_j = g(theta_j) / M from one
-    DCT-III of the moments. The first Bessel order the rule aliases,
-    2M - terms, is at least M, far into the dropped tail. The centre phase
-    stays outside the sum, so phase rounding grows with a |t|, not |b| |t|.
+    DCT-III of the moments, taken by one inverse real FFT of length M. The
+    first Bessel order the rule aliases, 2M - terms, is at least M, far into
+    the dropped tail. The centre phase stays outside the sum, so phase
+    rounding grows with a |t|, not |b| |t|.
+
+    The term count reads one column J_k(a max|t|), k = floor(a max|t|), ..., M,
+    computed by Miller's backward recurrence.
 
     Any grid works: times may be unsorted, negative or non-uniform.
     Raises :class:`BoundsError` if a moment shows that the spectrum seen from
     e_start is not inside [lo, hi].
     """
-    # imported here so that a process that never propagates loads no scipy
-    from scipy.fft import dct
-    from scipy.special import jv
-
     times = np.atleast_1d(np.asarray(times, dtype=float))
     if not np.all(np.isfinite(times)):
         raise ValueError("times must be finite")
@@ -345,11 +396,11 @@ def chebyshev_amplitude(
     # 1e-16, so the last order kept is at least floor(x)
     x_max = radius * float(np.max(np.abs(times), initial=0.0))
     first = math.floor(x_max)
-    column = np.abs(jv(np.arange(first, nodes + 1), x_max))
+    column = np.abs(_bessel_column(x_max, first, nodes))
     terms = first + int(np.flatnonzero(column >= _BESSEL_TAIL_TOL)[-1]) + 1
     tail = float(column[terms - first :].max(initial=0.0))
     moments = _chebyshev_moments(matvec, n, center, radius, terms, start)
-    weights = dct(np.pad(moments, (0, nodes - terms)), type=3) / nodes
+    weights = _dct3(np.pad(moments, (0, nodes - terms))) / nodes
     levels = radius * np.cos(np.pi * (np.arange(nodes) + 0.5) / nodes)
     values = np.exp(-1j * center * times) * phase_sum(levels, weights, times)
     return ChebyshevAmplitude(values, terms, tail)

@@ -1,11 +1,14 @@
 """The Chebyshev propagator and its term count against independent routes."""
 
+import math
 import tracemalloc
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.fft import dct
 from scipy.special import jv
 
 from qsurvival import ensemble, spectral
@@ -23,6 +26,58 @@ class TestTermCount:
         terms = int(np.flatnonzero(column >= 1e-16)[-1]) + 1
         assert amplitude.terms == terms
         np.testing.assert_allclose(amplitude.tail_bound, column[terms:].max(), rtol=1e-9, atol=0.0)
+
+    @given(st.floats(math.log(1e-3), math.log(3e4)).map(math.exp))
+    @settings(max_examples=40, deadline=None)
+    def test_miller_column_matches_jv(self, x):
+        first, last = math.floor(x), spectral.chebyshev_orders(-1.0, 1.0, [x])
+        column = spectral._bessel_column(x, first, last)
+        reference = jv(np.arange(first, last + 1), x)
+        kept = np.abs(reference) >= 1e-300
+        np.testing.assert_allclose(column[kept], reference[kept], rtol=1e-10, atol=0.0)
+        assert (np.flatnonzero(np.abs(column) >= 1e-16)[-1]
+                == np.flatnonzero(np.abs(reference) >= 1e-16)[-1])
+
+    @pytest.mark.parametrize("x", [1e-30, 3e-9, 2e-8, 0.7, 39.9, 3111.0])
+    def test_column_matches_mpmath(self, x):
+        first, last = math.floor(x), spectral.chebyshev_orders(-1.0, 1.0, [x])
+        orders = np.unique(np.linspace(first, last, 7).round().astype(int))
+        column = spectral._bessel_column(x, first, last)[orders - first]
+        with mpmath.workdps(20):
+            reference = np.array([float(mpmath.besselj(int(k), x)) for k in orders])
+        kept = np.abs(reference) >= 1e-300
+        np.testing.assert_allclose(column[kept], reference[kept], rtol=1e-12, atol=0.0)
+        assert np.all(np.abs(column[~kept]) < 1e-299)
+
+    def test_column_matches_mpmath_at_the_cut_of_a_long_grid(self):
+        x = 3e4
+        first, last = math.floor(x), spectral.chebyshev_orders(-1.0, 1.0, [x])
+        column = spectral._bessel_column(x, first, last)
+        cut = int(np.flatnonzero(np.abs(column) >= 1e-16)[-1])
+        with mpmath.workdps(20):
+            reference = float(mpmath.besselj(first + cut, x, maxterms=10**6, maxprec=10**5))
+        assert column[cut] == pytest.approx(reference, rel=1e-12)
+
+    @pytest.mark.parametrize("x", [5e-324, 1e-300, 1e-200])
+    def test_tiny_argument_keeps_one_term(self, x):
+        amplitude = spectral.chebyshev_amplitude(lambda v: 0.0 * v, 1, -1.0, 1.0, [x])
+        assert amplitude.terms == 1
+        assert amplitude.tail_bound == pytest.approx(0.5 * x, rel=1e-12)
+
+
+class TestDct:
+    @staticmethod
+    def assert_matches_scipy(x):
+        assert np.max(np.abs(spectral._dct3(x) - dct(x, type=3))) <= 1e-13 * np.abs(x).sum()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, 7, 41, 340, 4097])
+    def test_matches_scipy(self, size, rng):
+        self.assert_matches_scipy(rng.standard_normal(size))
+
+    @given(st.integers(1, 3000), st.integers(0, 2**32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_matches_scipy_at_any_size(self, size, seed):
+        self.assert_matches_scipy(np.random.default_rng(seed).standard_normal(size))
 
 
 @st.composite

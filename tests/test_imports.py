@@ -1,11 +1,13 @@
 """The command line loads scipy only on the routes that use it.
 
 A fresh ``qsurvival`` call is mostly import time, and scipy was most of that.
-Chebyshev propagation (``ensemble``, ``bound``, ``oracle-check``), the
-full-space operators of ``fock_oracle`` and the semicircle closed form import
-it inside the functions that need it, so ``import qsurvival.cli``, the box
-density's ``lee`` routes and a ``poles`` sweep load no scipy module. Each check
-runs in a fresh interpreter, where no other test has imported scipy.
+Only the full-space operators of ``fock_oracle`` (``scipy.sparse``) and the
+semicircle closed form (``scipy.special.j1``) use it, each imported inside the
+function that needs it. So ``import qsurvival.cli``, the box density's ``lee``
+routes, a ``poles`` sweep and Chebyshev propagation in ``ensemble`` and
+``bound`` load no scipy module, and ``oracle-check`` loads only
+``scipy.sparse``. Each check runs in a fresh interpreter, where no other test
+has imported scipy.
 """
 
 import json
@@ -43,16 +45,61 @@ print(json.dumps(report))
 """
 
 
-def test_cli_import_and_box_routes_load_no_scipy(tmp_path):
+CHEBYSHEV_SCRIPT = """
+import json, os, sys
+
+import qsurvival.cli as cli
+
+
+def scipy_modules():
+    return sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+
+
+out = sys.argv[1]
+grid = ["--tmax", "400", "--points", "101"]
+experimental = ["--model", "experimental", "--omega", "1", "--delta", "0.1", "--sigma", "0.01224745"]
+calls = {
+    "diagonal": ["ensemble", *experimental, "--env", "diagonal", "--n", "2000", "--realizations", "2"],
+    "full": ["ensemble", *experimental, "--env", "full", "--n", "800", "--realizations", "2"],
+    "rp": ["bound", "--model", "rp", "--n", "2000", "--omega", "1", "--sigma", "0.01224745"],
+}
+report = {"codes": [], "routes": []}
+for stem, argv in calls.items():
+    report["codes"].append(cli.main([*argv, "--seed", "3", *grid, "--out", os.path.join(out, stem + ".csv")]))
+    with open(os.path.join(out, stem + ".annotations.json")) as fh:
+        report["routes"].append(json.load(fh)["route"])
+report["propagate"] = scipy_modules()
+report["codes"].append(cli.main([
+    "oracle-check", "--count", "4", "--max-qubits", "6", "--seed", "1", "--out", os.path.join(out, "oracle.json"),
+]))
+report["oracle"] = scipy_modules()
+print(json.dumps(report))
+"""
+
+
+def fresh_report(script, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsurvival.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", SCRIPT, str(tmp_path)], env=env,
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_cli_import_and_box_routes_load_no_scipy(tmp_path):
+    report = fresh_report(SCRIPT, tmp_path)
     assert report["codes"] == [0, 0, 0, 0]
     assert report["import"] == []
     assert report["run"] == []
+
+
+def test_chebyshev_propagation_loads_no_scipy(tmp_path):
+    report = fresh_report(CHEBYSHEV_SCRIPT, tmp_path)
+    assert report["codes"] == [0, 0, 0, 0]
+    assert report["routes"] == ["chebyshev"] * 3
+    assert report["propagate"] == []
+    assert "scipy.sparse" in report["oracle"]
+    assert [name for name in report["oracle"] if name.startswith(("scipy.special", "scipy.fft"))] == []
 
 
 def test_max_qubits_choices_read_the_oracle_guard():

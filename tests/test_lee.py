@@ -448,6 +448,7 @@ class TestPanelRule:
         st.lists(st.floats(-0.5, 1.5), max_size=30),
         st.one_of(st.just(math.inf), st.floats(5e-4, 2.0)),
     )
+    @example(lo=0.0, width=3.0, fractions=[5e-324], share=math.inf)
     @settings(max_examples=60, deadline=None)
     def test_panels_hold_every_point_and_respect_the_longest_panel(self, lo, width, fractions, share):
         hi = lo + width
@@ -496,6 +497,28 @@ class TestPanelRule:
         finally:
             tracemalloc.stop()
         assert peak < 40 * 2**20
+
+    def test_long_times_are_refused_before_the_nodes_are_built(self):
+        # at t = 1e9 the cut would need 3.8e8 nodes, some 30 GiB
+        params = lee.LeeParams(1.0, 0.1, 1e-4)
+        lee.real_poles(params)
+        tracemalloc.start()
+        try:
+            with pytest.raises(lee.NodeBudgetError, match="--method second_sheet"):
+                lee.amplitude_residue_cut(params, np.linspace(9e8, 1e9, 5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
+
+    @pytest.mark.parametrize("method", ["residue_cut", "direct"])
+    def test_cli_refuses_long_times_with_exit_3(self, method, tmp_path, capsys):
+        code = main(["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-4", "--method", method,
+                     "--tmin", "9e8", "--tmax", "1e9", "--points", "5", "--out", str(tmp_path / "lee.csv")])
+        assert code == 3
+        assert "NodeBudgetError" in capsys.readouterr().err
+        assert main(["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-4", "--method", "second_sheet",
+                     "--tmin", "9e8", "--tmax", "1e9", "--points", "5", "--out", str(tmp_path / "lee.csv")]) == 0
 
     @pytest.mark.parametrize("kappa2", [1e-4, 1.0])
     def test_cut_matches_seams_at_long_times(self, kappa2):
