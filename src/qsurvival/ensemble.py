@@ -131,7 +131,8 @@ class Draw:
         if not _chebyshev_cheaper(n, -floor, floor, times, product, LANCZOS_STEPS):
             return None
         lo, hi = lanczos_bounds(self.matvec, n)
-        if not _chebyshev_cheaper(n, lo, hi, times, product, LANCZOS_STEPS):
+        # the Lanczos products are spent by now: price only the propagation
+        if not _chebyshev_cheaper(n, lo, hi, times, product):
             return None
         try:
             return chebyshev_amplitude(self.matvec, n, lo, hi, times)

@@ -56,7 +56,7 @@ class PerturbationSplit:
             raise ValueError("diag must be 1-D and v square of matching size")
         if np.any(np.diag(v) != 0.0):
             raise ValueError("v must have an exactly zero diagonal")
-        if not np.allclose(v, v.conj().T, atol=0.0):
+        if not np.array_equal(v, v.conj().T):
             raise ValueError("v must be self-adjoint")
         object.__setattr__(self, "diag", d)
         object.__setattr__(self, "v", v)

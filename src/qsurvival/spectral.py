@@ -81,6 +81,9 @@ class SpectralDecomposition:
         w = np.asarray(self.weights, dtype=float)
         if eps.shape != w.shape or eps.ndim != 1:
             raise ValueError("eigenvalues and weights must be 1-D arrays of equal length")
+        # every comparison below is false on NaN, so it would pass them all
+        if not (np.all(np.isfinite(eps)) and np.all(np.isfinite(w))):
+            raise ValueError("eigenvalues and weights must be finite")
         if np.any(np.diff(eps) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
         if w.size and w.min() < -1e-14:
@@ -201,7 +204,8 @@ def _last_component(alpha, beta, theta: float) -> float:
     the range of doubles the result is 0 where an earlier component overflows
     (y_K is then negligible), or nan, which no stop test accepts.
     """
-    previous, p, total = 0.0, 1.0, 1.0
+    # Python floats overflow to inf quietly, where numpy scalars would warn
+    theta, previous, p, total = float(theta), 0.0, 1.0, 1.0
     for a, b_previous, b in zip(alpha, [0.0, *beta], beta):
         previous, p = p, ((theta - a) * p - b_previous * previous) / b
         total += p * p
@@ -450,29 +454,19 @@ def mandelstam_tamm_bound(variance: float, times) -> SurvivalSeries:
 
 
 def merge_close_frequencies(decomp: SpectralDecomposition) -> SpectralDecomposition:
-    """Merge weights of eigenvalues closer than 1e-12 * spectral span.
+    """Collapse near-degenerate levels before recurrence analysis: only
+    distinct frequencies matter for the survival probability.
 
-    Only distinct frequencies matter for the survival probability, so
-    degeneracies are collapsed before recurrence analysis.
+    Consecutive levels no more than 1e-12 * spectral span apart join one
+    level, which carries their summed weight at their weight-averaged
+    position (so the first moment is kept), held inside the group's range;
+    a group of zero weight keeps its first level.
     """
-    eps = decomp.eigenvalues
-    w = decomp.weights
+    eps, w = decomp.eigenvalues, decomp.weights
     if eps.size <= 1:
         return decomp
-    span = float(eps[-1] - eps[0])
-    if span == 0.0:
-        return SpectralDecomposition(eps[:1].copy(), np.array([w.sum()]), decomp.n)
-    tol = _MERGE_REL_TOL * span
-    merged_eps = [eps[0]]
-    merged_w = [w[0]]
-    for e, wk in zip(eps[1:], w[1:]):
-        if e - merged_eps[-1] <= tol:
-            # weight-averaged position keeps the first moment exact
-            total = merged_w[-1] + wk
-            if total > 0:
-                merged_eps[-1] = (merged_eps[-1] * merged_w[-1] + e * wk) / total
-            merged_w[-1] = total
-        else:
-            merged_eps.append(e)
-            merged_w.append(wk)
-    return SpectralDecomposition(np.array(merged_eps), np.array(merged_w), decomp.n)
+    starts = np.flatnonzero(np.r_[True, np.diff(eps) > _MERGE_REL_TOL * float(eps[-1] - eps[0])])
+    total = np.add.reduceat(w, starts)
+    first, last = eps[starts], eps[np.r_[starts[1:], eps.size] - 1]
+    levels = np.divide(np.add.reduceat(w * eps, starts), total, out=first.copy(), where=total > 0.0)
+    return SpectralDecomposition(np.clip(levels, first, last), total, decomp.n)

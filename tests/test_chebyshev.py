@@ -301,6 +301,25 @@ class TestRouteTable:
         # the coupled level widens the interval about twenty-fold, past the eigensolve's cost
         assert (hi > 6.0, series.method) == ((True, "spectral") if coupling else (False, "chebyshev"))
 
+    def test_lanczos_run_is_charged_before_it_and_not_after(self, monkeypatch):
+        events = []
+        cheaper, bounds = ensemble._chebyshev_cheaper, ensemble.lanczos_bounds
+
+        def priced(n, lo, hi, times, product, setup=0):
+            events.append(setup)
+            return cheaper(n, lo, hi, times, product, setup)
+
+        def run(matvec, n):
+            events.append("lanczos")
+            return bounds(matvec, n)
+
+        monkeypatch.setattr(ensemble, "_chebyshev_cheaper", priced)
+        monkeypatch.setattr(ensemble, "lanczos_bounds", run)
+        spec = ham.HamiltonianSpec(ham.Experimental(300, 1.0, 0.1, 0.05, env=ham.Environment.FULL), seed=5)
+        series = realization_survival(spec, np.linspace(0.0, 2000.0, 501), stream=1)
+        assert events == [spectral.LANCZOS_STEPS, "lanczos", 0]
+        assert series.method == "chebyshev"
+
     def test_too_narrow_interval_is_refused_and_the_fallback_agrees(self, monkeypatch):
         spec = ham.HamiltonianSpec(ham.RosenzweigPorter(600, 1.0, 0.0122), seed=6)
         h = ham.build(spec)
@@ -343,6 +362,17 @@ class TestLanczosStop:
         assert len(products) <= 40
         levels = np.linalg.eigvalsh(draw.build())
         assert lo <= levels[0] and levels[-1] <= hi
+
+    def test_tiny_band_overflows_the_stop_test_quietly(self):
+        # the Lanczos polynomials at the Ritz values pass the range of doubles here;
+        # their numpy-scalar products raised an overflow RuntimeWarning
+        spec = ham.HamiltonianSpec(ham.RosenzweigPorter(244, 1.0, 2.8342221191056705e-130), seed=12488664)
+        draw = ensemble.draw_realization(spec)
+        times = np.array([-1.0, 0.0])
+        series = draw.survival(times)
+        exact = spectral.survival_probability(draw.decompose(), times).values
+        assert series.method == "chebyshev"
+        assert np.max(np.abs(series.values - exact)) <= 1e-12
 
     # draws that propagate inside Lanczos bounds wherever Chebyshev is the cheaper route
     @given(finite_specs(st.integers(50, 600), ("full", "full-uniform", "rp")), st.integers(0, 50),

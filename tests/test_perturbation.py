@@ -96,6 +96,15 @@ class TestSplit:
         with pytest.raises(ValueError):
             split_hamiltonian(np.eye(2), 0.0)
 
+    def test_rejects_asymmetry_below_allclose_tolerance(self):
+        # allclose's default rtol of 1e-5 let both of these through
+        v = np.array([[0.0, 1.0], [1.0 + 9e-6, 0.0]])
+        with pytest.raises(ValueError, match="self-adjoint"):
+            PerturbationSplit(np.array([1.0, 2.0]), v, 0.1)
+        h = np.array([[1.0, 0.06], [0.06 + 1e-7, 0.8]])
+        with pytest.raises(ValueError, match="self-adjoint"):
+            split_hamiltonian(h, 0.2)
+
 
 class TestSecondOrderShift:
     def test_zero_interaction(self):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from random_specs import chain_matrix, random_experimental_spec
 from qsurvival import hamiltonian as ham
-from qsurvival import spectral
+from qsurvival import recurrence, spectral
 from qsurvival.fock_oracle import from_single_particle, full_survival
 
 
@@ -44,6 +44,23 @@ class TestDecompose:
     def test_rejects_non_square(self):
         with pytest.raises(ValueError):
             spectral.decompose(np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("eigenvalues, weights", [
+        ([0.0, math.nan], [0.5, 0.5]),
+        ([0.0, 1.0], [math.nan, 0.5]),
+        ([-math.inf, 1.0], [0.5, 0.5]),
+        ([0.0, math.inf], [0.5, 0.5]),
+    ])
+    def test_rejects_non_finite_levels_and_weights(self, eigenvalues, weights):
+        # every ordering and sum check compares false against NaN
+        with pytest.raises(ValueError, match="finite"):
+            spectral.SpectralDecomposition(np.array(eigenvalues), np.array(weights), 2)
+
+    def test_nan_matrix_gives_no_spectrum_or_report(self):
+        with pytest.raises(ValueError, match="finite"):
+            spectral.decompose(np.array([[1.0, math.nan], [math.nan, 2.0]]))
+        with pytest.raises(ValueError, match="finite"):
+            recurrence.build_report(spectral.SpectralDecomposition(np.array([0.0, math.nan]), np.array([0.5, 0.5]), 2), 0.5)
 
 
 class TestPhaseSum:
@@ -306,3 +323,59 @@ class TestMergeCloseFrequencies:
         d = spectral.SpectralDecomposition(np.array([1.0, 2.0]), np.array([0.3, 0.7]), 2)
         merged = spectral.merge_close_frequencies(d)
         np.testing.assert_array_equal(merged.eigenvalues, d.eigenvalues)
+
+    @staticmethod
+    def merged_by_loop(d):
+        """The level-by-level merge: each level joins the running weighted
+        average when within 1e-12 * span of it."""
+        eps, w = d.eigenvalues, d.weights
+        span = float(eps[-1] - eps[0])
+        if span == 0.0:
+            return eps[:1].copy(), np.array([w.sum()])
+        levels, weights = [eps[0]], [w[0]]
+        for e, wk in zip(eps[1:], w[1:]):
+            if e - levels[-1] <= 1e-12 * span:
+                total = weights[-1] + wk
+                if total > 0:
+                    levels[-1] = (levels[-1] * weights[-1] + e * wk) / total
+                weights[-1] = total
+            else:
+                levels.append(e)
+                weights.append(wk)
+        return np.array(levels), np.array(weights)
+
+    def assert_matches_loop(self, d):
+        merged = spectral.merge_close_frequencies(d)
+        levels, weights = self.merged_by_loop(d)
+        assert merged.eigenvalues.size == levels.size
+        scale = np.finfo(float).eps * np.abs(d.eigenvalues).max()
+        np.testing.assert_allclose(merged.eigenvalues, levels, rtol=0.0, atol=2.0 * scale)
+        np.testing.assert_allclose(merged.weights, weights, rtol=0.0, atol=1e-15)
+        return merged
+
+    def test_all_equal_spectrum_is_one_level(self):
+        d = spectral.SpectralDecomposition(np.full(5, 0.7), np.full(5, 0.2), 5)
+        merged = self.assert_matches_loop(d)
+        np.testing.assert_array_equal(merged.eigenvalues, [0.7])
+
+    def test_zero_weight_cluster_keeps_its_first_level(self):
+        eps = np.array([0.0, 1.0, 1.0 + 1e-13, 1.0 + 2e-13, 2.0])
+        d = spectral.SpectralDecomposition(eps, np.array([0.5, 0.0, 0.0, 0.0, 0.5]), 5)
+        merged = self.assert_matches_loop(d)
+        np.testing.assert_array_equal(merged.eigenvalues, [0.0, 1.0, 2.0])
+        np.testing.assert_array_equal(merged.weights, [0.5, 0.0, 0.5])
+
+    @given(st.integers(2, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_matches_the_level_by_level_merge(self, n, seed):
+        rng = np.random.default_rng(seed)
+        base = np.sort(rng.uniform(-3.0, 3.0, n))
+        # plant near-degenerate copies a few 1e-13 spans (or exactly 0) above some levels
+        copies = base[rng.random(n) < 0.4]
+        span = max(float(np.ptp(base)), 1e-300)
+        near = copies + span * rng.choice([0.0, 1e-16, 3e-13, 1e-12], copies.size)
+        eps = np.sort(np.concatenate([base, near]))
+        w = rng.random(eps.size) * (rng.random(eps.size) > 0.2)
+        if w.sum() == 0.0:
+            w[0] = 1.0
+        self.assert_matches_loop(spectral.SpectralDecomposition(eps, w / w.sum(), eps.size))
