@@ -31,7 +31,6 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -143,19 +142,43 @@ class Draw:
             return chebyshev_amplitude(self.matvec, n, lo, hi, times)
 
 
+class _Arrowhead:
+    """Product with the arrowhead matrix of diagonal ``diag`` and first-row
+    couplings ``g`` (one diagonal-environment draw)."""
+
+    def __init__(self, diag: np.ndarray, g: np.ndarray):
+        self.diag, self.g = diag, g
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        y = self.diag * x
+        y[0] += self.g @ x[1:]
+        y[1:] += self.g * x[0]
+        return y
+
+    def scaled(self, center: float, radius: float):
+        """(x, out) -> 2 (H - center) / radius x, written into ``out``: the
+        product with diagonal 2 (diag - center) / radius and couplings
+        2 g / radius, folded once (see :func:`spectral._chebyshev_moments`)."""
+        factor = 2.0 / radius
+        diag = (self.diag - center) * factor
+        g = self.g * factor
+        column = np.empty(g.size)
+
+        def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+            np.multiply(diag, x, out=out)
+            out[0] += g @ x[1:]
+            out[1:] += np.multiply(g, x[0], out=column)
+            return out
+
+        return product
+
+
 def _arrowhead(spec: ham.HamiltonianSpec, stream: int):
     """Matrix-vector product of one diagonal-environment draw and Weyl bounds
     [min d - |g|, max d + |g|] on its spectrum."""
     diag, g = ham.draw_arrowhead(spec.model, ham.stream_rng(spec.seed, stream))
-
-    def matvec(x: np.ndarray) -> np.ndarray:
-        y = diag * x
-        y[0] += g @ x[1:]
-        y[1:] += g * x[0]
-        return y
-
     radius = float(np.linalg.norm(g))
-    return matvec, float(diag.min()) - radius, float(diag.max()) + radius
+    return _Arrowhead(diag, g), float(diag.min()) - radius, float(diag.max()) + radius
 
 
 def draw_realization(spec: ham.HamiltonianSpec, stream: int = 0) -> Draw:
@@ -194,6 +217,9 @@ def ensemble_mean(
     is performed in stream order after all workers finish, so the output is
     bit-identical for any worker count.
     """
+    # imported here: only the pool needs it, and it costs every start of the command line
+    from concurrent.futures import ThreadPoolExecutor
+
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     times = np.asarray(times, dtype=float)

@@ -132,6 +132,10 @@ def _check_scale(name, value):
         raise ValueError(f"{name} must be finite and >= 0")
 
 
+# rows of one standard-normal call of a GOE draw, and the side of its symmetrised tiles
+_BLOCK = 256
+
+
 def stream_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Independent generator for (seed, stream): stream index = realization index."""
     return np.random.default_rng(np.random.SeedSequence(entropy=int(seed), spawn_key=(int(stream),)))
@@ -157,15 +161,34 @@ def draw_arrowhead(model: Experimental, rng: np.random.Generator) -> tuple[np.nd
     return diag, g
 
 
-def _goe(rng: np.random.Generator, m: int) -> np.ndarray:
-    """Gaussian orthogonal ensemble draw of size m from ``rng``.
+def _goe(rng: np.random.Generator, m: int, out: np.ndarray | None = None, scale: float = 1.0) -> np.ndarray:
+    """Gaussian orthogonal ensemble draw of size m from ``rng``, times ``scale``,
+    written into the m x m ``out`` (a new array if None) and returned.
 
     Convention: off-diagonal entries have unit variance, diagonal entries
     variance 2, so that (sigma/sqrt(n)) * G has semicircle support of radius
     2*sigma for large n.
+
+    The m x m standard normals A are drawn row-major into ``out``, ``_BLOCK``
+    rows per call, which is the stream of one (m, m) draw; then each pair of
+    tiles (i, j), (j, i) becomes ((A_ij + A_ji) / sqrt(2)) * scale in place.
+    Beyond ``out`` the draw holds one block of rows and one tile.
     """
-    a = rng.standard_normal((m, m))
-    return (a + a.T) / math.sqrt(2.0)
+    if out is None:
+        out = np.empty((m, m))
+    for lo in range(0, m, _BLOCK):
+        out[lo : lo + _BLOCK] = rng.standard_normal((min(_BLOCK, m - lo), m))
+    root2 = math.sqrt(2.0)
+    for i in range(0, m, _BLOCK):
+        for j in range(i, m, _BLOCK):
+            upper = out[i : i + _BLOCK, j : j + _BLOCK]
+            lower = out[j : j + _BLOCK, i : i + _BLOCK]
+            tile = upper + lower.T
+            tile /= root2
+            tile *= scale
+            upper[...] = tile
+            lower[...] = tile.T
+    return out
 
 
 def build(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
@@ -183,6 +206,11 @@ def build(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
     - ``RosenzweigPorter``: the n - 1 Gaussian first-row couplings of
       variance sigma^2 / n, then the GOE block G, which enters as
       omega*I + (sigma/sqrt(n))*G.
+
+    Both dense draws are written into the matrix in place: one row of
+    environment couplings at a time, or the GOE block by :func:`_goe`. Beyond
+    the n x n matrix a draw holds O(n) entries (FULL) or one block of GOE
+    rows (RP).
     """
     model = spec.model
     n = model.n
@@ -196,14 +224,14 @@ def build(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
         diag, g = draw_arrowhead(model, rng)
         np.fill_diagonal(h, diag)
         if model.env is Environment.FULL:
-            iu = np.triu_indices(n - 1, k=1)
-            c = _draw_couplings(rng, model.off_diag, iu[0].size, model.sigma, n)
             block = h[1:, 1:]
-            block[iu] = block[iu[::-1]] = c
+            for i in range(n - 2):
+                row = _draw_couplings(rng, model.off_diag, n - 2 - i, model.sigma, n)
+                block[i, i + 1 :] = block[i + 1 :, i] = row
     else:  # RosenzweigPorter
         scale = model.sigma / math.sqrt(n)
         g = rng.normal(0.0, scale, size=n - 1)
-        h[1:, 1:] = _goe(rng, n - 1) * scale
+        _goe(rng, n - 1, h[1:, 1:], scale)
         h[np.arange(1, n), np.arange(1, n)] += model.omega
     h[0, 1:] = h[1:, 0] = g
     return h

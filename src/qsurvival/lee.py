@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .closedform import chain_bessel_limit
 from .series import SurvivalSeries
 from .spectral import phase_sum
 
@@ -647,19 +648,9 @@ def _check_times(times: np.ndarray):
 
 
 def _wigner_closed_form(params: WignerSemicircle, times: np.ndarray) -> np.ndarray:
-    # amplitude e^{-i omega t} J1(2 sigma t)/(sigma t); probability is its square.
-    # scipy's J1, independent of closedform.bessel_j, is imported here so that
-    # the box routes load no scipy
-    from scipy.special import j1
-
-    s = params.sigma
-    x = 2.0 * s * times
-    ratio = np.ones_like(times)
-    small = np.abs(x) < 1e-8
-    big = ~small
-    ratio[big] = 2.0 * j1(x[big]) / x[big]
-    ratio[small] = 1.0 - x[small] ** 2 / 8.0
-    return ratio**2
+    # amplitude e^{-i omega t} J1(2 sigma t)/(sigma t): the infinite chain's
+    # limit with g = sigma, whose probability is its square
+    return chain_bessel_limit(params.sigma, times).values
 
 
 def _probability_series(times: np.ndarray, amplitude, method: str) -> SurvivalSeries:

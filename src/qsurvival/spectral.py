@@ -8,7 +8,6 @@ Ritz bounds from a short Lanczos run, and Gershgorin bounds.
 
 from __future__ import annotations
 
-import hashlib
 import math
 from dataclasses import dataclass
 
@@ -95,6 +94,9 @@ class SpectralDecomposition:
 
 
 def _fingerprint(h: np.ndarray) -> str:
+    # imported here: only a failed eigensolve needs it
+    import hashlib
+
     return hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()[:16]
 
 
@@ -259,6 +261,26 @@ def gershgorin_bounds(h) -> tuple[float, float]:
     return float(np.min(diagonal - radii)), float(np.max(diagonal + radii))
 
 
+def _scaled_product(matvec, center: float, radius: float):
+    """The step product of the moment loop: (x, out) -> 2 (H - center) / radius x.
+
+    A ``matvec`` with a ``scaled(center, radius)`` method supplies it, with the
+    shift and scale folded into its matrix once, and writes into ``out``. Any
+    other product is shifted and scaled after it, into a new array.
+    """
+    scaled = getattr(matvec, "scaled", None)
+    if scaled is not None:
+        return scaled(center, radius)
+    factor = 2.0 / radius
+
+    def product(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+        y = matvec(x) - center * x
+        y *= factor
+        return y
+
+    return product
+
+
 def _chebyshev_moments(
     matvec, n: int, center: float, radius: float, count: int, start: int = 0
 ) -> np.ndarray:
@@ -266,7 +288,9 @@ def _chebyshev_moments(
 
     With v_k = T_k(.) e_start, the doubling identities mu_2k = 2 <v_k, v_k> - mu_0
     and mu_2k-1 = 2 <v_k, v_k-1> - mu_1 give 2K + 1 moments from K products
-    with H (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)).
+    with H (Weisse et al., Rev. Mod. Phys. 78, 275 (2006)). The first product
+    is ``matvec`` itself; the rest are :func:`_scaled_product`, and v_k+1
+    overwrites the buffer of v_k-1 where that product writes into it.
 
     Inside the interval every |mu_k| <= 1, so a moment beyond that raises
     :class:`BoundsError` as soon as it appears. The limit allows for round-off:
@@ -280,6 +304,8 @@ def _chebyshev_moments(
     previous = np.zeros(n)
     previous[start] = 1.0
     current = (matvec(previous) - center * previous) / radius
+    product = _scaled_product(matvec, center, radius)
+    spare = np.empty(n)
     mu[0], mu[1] = 1.0, current[start]
     for k in range(1, steps + 1):
         mu[2 * k] = 2.0 * (current @ current) - mu[0]
@@ -291,10 +317,9 @@ def _chebyshev_moments(
                 f"the spectrum is not inside [{center - radius:.17g}, {center + radius:.17g}]"
             )
         if k < steps:
-            following = matvec(current) - center * current
-            following *= 2.0 / radius
+            following = product(current, spare)
             following -= previous
-            previous, current = current, following
+            previous, current, spare = current, following, previous
     return mu[:count]
 
 
@@ -382,6 +407,10 @@ def chebyshev_amplitude(
 
     The term count reads one column J_k(a max|t|), k = floor(a max|t|), ..., M,
     computed by Miller's backward recurrence.
+
+    A ``matvec`` with a ``scaled(center, radius)`` method supplies the step
+    product of the moment loop with the centre and scale folded in once
+    (:func:`_scaled_product`); any other callable is shifted and scaled per step.
 
     Any grid works: times may be unsorted, negative or non-uniform.
     Raises :class:`BoundsError` if a moment shows that the spectrum seen from

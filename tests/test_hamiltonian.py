@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -283,6 +284,16 @@ DRAW_SHA256 = {
     ("rp", 2, 5, 3): "a8adbaec6caaccfb4b5d0941a829be247ce2eaa1649b4fa315ed7566ba93b312",
     ("rp", 7, 0, 0): "bc7ea39fb21b41d0b6583a9e9081b4eccbcda5b27e0716de5dec66d02e6a050e",
     ("rp", 7, 5, 3): "3e68e66f6e120d25d2f14b217b67c6d9a6ece10d0c62cf05ea799155136953b5",
+    # dense draws larger than the GOE's row block and tile (256)
+    ("full-gaussian", 300, 5, 3): "91351ce3108f24c3575f5c9419bf9f67a1b693e9f1d8da90effe0d5ef241ddc4",
+    ("full-gaussian", 800, 5, 3): "be49ddb18c6391a98bb8e63efe555a48627b0205568b5e6abfa8cad6d8ffe1f7",
+    ("full-gaussian", 2000, 5, 3): "98088f87ec60f19136365a540b71b4a780187920beb6330aeb632d89b0e869e3",
+    ("full-uniform", 300, 5, 3): "1942acb4d53dfe8b0fa4b76e10a263e894b4a24c2f6644a202f0524635dec2d4",
+    ("full-uniform", 800, 5, 3): "3d3cd25a7130c8e475c5c55931f06101f9da8980ac0c255a7bfc833f1fcb5536",
+    ("full-uniform", 2000, 5, 3): "aac6057a5a49caeb10fe13563132a51c4ac3045f693925b0086f0860e07b9917",
+    ("rp", 300, 5, 3): "8a135f17ca9ad216a6c6d22875ceb35ecb4fa2e3064f2c2249e38fc6a89879a2",
+    ("rp", 800, 5, 3): "d252c2c0dd6471ca02f46b21c6fef559cfedcd6b5d00d6b3ea338d4fd600b43f",
+    ("rp", 2000, 5, 3): "aab05f0cc1019643005971275628bcadd24f5fa6e3bd192e48697993221eb9b4",
 }
 
 
@@ -291,6 +302,19 @@ class TestDrawOrder:
     def test_matrix_bytes_are_pinned(self, kind, n, seed, stream):
         h = ham.build(ham.HamiltonianSpec(DRAW_KINDS[kind](n), seed), stream)
         assert hashlib.sha256(h.tobytes()).hexdigest() == DRAW_SHA256[kind, n, seed, stream]
+
+    @pytest.mark.parametrize("kind", ["rp", "full-gaussian", "full-uniform"])
+    def test_dense_draw_holds_one_matrix(self, kind):
+        """A dense draw allocates its n x n matrix and, beyond it, one block of
+        GOE rows and one tile (RP) or one row of couplings (FULL)."""
+        spec = ham.HamiltonianSpec(DRAW_KINDS[kind](2000), 5)
+        tracemalloc.start()
+        try:
+            h = ham.build(spec, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * h.nbytes
 
     @pytest.mark.parametrize("kind", list(DRAW_KINDS))
     def test_single_site_is_omega(self, kind):

@@ -1,13 +1,14 @@
 """The command line loads scipy only on the routes that use it.
 
 A fresh ``qsurvival`` call is mostly import time, and scipy was most of that.
-Only the full-space operators of ``fock_oracle`` (``scipy.sparse``) and the
-semicircle closed form (``scipy.special.j1``) use it, each imported inside the
-function that needs it. So ``import qsurvival.cli``, the box density's ``lee``
-routes, a ``poles`` sweep and Chebyshev propagation in ``ensemble`` and
-``bound`` load no scipy module, and ``oracle-check`` loads only
-``scipy.sparse``. Each check runs in a fresh interpreter, where no other test
-has imported scipy.
+Only the full-space operators of ``fock_oracle`` (``scipy.sparse``) use it,
+imported inside the function that needs it. So ``import qsurvival.cli``, every
+``lee`` route of both densities, a ``poles`` sweep and Chebyshev propagation
+in ``ensemble`` and ``bound`` load no scipy module, and ``oracle-check``
+loads only ``scipy.sparse``. Nor does ``import qsurvival.cli`` load
+``hashlib`` (a failed eigensolve's fingerprint) or ``concurrent.futures``
+(the realization pool). Each check runs in a fresh interpreter, where no
+other test has imported these modules.
 """
 
 import json
@@ -31,11 +32,16 @@ def scipy_modules():
 
 out = sys.argv[1]
 report = {"import": scipy_modules(), "codes": []}
+report["lazy"] = [name for name in ("hashlib", "concurrent.futures") if name in sys.modules]
 for method in ("direct", "residue_cut", "second_sheet"):
     report["codes"].append(cli.main([
         "lee", "--omega", "1", "--delta", "0.1", "--kappa2", "0.01", "--method", method,
         "--tmax", "50", "--points", "21", "--out", os.path.join(out, method + ".csv"),
     ]))
+report["codes"].append(cli.main([
+    "lee", "--density", "wigner:0.1", "--omega", "1", "--tmax", "50", "--points", "21",
+    "--out", os.path.join(out, "wigner.csv"),
+]))
 report["codes"].append(cli.main([
     "poles", "--omega", "1", "--delta", "0.1", "--kappa2-min", "1e-4", "--kappa2-max", "10",
     "--kappa2-points", "6", "--out", os.path.join(out, "poles.json"),
@@ -86,10 +92,11 @@ def fresh_report(script, tmp_path):
     return json.loads(proc.stdout.splitlines()[-1])
 
 
-def test_cli_import_and_box_routes_load_no_scipy(tmp_path):
+def test_cli_import_and_lee_routes_load_no_scipy(tmp_path):
     report = fresh_report(SCRIPT, tmp_path)
-    assert report["codes"] == [0, 0, 0, 0]
+    assert report["codes"] == [0, 0, 0, 0, 0]
     assert report["import"] == []
+    assert report["lazy"] == []
     assert report["run"] == []
 
 

@@ -10,6 +10,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.optimize import brentq
+from scipy.special import j1
 
 from qsurvival import closedform, lee
 from qsurvival.cli import main
@@ -615,8 +616,10 @@ class TestSurvival:
         params = lee.WignerSemicircle(1.0, sigma)
         times = np.linspace(0.0, 60.0, 300)
         series = lee.survival(params, times)
-        limit = closedform.chain_bessel_limit(sigma, times)
-        assert np.max(np.abs(series.values - limit.values)) < 1e-8
+        # |2 J1(x) / x|^2 at x = 2 sigma t from scipy's J1, independent of closedform.bessel_j
+        x = 2.0 * sigma * times[1:]
+        limit = np.r_[1.0, (2.0 * j1(x) / x) ** 2]
+        assert np.max(np.abs(series.values - limit)) < 1e-8
 
     @pytest.mark.parametrize("method", ["direct", "residue_cut", "second_sheet"])
     def test_wigner_tagged_closed_form(self, method, tmp_path):
