@@ -206,13 +206,9 @@ def _json_text(doc: dict) -> str:
 
 def write_series_csv(path: str, times: np.ndarray, series: dict, meta: dict):
     """The series as CSV, and ``meta`` beside it as ``<stem>.annotations.json``."""
-    names = list(series)
-    lines = ["t," + ",".join(names)]
-    cols = [np.asarray(series[name]) for name in names]
-    for i, t in enumerate(times):
-        row = [_FLOAT_FMT % t] + [_FLOAT_FMT % col[i] for col in cols]
-        lines.append(",".join(row))
-    _atomic_write(path, "\n".join(lines) + "\n")
+    row = ",".join([_FLOAT_FMT] * (len(series) + 1)) + "\n"
+    rows = np.column_stack([times, *series.values()]).tolist()
+    _atomic_write(path, "t," + ",".join(series) + "\n" + "".join(row % tuple(r) for r in rows))
     stem, _ = os.path.splitext(path)
     _atomic_write(f"{stem}.annotations.json", _json_text(dict(meta, version=__version__)))
 

@@ -1,17 +1,16 @@
 """Brute-force ground truth in the full 2^n qubit space.
 
-Every operator is built on the bits of the basis states, as in exact
-diagonalisation (Sandvik, AIP Conf. Proc. 1297, 135 (2010)): qubit k (1-based)
-is bit n - k of the basis index, and the qubit is excited where that bit is 0,
-so the excited single-qubit state is the first basis vector of each tensor
-factor. The ladder operators, the number operator and the many-qubit
-Hamiltonian of a single-excitation-sector matrix follow from that one rule,
-and the localized excitation is evolved in the full space. Everything
-downstream (sector restriction, block structure, survival probability) can be
-checked against this module; the tests check the rule itself against literal
-Kronecker products of 2x2 matrices.
+The many-qubit Hamiltonian of a single-excitation-sector matrix is built on
+the bits of the basis states, as in exact diagonalisation (Sandvik, AIP Conf.
+Proc. 1297, 135 (2010)): qubit k (1-based) is bit n - k of the basis index,
+and the qubit is excited where that bit is 0, so the excited single-qubit
+state is the first basis vector of each tensor factor. The localized
+excitation is evolved in the full space. Everything downstream (sector
+restriction, block structure, survival probability) can be checked against
+this module; the tests check the rule itself against literal Kronecker
+products of 2x2 matrices.
 
-The operators are sparse CSR matrices; the evolution is Chebyshev propagation
+The Hamiltonian is a sparse CSR matrix; the evolution is Chebyshev propagation
 (:func:`spectral.chebyshev_amplitude`) inside the Ritz bounds of a Lanczos run
 from the start state (:func:`spectral.lanczos_bounds`), with Gershgorin bounds
 of the whole 2^n matrix as the fallback should the moment check refuse them.
@@ -35,9 +34,6 @@ if TYPE_CHECKING:
 __all__ = [
     "FullSpaceModel",
     "SizeRefusal",
-    "lowering_operator",
-    "raising_operator",
-    "number_operator",
     "from_single_particle",
     "sector_indices",
     "sector_block",
@@ -72,55 +68,6 @@ def _excited(n: int) -> np.ndarray:
     return (np.arange(2**n) >> np.arange(n - 1, -1, -1)[:, None]) & 1 == 0
 
 
-def _operator(diagonal, links: np.ndarray, flips: np.ndarray, values: np.ndarray) -> sparse.csr_array:
-    """The 2^n matrix with ``diagonal`` (one value per state; ``None`` for none) on
-    its diagonal and entry (s, s ^ flips[t]) = values[t] wherever ``links[s, t]``.
-
-    The entries come out row by row, so the CSR arrays are written directly, with
-    no sort or duplicate sum. Their indices are 32-bit (a 16-qubit Hamiltonian
-    holds under 2^23 entries), which speeds up the matrix-vector products of the
-    evolution at the largest sizes.
-    """
-    # imported here so that importing this module (the CLI reads MAX_QUBITS) loads no scipy
-    from scipy import sparse
-
-    dim, count = links.shape
-    if diagonal is not None:
-        links = np.column_stack([np.ones(dim, dtype=bool), links])
-        flips = np.concatenate([[0], flips])
-        values = np.concatenate([[0.0], values])
-        count += 1
-    states, terms = np.divmod(np.flatnonzero(links), count)
-    data = values[terms]
-    if diagonal is not None:
-        data[terms == 0] = diagonal
-    indptr = np.zeros(dim + 1, dtype=np.int32)
-    np.cumsum(np.count_nonzero(links, axis=1), out=indptr[1:])
-    cols = (states ^ flips[terms]).astype(np.int32)
-    return sparse.csr_array((data, cols, indptr), shape=(dim, dim))
-
-
-def lowering_operator(k: int, n: int) -> sparse.csr_array:
-    """Annihilation operator of qubit k (1-based) on n qubits: it maps each state
-    with qubit k excited to the state with that bit set."""
-    _check_size(n)
-    if not 1 <= k <= n:
-        raise ValueError("qubit index out of range")
-    ground = ~_excited(n)[k - 1]
-    return _operator(None, ground[:, None], np.array([1 << (n - k)]), np.ones(1))
-
-
-def raising_operator(k: int, n: int) -> sparse.csr_array:
-    return lowering_operator(k, n).T.tocsr()
-
-
-def number_operator(n: int) -> sparse.csr_array:
-    """Total excitation number operator (diagonal)."""
-    _check_size(n)
-    counts = _excited(n).sum(axis=0, dtype=float)
-    return _operator(counts, np.zeros((2**n, 0), dtype=bool), np.zeros(0, dtype=int), np.zeros(0))
-
-
 def from_single_particle(matrix: np.ndarray) -> FullSpaceModel:
     """Assemble the full 2^n Hamiltonian from a one-excitation-sector matrix.
 
@@ -128,7 +75,18 @@ def from_single_particle(matrix: np.ndarray) -> FullSpaceModel:
     exchange couplings between the corresponding qubits. The matrix must be
     square, finite and exactly symmetric: the build reads only its upper
     triangle, so any asymmetry would be dropped unseen.
+
+    Each state s holds on the diagonal the sum of h_kk over its excited qubits,
+    and each coupling h_ij (i < j) links s to s with the bits of qubits i and j
+    flipped wherever the two differ (a_i^dag a_j + a_j^dag a_i). The entries
+    come out row by row, so the CSR arrays are written directly, with no sort
+    or duplicate sum. Their indices are 32-bit (a 16-qubit Hamiltonian holds
+    under 2^23 entries), which speeds up the matrix-vector products of the
+    evolution at the largest sizes.
     """
+    # imported here so that importing this module (the CLI reads MAX_QUBITS) loads no scipy
+    from scipy import sparse
+
     matrix = np.asarray(matrix, dtype=float)
     if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
         raise ValueError(f"need a square matrix, got shape {matrix.shape}")
@@ -138,15 +96,21 @@ def from_single_particle(matrix: np.ndarray) -> FullSpaceModel:
         raise ValueError("the matrix must be finite")
     if not np.array_equal(matrix, matrix.T):
         raise ValueError("the matrix must be symmetric")
+    dim = 2**n
     excited = _excited(n)
-    # a_i^dag a_j + a_j^dag a_i, i < j: the states where qubits i and j differ,
-    # each linked to the state with both bits flipped
+    # column 0 of the link table is the diagonal, column t + 1 the coupling (i_t, j_t)
     i, j = np.nonzero(np.triu(matrix, 1))
-    links = (excited[i] != excited[j]).T
-    flips = (1 << (n - 1 - i)) | (1 << (n - 1 - j))
-    hamiltonian = _operator(matrix.diagonal() @ excited, links, flips, matrix[i, j])
+    links = np.column_stack([np.ones(dim, dtype=bool), (excited[i] != excited[j]).T])
+    flips = np.concatenate([[0], (1 << (n - 1 - i)) | (1 << (n - 1 - j))])
+    states, terms = np.divmod(np.flatnonzero(links), links.shape[1])
+    data = np.concatenate([[0.0], matrix[i, j]])[terms]
+    data[terms == 0] = matrix.diagonal() @ excited
+    indptr = np.zeros(dim + 1, dtype=np.int32)
+    np.cumsum(np.count_nonzero(links, axis=1), out=indptr[1:])
+    cols = (states ^ flips[terms]).astype(np.int32)
+    hamiltonian = sparse.csr_array((data, cols, indptr), shape=(dim, dim))
     # a_1^dag on the vacuum (every bit set) clears the bit of qubit 1
-    return FullSpaceModel(n, hamiltonian, (2**n - 1) ^ (1 << (n - 1)))
+    return FullSpaceModel(n, hamiltonian, (dim - 1) ^ (1 << (n - 1)))
 
 
 def sector_indices(n: int, k: int) -> np.ndarray:

@@ -362,6 +362,21 @@ class TestRouteTable:
         assert fallback.method == "chebyshev" and fallback.terms == wide.terms
         assert np.max(np.abs(fallback.values - eigh_survival(h, times))) <= 1e-12
 
+    def test_refused_interval_whose_fallback_costs_more_takes_the_eigensolve(self, monkeypatch):
+        model = ham.Experimental(600, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02), env=ham.Environment.FULL)
+        spec = ham.HamiltonianSpec(model, seed=1)
+        h = ham.build(spec)
+        times = np.linspace(0.0, 2000.0, 501)
+        fallbacks = []
+        monkeypatch.setattr(ensemble, "lanczos_bounds", lambda matvec, n: (0.999, 1.001))
+        monkeypatch.setattr(ensemble, "gershgorin_bounds",
+                            lambda matrix: fallbacks.append(spectral.gershgorin_bounds(matrix)) or fallbacks[-1])
+        series = ensemble.draw_realization(spec).survival(times)
+        # the couplings' row sums widen the Gershgorin interval far past the band
+        assert len(fallbacks) == 1 and fallbacks[0][0] < -5.0 and fallbacks[0][1] > 7.0
+        assert series.method == "spectral"
+        np.testing.assert_array_equal(series.values, eigh_survival(h, times))
+
 
 class TestBounds:
     @pytest.mark.parametrize("n", [1, 2, 5, 60, 200])

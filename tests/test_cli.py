@@ -488,6 +488,18 @@ class TestValidationAndConfig:
         ])
         assert code == 2
 
+    def test_failed_replace_leaves_no_temporary_and_the_old_file(self, tmp_path, monkeypatch):
+        out = tmp_path / "chain.csv"
+        out.write_text("earlier run\n")
+
+        def refuse(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        assert main([*CHAIN, "--out", str(out)]) == 3
+        assert out.read_text() == "earlier run\n"
+        assert not list(tmp_path.glob(".tmp-*"))
+
     def test_config_file_with_flag_override(self, tmp_path):
         config = tmp_path / "run.cfg"
         config.write_text(
@@ -649,6 +661,7 @@ class TestOptionDeclarations:
         (["ensemble", "--n", "4", "--omega", "inf", "--delta", "0.1", "--sigma", "0.1", "--tmax", "5"],
          "--omega"),
         (["poles", "--omega", "1", "--delta", "0.1", "--kappa2-max", "inf"], "--kappa2-max"),
+        (["poles", "--omega", "1", "--delta", "0.1", "--kappa2-min", "1", "--kappa2-max", "0.1"], "--kappa2-min"),
         ([*RECURRENCE, "--empirical", "--observation-time", "inf"], "--observation-time"),
     ])
     def test_bad_value_exits_2_naming_the_flag(self, argv, flag, tmp_path, capsys):

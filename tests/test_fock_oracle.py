@@ -11,40 +11,18 @@ from qsurvival import closedform, fock_oracle, spectral
 from qsurvival import hamiltonian as ham
 
 
-class TestLadderOperators:
+class TestHamiltonianBuild:
     def test_single_qubit_hamiltonian(self):
         model = fock_oracle.from_single_particle(np.array([[0.7]]))
         np.testing.assert_array_equal(model.hamiltonian.toarray(), np.diag([0.7, 0.0]))
 
-    def test_on_site_anticommutation_and_nilpotency(self):
-        n = 4
-        for k in range(1, n + 1):
-            a = fock_oracle.lowering_operator(k, n).toarray()
-            assert np.array_equal(a @ a, np.zeros_like(a))
-            anti = a @ a.T + a.T @ a
-            np.testing.assert_array_equal(anti, np.eye(2**n))
-
-    def test_cross_site_commutation(self):
-        n = 4
-        for k in range(1, n):
-            for l in range(k + 1, n + 1):
-                a = fock_oracle.lowering_operator(k, n).toarray()
-                b = fock_oracle.lowering_operator(l, n).toarray()
-                np.testing.assert_array_equal(a @ b - b @ a, np.zeros_like(a))
-                np.testing.assert_array_equal(a @ b.T - b.T @ a, np.zeros_like(a))
-
     def test_number_conservation(self, rng):
         spec = random_experimental_spec(rng, n=5, env=ham.Environment.FULL)
-        model = fock_oracle.from_single_particle(ham.build(spec))
-        num = fock_oracle.number_operator(5)
-        comm = model.hamiltonian @ num - num @ model.hamiltonian
-        assert np.max(np.abs(comm)) <= 1e-12
-
-    @pytest.mark.parametrize("n", [1, 3, 6])
-    def test_number_operator_counts_excitations(self, n):
-        num = fock_oracle.number_operator(n).toarray()
-        occupations = 2**n - 1 - np.arange(2**n)  # qubit 1 excited is the first basis vector
-        np.testing.assert_array_equal(num, np.diag([bin(v).count("1") for v in occupations]))
+        coo = fock_oracle.from_single_particle(ham.build(spec)).hamiltonian.tocoo()
+        # every stored entry links two states with the same number of excitations
+        popcount = np.array([bin(s).count("1") for s in range(2**5)])
+        assert np.count_nonzero(coo.row != coo.col) == 2**4 * 10  # all ten couplings stored
+        np.testing.assert_array_equal(popcount[coo.row], popcount[coo.col])
 
 
 def displayed_blocks_n4(e, g):
@@ -216,15 +194,6 @@ def dense_kron_hamiltonian(matrix):
 
 
 class TestIndexRuleAgainstKronecker:
-    @pytest.mark.parametrize("n", range(1, 7))
-    def test_ladder_and_number_operators(self, n):
-        number = np.zeros((2**n, 2**n))
-        for k in range(1, n + 1):
-            np.testing.assert_array_equal(fock_oracle.lowering_operator(k, n).toarray(), kron_chain(n, {k: MINUS}))
-            np.testing.assert_array_equal(fock_oracle.raising_operator(k, n).toarray(), kron_chain(n, {k: MINUS.T}))
-            number += kron_chain(n, {k: MINUS.T @ MINUS})
-        np.testing.assert_array_equal(fock_oracle.number_operator(n).toarray(), number)
-
     @pytest.mark.parametrize("n", range(1, 9))
     def test_initial_state_is_qubit_one_raised_from_the_vacuum(self, n):
         state = MINUS.T @ GROUND
@@ -266,11 +235,9 @@ class TestRefusals:
         assert not isinstance(info.value, fock_oracle.SizeRefusal)
 
     @pytest.mark.parametrize("build", [
-        lambda n: fock_oracle.lowering_operator(1, n),
-        lambda n: fock_oracle.raising_operator(1, n),
-        fock_oracle.number_operator,
+        lambda n: fock_oracle.from_single_particle(np.eye(n)),
         lambda n: fock_oracle.sector_indices(n, 1),
-    ], ids=["lowering", "raising", "number", "sector_indices"])
+    ], ids=["from_single_particle", "sector_indices"])
     def test_every_full_space_function_guards_its_size(self, build):
         n = fock_oracle.MAX_QUBITS + 1
         tracemalloc.start()

@@ -369,6 +369,9 @@ class TestAmplitudes:
         for t in (0.0, 3.7, 40.0):
             assert lee.amplitude_residue_cut(free, t) == pytest.approx(cmath.exp(-1j * t), abs=1e-12)
             assert lee.amplitude_direct(free, t)[0] == pytest.approx(cmath.exp(-1j * t), abs=1e-7)
+            second = lee.amplitude_second_sheet(free, t)
+            assert second.total == pytest.approx(cmath.exp(-1j * t), abs=1e-12)
+            assert second.resonance_term == 0.0 and second.line_term == 0.0
 
     def test_normalization_at_zero(self):
         assert abs(lee.amplitude_direct(REF, 0.0)[0] - 1.0) < 1e-6

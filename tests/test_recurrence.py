@@ -105,6 +105,13 @@ class TestCountCrossings:
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
             recurrence.count_crossings(chain_decomp(10), 0.5, total_time, resolution)
 
+    def test_refuses_a_count_that_moves_under_step_halving(self):
+        # p(t) = cos^2(t / 2) stays above 1 - 1e-4 for only 0.04 around each
+        # recurrence, so the 0.1 grid misses about half the crossings its half-step grid sees
+        d = spectral.SpectralDecomposition(np.array([0.0, 1.0]), np.array([0.5, 0.5]), 2)
+        with pytest.raises(recurrence.ResolutionTooCoarse, match="unstable under step halving"):
+            recurrence.count_crossings(d, 1.0 - 1e-4, 2000.0, 0.1)
+
     def test_stability_guard_accepts_fine_grid(self):
         d = chain_decomp(8)
         rate = recurrence.count_crossings(d, 0.5, 2000.0, 0.02, check_stability=True)
