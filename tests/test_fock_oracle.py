@@ -11,7 +11,9 @@ from qsurvival import closedform, fock_oracle, spectral
 from qsurvival import hamiltonian as ham
 
 
-class TestHamiltonianBuild:
+class TestLadderOperators:
+    """The Hamiltonian is built from ladder-operator products and number operators written on the bits."""
+
     def test_single_qubit_hamiltonian(self):
         model = fock_oracle.from_single_particle(np.array([[0.7]]))
         np.testing.assert_array_equal(model.hamiltonian.toarray(), np.diag([0.7, 0.0]))
@@ -23,6 +25,13 @@ class TestHamiltonianBuild:
         popcount = np.array([bin(s).count("1") for s in range(2**5)])
         assert np.count_nonzero(coo.row != coo.col) == 2**4 * 10  # all ten couplings stored
         np.testing.assert_array_equal(popcount[coo.row], popcount[coo.col])
+
+    @pytest.mark.parametrize("n", [1, 3, 6])
+    def test_number_operator_counts_excitations(self, n):
+        # unit splittings and no couplings: the Hamiltonian is the number operator
+        num = fock_oracle.from_single_particle(np.eye(n)).hamiltonian.toarray()
+        occupations = 2**n - 1 - np.arange(2**n)  # qubit 1 excited is the first basis vector
+        np.testing.assert_array_equal(num, np.diag([bin(v).count("1") for v in occupations]))
 
 
 def displayed_blocks_n4(e, g):
@@ -194,6 +203,21 @@ def dense_kron_hamiltonian(matrix):
 
 
 class TestIndexRuleAgainstKronecker:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_ladder_and_number_operators(self, n):
+        # one term at a time: h_kk = 1 builds the number operator of qubit k,
+        # h_kl = h_lk = 1 the exchange a_k^dag a_l + a_l^dag a_k
+        def term(k, l):
+            matrix = np.zeros((n, n))
+            matrix[k - 1, l - 1] = matrix[l - 1, k - 1] = 1.0
+            return fock_oracle.from_single_particle(matrix).hamiltonian.toarray()
+
+        for k in range(1, n + 1):
+            np.testing.assert_array_equal(term(k, k), kron_chain(n, {k: MINUS.T @ MINUS}))
+            for l in range(k + 1, n + 1):
+                hop = kron_chain(n, {k: MINUS.T, l: MINUS})
+                np.testing.assert_array_equal(term(k, l), hop + hop.T)
+
     @pytest.mark.parametrize("n", range(1, 9))
     def test_initial_state_is_qubit_one_raised_from_the_vacuum(self, n):
         state = MINUS.T @ GROUND
@@ -237,7 +261,8 @@ class TestRefusals:
     @pytest.mark.parametrize("build", [
         lambda n: fock_oracle.from_single_particle(np.eye(n)),
         lambda n: fock_oracle.sector_indices(n, 1),
-    ], ids=["from_single_particle", "sector_indices"])
+        lambda n: fock_oracle.full_survival(fock_oracle.FullSpaceModel(n, np.zeros((2, 2)), 0), [0.0]),
+    ], ids=["from_single_particle", "sector_indices", "full_survival"])
     def test_every_full_space_function_guards_its_size(self, build):
         n = fock_oracle.MAX_QUBITS + 1
         tracemalloc.start()
