@@ -59,6 +59,7 @@ __all__ = [
 ]
 
 _GL_NODES = 12
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
 # most Gauss-Legendre nodes one panel rule may build: about 300 MiB on the cut
 _NODE_BUDGET = 4_000_000
 # default spacing ratio of the breakpoints that ``_cluster`` puts around a center
@@ -397,13 +398,12 @@ def _panels(points, lo: float, hi: float, longest: float = math.inf):
     right = k * np.repeat(gaps / count, count) + np.repeat(edges[:-1], count)
     right[ends - 1] = edges[1:]
     left = np.append(lo, right[:-1])
-    xg, wg = np.polynomial.legendre.leggauss(_GL_NODES)
     mid, half = 0.5 * (left + right), 0.5 * (right - left)
-    nodes = mid[:, None] + half[:, None] * xg[None, :]
+    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
     # among subnormals mid and half round by a whole unit, enough to push a
     # node out of its panel and across a point
     np.clip(nodes, left[:, None], right[:, None], out=nodes)
-    return nodes.ravel(), (half[:, None] * wg[None, :]).ravel()
+    return nodes.ravel(), (half[:, None] * _GL_W[None, :]).ravel()
 
 
 def _cut_nodes(params: LeeParams, t_max: float):
@@ -533,24 +533,48 @@ def amplitude_second_sheet(params: LeeParams, t) -> SecondSheetAmplitude:
 # method M-i: direct inversion along R + i eps
 
 
-def _direct_subtractions(params: LeeParams | WignerSemicircle):
-    """Simple poles whose inverse transforms are known exactly.
+def _direct_subtractions(params: LeeParams | WignerSemicircle) -> tuple[np.ndarray, np.ndarray]:
+    """Simple poles whose inverse transforms are known exactly, as arrays of
+    locations and weights.
 
-    Real poles are removed with their residues; the leftover weight is
-    assigned to a pole at the moment-matched location so the remaining
-    integrand decays like 1/z^3 without secular subtraction terms.
+    The real poles x_j go with their residues r_j. The rest of the measure has
+    the central moments M_k = m_k - sum_j r_j (x_j - omega)^k, k = 0..3, where
+    m = (1, 0, b^2, 0) with b^2 = 2 delta omega kappa2 for the box (the 1/u
+    term of the level shift) and sigma^2 for the semicircle. The rest goes on
+    its two-node Gauss rule: the roots of its monic degree-2 orthogonal
+    polynomial, weighted to match M0 and M1. Four moments then match and the
+    remaining integrand decays like 1/z^5.
+
+    Where the Hankel determinant M0 M2 - M1^2 is at most 1e-12 b^2, the rest
+    is too light to fix two nodes (kappa2 = 0; at strong coupling, where the
+    real poles carry almost all the weight and M2 is a difference of numbers
+    of size b^2). There, and where a node falls outside the band's hull
+    [omega - delta, omega + delta] ([omega - 2 sigma, omega + 2 sigma]) or a
+    weight is not positive, the rest goes on one pole at omega + M1 / M0,
+    which matches two moments and leaves a 1/z^3 decay.
     """
+    w = params.omega
     if isinstance(params, WignerSemicircle):
-        return np.array([]), np.array([]), 1.0, params.omega
-    rp = real_poles(params)
-    xs = np.array([p.location for p in rp])
-    rs = np.array([p.residue for p in rp])
-    w_rest = 1.0 - rs.sum()
-    if abs(w_rest) < 1e-14:
-        x_rest = params.omega
+        xs, rs = np.array([]), np.array([])
+        b2, reach = params.sigma**2, 2.0 * params.sigma
     else:
-        x_rest = (params.omega - float(rs @ xs)) / w_rest
-    return xs, rs, w_rest, x_rest
+        rp = real_poles(params)
+        xs, rs = np.array([p.location for p in rp]), np.array([p.residue for p in rp])
+        b2, reach = 2.0 * params.delta * w * params.kappa2, params.delta
+    y = xs - w
+    m0, m1, m2, m3 = 1.0 - rs.sum(), -float(rs @ y), b2 - float(rs @ y**2), -float(rs @ y**3)
+    det = m0 * m2 - m1**2
+    if det > 1e-12 * b2:
+        # p(y) = y^2 + c1 y + c0, orthogonal to 1 and y under the rest
+        c1, c0 = (m1 * m2 - m0 * m3) / det, (m1 * m3 - m2**2) / det
+        mid, rad = -0.5 * c1, math.sqrt(max(0.25 * c1**2 - c0, 0.0))
+        if rad > 0.0 and abs(mid) + rad <= reach:
+            nodes = np.array([mid - rad, mid + rad])
+            weights = np.array([m0 * nodes[1] - m1, m1 - m0 * nodes[0]]) / (2.0 * rad)
+            if np.all(weights > 0.0):
+                return np.append(xs, w + nodes), np.append(rs, weights)
+    x_rest = w if abs(m0) < 1e-14 else w + m1 / m0
+    return np.append(xs, x_rest), np.append(rs, m0)
 
 
 def _direct_breakpoints(params: LeeParams | WignerSemicircle, eps: float, half_width: float, extra: list[float]):
@@ -570,11 +594,13 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t):
     axis: the amplitude at each time of scalar or array ``t`` and its achieved
     error estimate there.
 
-    Known simple poles are subtracted and restored analytically. The line
-    height is eps = min(1e-3 s, 0.2 / max(t_max, 1)), at least 1e-9 s, with s
-    the box half-width delta or the semicircle sigma and t_max the largest
-    time. At each of the heights eps and eps / 2, every time widens its own
-    window around omega until the tail estimate is below 1e-8. The times that
+    The real poles and the two-node Gauss rule of the rest of the measure
+    (:func:`_direct_subtractions`) are subtracted and restored analytically,
+    so the integrand on the line decays like 1/z^5. The line height is
+    eps = min(1e-3 s, 0.2 / max(t_max, 1)), at least 1e-9 s, with s the box
+    half-width delta or the semicircle sigma and t_max the largest time. At
+    each of the heights eps and eps / 2, every time widens its own window
+    around omega until the tail estimate is below 1e-8. The times that
     end at the same half-width share one set of nodes by :func:`_panels`,
     with edges clustered geometrically around the density edges, the poles
     and omega, and no panel longer than one period 2 pi / t of the largest
@@ -582,28 +608,36 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t):
     period to 8.8e-16 (2.9e-12 over two). On the line
     e^{-izt} = e^{eps t} e^{-ixt}, so one :func:`phase_sum` at real
     frequencies gives the set's integrals. The two heights are
-    Richardson-extrapolated to eps -> 0. The achieved estimate at each time is
-    the window tail plus the disagreement of the two heights; above 1e-7 at
-    any time it raises :class:`QuadratureError`, which carries the largest.
+    Richardson-extrapolated to eps -> 0. The achieved estimate at each time
+    has three parts: the window tail, the disagreement of the two heights, and
+    a rounding bound, unit * sum |w_q R| e^{eps t} (1 + max|x| t) / (2 pi) for
+    each height (twice for eps / 2, which the extrapolation doubles) plus
+    unit * sum |r| (1 + max|x| t) for the restored poles, with R the
+    integrand, w_q the weights and unit the double-precision epsilon. Above
+    1e-7 at any time it raises :class:`QuadratureError`, which carries the
+    largest.
     A scalar ``t`` returns a complex and a float, an array two arrays.
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     _check_times(times)
     scale = params.sigma if isinstance(params, WignerSemicircle) else params.delta
     eps = max(min(1e-3 * scale, 0.2 / max(times.max(initial=0.0), 1.0)), 1e-9 * scale)
-    xs, rs, w_rest, x_rest = _direct_subtractions(params)
+    xs, rs = _direct_subtractions(params)
     w = params.omega
     late = times > 1.0
+    unit = np.finfo(float).eps
 
     def remainder(z):
         val = 1.0 / _denominator_first(params, z)
         for x0, r0 in zip(xs, rs):
             val = val - r0 / (z - x0)
-        return val - w_rest / (z - x_rest)
+        return val
 
-    def integrate(eps_line: float) -> tuple[np.ndarray, np.ndarray]:
+    def integrate(eps_line: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # each time doubles its window's half-width until its tail is small;
-        # the tail estimate falls with t, so the half-widths grow as t falls
+        # the tail estimate falls with t, so the half-widths grow as t falls.
+        # g half / 2 is the tail of a 1/z^3 decay (the single-pole fallback's),
+        # twice that of the 1/z^5 decay after the two-node subtraction
         halves, tails = np.zeros(times.size), np.zeros(times.size)
         pending = np.ones(times.size, dtype=bool)
         half = max(16.0 * params.sigma if isinstance(params, WignerSemicircle) else 8.0 * params.delta, 2.0)
@@ -619,20 +653,27 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t):
         if np.any(tails >= _DIRECT_TOL):
             raise QuadratureError("window tail did not converge", float(tails.max()))
         integral = np.empty(times.size, dtype=complex)
+        rounding = np.empty(times.size)
         for half in np.unique(halves):
             share = halves == half
             shared = times[share]
-            pts = _direct_breakpoints(params, eps_line, half, list(xs) + [x_rest])
+            pts = _direct_breakpoints(params, eps_line, half, list(xs))
             x, wq = _panels(pts, w - half, w + half, 2.0 * math.pi / max(shared.max(), 1e-12))
-            integral[share] = np.exp(eps_line * shared) * phase_sum(x, wq * remainder(x + 1j * eps_line), shared)
-        return -(1.0 / (2j * math.pi)) * integral, tails
+            terms = wq * remainder(x + 1j * eps_line)
+            growth = np.exp(eps_line * shared)
+            integral[share] = growth * phase_sum(x, terms, shared)
+            # rounding of the phases x t and of the sum over nodes
+            rounding[share] = unit * np.abs(terms).sum() * growth * (1.0 + np.abs(x).max() * shared)
+        return -(1.0 / (2j * math.pi)) * integral, tails, rounding / (2.0 * math.pi)
 
-    a1, tail1 = integrate(eps)
-    a2, tail2 = integrate(eps / 2.0)
-    achieved = np.abs(a2 - a1) + np.maximum(tail1, tail2)
+    a1, tail1, round1 = integrate(eps)
+    a2, tail2, round2 = integrate(eps / 2.0)
+    # the extrapolation 2 a2 - a1 carries the rounding of a2 twice
+    rounding = round1 + 2.0 * round2 + unit * np.abs(rs).sum() * (1.0 + np.abs(xs).max() * times)
+    achieved = np.abs(a2 - a1) + np.maximum(tail1, tail2) + rounding
     if np.any(achieved > _DIRECT_TOL):
         raise QuadratureError("line heights disagree beyond tolerance", float(achieved.max()))
-    amp = phase_sum(np.append(xs, x_rest), np.append(rs, w_rest), times) + (2.0 * a2 - a1)
+    amp = phase_sum(xs, rs, times) + (2.0 * a2 - a1)
     if np.asarray(t).ndim == 0:
         return complex(amp[0]), float(achieved[0])
     return amp, achieved

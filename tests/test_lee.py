@@ -578,6 +578,55 @@ class TestDirectGrid:
                 assert lee.amplitude_direct(params, t) == (complex(amp[0]), float(achieved[0]))
 
 
+class TestDirectSubtraction:
+    """The poles ``amplitude_direct`` subtracts: the real poles and the two-node
+    Gauss rule of the rest of the measure."""
+
+    @staticmethod
+    def moments(locations, weights, omega):
+        return np.array([np.dot(weights, (np.asarray(locations) - omega) ** k) for k in range(4)])
+
+    @pytest.mark.parametrize("kappa2", EIGHTHS)
+    def test_poles_and_nodes_reproduce_four_moments_of_the_box(self, kappa2):
+        params = lee.LeeParams(1.0, 0.1, kappa2)
+        locations, weights = lee._direct_subtractions(params)
+        rp = lee.real_poles(params)
+        assert locations.size == len(rp) + 2
+        assert np.all(np.abs(locations[-2:] - 1.0) <= 0.1) and np.all(weights[-2:] > 0.0)
+        # moments integrated independently: residues plus the cut weight on the cut nodes
+        x, wq = lee._cut_nodes(params, 1.0)
+        cut = wq * lee._cut_weight(params, x)
+        independent = self.moments(np.append([p.location for p in rp], x), np.append([p.residue for p in rp], cut), 1.0)
+        # worst measured 2.1e-11, the cut quadrature's error in M0 at kappa2 = 0.27
+        assert np.max(np.abs(self.moments(locations, weights, 1.0) - independent)) <= 1e-10
+
+    def test_semicircle_nodes_are_omega_plus_minus_sigma(self):
+        locations, weights = lee._direct_subtractions(lee.WignerSemicircle(1.0, 0.25))
+        np.testing.assert_allclose(locations, [0.75, 1.25], rtol=0.0, atol=1e-15)
+        np.testing.assert_allclose(weights, [0.5, 0.5], rtol=0.0, atol=1e-15)
+
+    @pytest.mark.parametrize("kappa2", EIGHTHS)
+    def test_remainder_decays_like_the_fifth_power(self, kappa2):
+        params = lee.LeeParams(1.0, 0.1, kappa2)
+        locations, weights = lee._direct_subtractions(params)
+        offsets = np.outer(2.0 ** np.arange(1, 7), [1.0, -1.0])
+        z = 1.0 + offsets + 1e-4j
+        remainder = 1.0 / lee._denominator_first(params, z) - np.sum(weights / (z[..., None] - locations), axis=-1)
+        scaled = np.abs(remainder) * np.abs(offsets) ** 5
+        # worst measured ratio 1.06; one rest pole leaves a 1/u^3 term, and
+        # this ratio near 2^10 over H = 2 ... 64
+        assert scaled.max() <= 2.0 * scaled.min()
+
+    @pytest.mark.parametrize("kappa2", [0.0, 1e3])
+    def test_single_pole_fallback(self, kappa2):
+        # the rest weighs nothing (kappa2 = 0) or 1.7e-5 beside the real poles
+        params = lee.LeeParams(1.0, 0.1, kappa2)
+        locations, weights = lee._direct_subtractions(params)
+        assert locations.size == len(lee.real_poles(params)) + 1
+        np.testing.assert_allclose(self.moments(locations, weights, 1.0)[:2], [1.0, 0.0], rtol=0.0, atol=1e-14)
+        TestDirectGrid.assert_matches_residue_cut(params, np.linspace(0.0, 2000.0, 11))
+
+
 class TestSurvival:
     def test_flat_at_zero_coupling(self):
         series = lee.survival(lee.LeeParams(1.0, 0.1, 0.0), np.linspace(0, 50, 60))
@@ -612,7 +661,7 @@ class TestSurvival:
         series, error = lee.direct_survival(REF, times)
         assert series.values.tobytes() == lee.survival(REF, times, method="direct").values.tobytes()
         assert series.method == "direct" and series.tail_bound is None
-        assert error == max(lee.amplitude_direct(REF, t)[1] for t in times) and 0.0 <= error <= 1e-7
+        assert error == lee.amplitude_direct(REF, times)[1].max() and 0.0 <= error <= 1e-7
 
     def test_wigner_equals_bessel_limit(self):
         sigma = 0.37

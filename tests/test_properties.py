@@ -109,3 +109,13 @@ def test_lee_routes_agree(kappa2, t):
     params = lee.LeeParams(1.0, 0.1, kappa2)
     values = [lee.survival(params, [t], method=method).values[0] for method in lee.METHODS]
     assert max(values) - min(values) <= LEE_ROUTE_TOL
+
+
+@given(st.floats(math.log(1e-4), math.log(10.0)).map(math.exp))
+@settings(max_examples=20, deadline=None)
+def test_lee_direct_grid_agrees_with_second_sheet(kappa2):
+    params = lee.LeeParams(1.0, 0.1, kappa2)
+    times = np.linspace(0.0, 2000.0, 11)
+    direct = lee.direct_survival(params, times)[0].values
+    second = lee.survival(params, times, method="second_sheet").values
+    assert np.max(np.abs(direct - second)) <= LEE_ROUTE_TOL
