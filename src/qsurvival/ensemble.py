@@ -56,11 +56,13 @@ __all__ = ["Draw", "draw_realization", "realization_survival", "ensemble_mean"]
 # Route costs in multiply-adds of one product with the dense n x n matrix
 # (about 0.2 ns each), fitted on a 2-core Xeon with OpenBLAS at n = 200-2000
 # and 1 to 5001 time points, each rounded towards the eigensolve. The
-# eigensolve and phase sum cost n^2 (0.4 n + 400); each Chebyshev node costs
-# half a product, the rest of a moment step and its share of the phase sum:
-# 6e4 + 5 per point.
+# eigensolve and phase sum cost n^2 (0.4 n + 550), the quadratic term from a
+# least-squares fit, in relative error, to eigh plus phase-sum timings at
+# n = 100-400 on 501 and 5001 points, which gave 577. Each Chebyshev node
+# costs half a product, the rest of a moment step and its share of the phase
+# sum: 6e4 + 5 per point.
 _EIGENSOLVE_CUBIC = 0.4
-_EIGENSOLVE_QUADRATIC = 400.0
+_EIGENSOLVE_QUADRATIC = 550.0
 _ORDER_COST = 6e4
 _ORDER_POINT_COST = 5.0
 
@@ -175,10 +177,15 @@ class _Arrowhead:
 
 def _arrowhead(spec: ham.HamiltonianSpec, stream: int):
     """Matrix-vector product of one diagonal-environment draw and Weyl bounds
-    [min d - |g|, max d + |g|] on its spectrum."""
+    [min d - |g|, max d + |g|] on its spectrum, widened where they are narrower
+    than sqrt(eps) max(|lo|, |hi|) on each side of their centre. The product
+    rounds each level by about eps max(|lo|, |hi|); on an interval only that
+    wide, the moments grow like T_k beyond 1 (622 at k = 18 for a width of 4e-16)."""
     diag, g = ham.draw_arrowhead(spec.model, ham.stream_rng(spec.seed, stream))
     radius = float(np.linalg.norm(g))
-    return _Arrowhead(diag, g), float(diag.min()) - radius, float(diag.max()) + radius
+    lo, hi = float(diag.min()) - radius, float(diag.max()) + radius
+    pad = max(0.0, math.sqrt(np.finfo(float).eps) * max(abs(lo), abs(hi)) - 0.5 * (hi - lo))
+    return _Arrowhead(diag, g), lo - pad, hi + pad
 
 
 def draw_realization(spec: ham.HamiltonianSpec, stream: int = 0) -> Draw:

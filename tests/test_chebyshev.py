@@ -6,7 +6,7 @@ import tracemalloc
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.fft import dct
 from scipy.special import jv
@@ -170,6 +170,9 @@ class TestChebyshevAmplitude:
 class TestFoldedProduct:
     @given(arrowhead_draws(), st.integers(1, 400))
     @settings(max_examples=60, deadline=None)
+    # a draw only 4.4e-16 wide, below the rounding of its own product
+    @example((ham.HamiltonianSpec(ham.Experimental(69, 0.375, 0.0, 2.220446049250313e-16), seed=0), 0), 18)
+    @example((ham.HamiltonianSpec(ham.Experimental(69, 0.375, 0.0, 2.220446049250313e-16), seed=0), 0), 400)
     def test_folded_moments_match_the_unfolded_loop(self, draw, count):
         """The arrowhead's folded step product against the same loop on its plain
         product. Each rounds the scaled operator by about eps (|c| / r + 1), which
@@ -273,6 +276,15 @@ class TestRouteTable:
     def test_route_follows_the_spectral_width_and_the_grid(self, model, tmax, route):
         times = np.linspace(0.0, tmax, 501)
         assert realization_survival(ham.HamiltonianSpec(model, seed=1), times, stream=0).method == route
+
+    def test_diagonal_draw_of_two_hundred_levels_propagates(self):
+        # Chebyshev takes 0.46 of the eigensolve's time here; the eigensolve
+        # cost of n^2 (0.4 n + 400) predicted 1.10 and decomposed it
+        spec = ham.HamiltonianSpec(ham.Experimental(200, 1.0, 0.1, 0.0122), seed=1)
+        times = np.linspace(0.0, 2000.0, 501)
+        series = realization_survival(spec, times, stream=0)
+        assert series.method == "chebyshev"
+        assert np.max(np.abs(series.values - eigh_survival(ham.build(spec, 0), times))) <= 1e-12
 
     @pytest.mark.parametrize("n, route", [(20, "spectral"), (800, "chebyshev")])
     def test_unsorted_grid_gives_the_sorted_values_permuted(self, n, route):

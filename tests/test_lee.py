@@ -454,6 +454,59 @@ class TestAmplitudes:
             assert abs(lee.amplitude_direct(params, t)[0] - closed) < 1e-6
 
 
+class TestSeams:
+    """The two seam integrals of the second-sheet route."""
+
+    @pytest.mark.parametrize("kappa2", [1e-4, 10.0])
+    def test_weights_match_fifty_digit_arithmetic(self, kappa2):
+        # 1/D_II - 1/D_I at the same double z = edge - i s in 50 digits; the
+        # difference of the two double reciprocals loses up to 2e-5 of it at
+        # s = 1e8 and kappa2 = 1e-4
+        params = lee.LeeParams(1.0, 0.1, kappa2)
+        s = np.geomspace(1e-3, 1e8, 45)
+        with mpmath.workdps(50):
+            w, d = mpmath.mpf(params.omega), mpmath.mpf(params.delta)
+            for edge in params.cut:
+                weights = lee._seam_weights(params, edge, s, np.ones(s.size))
+                for s_j, g in zip(s, weights):
+                    z = mpmath.mpc(edge, -s_j)
+                    first = z - w + w * kappa2 * (mpmath.log(w + d - z) - mpmath.log(w - d - z))
+                    second = first + 2j * mpmath.pi * w * kappa2
+                    exact = complex(1 / second - 1 / first)
+                    assert abs(g - exact) <= 1e-13 * abs(exact)
+
+    @pytest.mark.parametrize("kappa2", [1e-4, 1e-2, 10.0])
+    def test_peak_memory_is_the_decay_tables(self, kappa2, monkeypatch):
+        # 501 points make B = 22 blocks of M = 23 times. At the peak the call
+        # holds, in doubles: the three (M + 2B) x N tables of the decay sums
+        # over N seam nodes; ten per node for the nodes, their quadrature
+        # weights, both edges' complex weights and the four real rows made of
+        # them; the 4 x B x M sums and one B x M block product; five over the
+        # times (the grid, the complex real-pole and resonance terms). 64 KiB
+        # covers the interpreter's own objects. The two complex tables of
+        # phase sums at imaginary frequencies took 16 (M + B) N bytes alone.
+        nodes, seam_nodes_of = [], lee._seam_nodes
+
+        def seam_nodes(*args):
+            s, wq = seam_nodes_of(*args)
+            nodes.append(s.size)
+            return s, wq
+
+        monkeypatch.setattr(lee, "_seam_nodes", seam_nodes)
+        params = lee.LeeParams(1.0, 0.1, kappa2)
+        times = np.linspace(0.0, 2000.0, 501)
+        lee.amplitude_second_sheet(params, times)
+        tracemalloc.start()
+        try:
+            lee.amplitude_second_sheet(params, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        width, blocks, n = 23, 22, nodes[-1]
+        doubles = n * (width + 2 * blocks + 10) + 5 * blocks * width + 5 * times.size
+        assert peak <= 8 * doubles + 64 * 2**10
+
+
 class TestPanelRule:
     @given(
         st.floats(-10.0, 10.0),

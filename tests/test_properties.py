@@ -3,7 +3,7 @@
 import math
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.special import j0, j1
 
@@ -119,3 +119,16 @@ def test_lee_direct_grid_agrees_with_second_sheet(kappa2):
     direct = lee.direct_survival(params, times)[0].values
     second = lee.survival(params, times, method="second_sheet").values
     assert np.max(np.abs(direct - second)) <= LEE_ROUTE_TOL
+
+
+@given(st.floats(math.log(1e-4), math.log(10.0)).map(math.exp),
+       st.lists(st.floats(0.0, 2000.0), min_size=5, max_size=60, unique=True).map(sorted))
+@settings(max_examples=20, deadline=None)
+def test_lee_second_sheet_off_the_uniform_grid_agrees_with_residue_cut(kappa2, times):
+    # random times take the direct branch of the seams' decay sums
+    times = np.array(times)
+    assume(spectral._blocks(times) is None)
+    params = lee.LeeParams(1.0, 0.1, kappa2)
+    second = lee.survival(params, times, method="second_sheet").values
+    cut = lee.survival(params, times, method="residue_cut").values
+    assert np.max(np.abs(second - cut)) <= LEE_ROUTE_TOL

@@ -187,6 +187,57 @@ class TestBlockedPhaseSum:
         assert abs(values[0] - 1.0) < 1e-12
 
 
+class TestDecaySums:
+    """``decay_sums`` against ``phase_sum`` at the imaginary frequencies -i rates."""
+
+    @staticmethod
+    def seam_like_terms(count=700):
+        # rates spread geometrically as on a second-sheet seam, with complex weights
+        rng = np.random.default_rng(11)
+        return np.geomspace(1e-16, 1e8, count), rng.normal(size=count) + 1j * rng.normal(size=count)
+
+    @pytest.mark.parametrize(
+        "times",
+        [
+            pytest.param(np.linspace(0.0, 2000.0, 501), id="uniform"),
+            pytest.param(37.5 + np.arange(400) * 0.25, id="uniform-late-start"),
+            pytest.param(np.geomspace(1e-3, 2000.0, 300), id="non-uniform"),
+            pytest.param(np.float64(3.7), id="scalar"),
+            pytest.param(np.array([0.0]), id="zero-alone"),
+            pytest.param(np.array([]), id="empty"),
+        ],
+    )
+    def test_matches_the_phase_sum_within_round_off(self, times):
+        # each term differs by the rounding of one exponential and of the sum;
+        # e^{-x} moves by x eps e^{-x} <= eps / e when x = rate * t rounds
+        rates, weights = self.seam_like_terms()
+        sums = spectral.decay_sums(rates, [weights.real, weights.imag], times)
+        reference = spectral.phase_sum(-1j * rates, weights, times)
+        assert sums.shape == (2, reference.size)
+        bound = 8.0 * np.finfo(float).eps * np.abs(weights).sum()
+        assert np.abs(sums[0] + 1j * sums[1] - reference).max(initial=0.0) <= bound
+
+    def test_one_row_is_a_one_row_array(self):
+        rates, weights = self.seam_like_terms(50)
+        times = np.linspace(0.0, 10.0, 100)
+        np.testing.assert_array_equal(spectral.decay_sums(rates, weights.real, times),
+                                      spectral.decay_sums(rates, [weights.real], times))
+
+    def test_chunks_of_terms_leave_the_sums(self):
+        # 501 points cut into chunks of 4e6 / (23 + 2 * 22) terms: 1.5e5 terms make three
+        rng = np.random.default_rng(12)
+        rates, weights = rng.uniform(0.0, 0.05, size=150_000), rng.normal(size=(2, 150_000))
+        times = np.linspace(0.0, 2000.0, 501)
+        chunked = spectral.decay_sums(rates, weights, times)
+        direct = spectral.decay_sums(rates, weights, times[::-1])[:, ::-1]
+        assert np.abs(chunked - direct).max() <= 8.0 * np.finfo(float).eps * np.abs(weights).sum()
+
+    def test_decays_below_the_square_root_of_tiny_are_zero(self):
+        # e^{-300} survives, e^{-400} would be squared into the subnormals
+        sums = spectral.decay_sums([300.0, 400.0], [[1.0, 0.0], [0.0, 1.0]], [1.0])
+        np.testing.assert_array_equal(sums[:, 0], [math.exp(-300.0), 0.0])
+
+
 class TestSurvivalAmplitude:
     def test_normalized_at_zero(self, rng):
         spec = random_experimental_spec(rng, n=6)
