@@ -289,7 +289,7 @@ def _pole_fields(pole_set: lee.PoleSet) -> dict:
     return fields
 
 
-def _lee_params(args) -> lee.LeeParams | lee.WignerSemicircle:
+def _lee_params(args) -> lee.Density:
     """The box reads --delta and one of --kappa2 or --sigma; the semicircle reads none of them."""
     _require(args, ["omega"])
     if args.density is not None:

@@ -1,7 +1,9 @@
 """Survival probability of the central qubit in the infinite-environment limit.
 
-Each environment density has its own parameter type. ``LeeParams`` is a
-uniform box of levels; the Laplace-transformed amplitude is
+Each environment density is one type (``Density``) that carries the four
+members ``amplitude_direct`` reads: ``half_width``, ``second_moment``,
+``center_width`` and ``denominator``, so a new density is one new type.
+``LeeParams`` is a uniform box of levels; the Laplace-transformed amplitude is
 1 / (z - omega + omega*kappa2*L(z)) with L a two-branch-point logarithm.
 ``WignerSemicircle`` is a GOE environment, the infinite-size limit of
 ``hamiltonian.RosenzweigPorter``; omega*kappa2*L becomes sigma^2 times the
@@ -118,8 +120,20 @@ class LeeParams:
             raise ValueError("kappa2 must be finite and >= 0")
 
     @property
-    def cut(self) -> tuple[float, float]:
-        return (self.omega - self.delta, self.omega + self.delta)
+    def half_width(self) -> float:
+        return self.delta
+
+    @property
+    def second_moment(self) -> float:
+        """b^2 = 2 delta omega kappa2, the 1/u term of the level shift."""
+        return 2.0 * self.delta * self.omega * self.kappa2
+
+    @property
+    def center_width(self) -> float:
+        return math.pi * self.omega * self.kappa2
+
+    def denominator(self, z):
+        return np.asarray(z, dtype=complex) - self.omega + self.omega * self.kappa2 * level_shift_first_sheet(self, z)
 
 
 @dataclass(frozen=True)
@@ -136,6 +150,25 @@ class WignerSemicircle:
             raise ValueError("omega must be finite and > 0")
         if not 0.0 < self.sigma < math.inf:
             raise ValueError("sigma must be finite and > 0")
+
+    @property
+    def half_width(self) -> float:
+        """2 sigma, so the line of ``amplitude_direct`` is at most 2e-3 sigma high."""
+        return 2.0 * self.sigma
+
+    @property
+    def second_moment(self) -> float:
+        return self.sigma**2
+
+    @property
+    def center_width(self) -> float:
+        return 1e-3 * self.sigma
+
+    def denominator(self, z):
+        return np.asarray(z, dtype=complex) - self.omega + self.sigma**2 * stieltjes_wigner(z, self.omega, self.sigma)
+
+
+Density = LeeParams | WignerSemicircle
 
 
 @dataclass(frozen=True)
@@ -229,14 +262,6 @@ def stieltjes_wigner(z, omega: float, sigma: float):
     w = z - omega
     root = np.sqrt(w - 2.0 * sigma) * np.sqrt(w + 2.0 * sigma)
     return -(w - root) / (2.0 * sigma**2)
-
-
-def _denominator_first(params: LeeParams | WignerSemicircle, z):
-    z = np.asarray(z, dtype=complex)
-    if isinstance(params, WignerSemicircle):
-        s = params.sigma
-        return z - params.omega + s**2 * stieltjes_wigner(z, params.omega, s)
-    return z - params.omega + params.omega * params.kappa2 * level_shift_first_sheet(params, z)
 
 
 def _denominator_second(params: LeeParams, z):
@@ -411,9 +436,9 @@ def _cut_nodes(params: LeeParams, t_max: float):
     both branch points, a cluster around the near-Lorentzian at the cut
     center, and no panel longer than 2 pi / t_max, one period of the fastest
     phase on the grid, which 12 Gauss-Legendre nodes integrate to round-off."""
-    w, d, k2 = params.omega, params.delta, params.kappa2
-    a, b = params.cut
-    width = max(math.pi * w * k2, 1e-13)
+    w, d = params.omega, params.delta
+    a, b = w - d, w + d
+    width = max(params.center_width, 1e-13)
     pts = np.concatenate([_cluster(e, d * 1e-15, d / 2.0, 3.0) for e in (a, b)] + [_cluster(w, width / 8.0, d)])
     return _panels(pts, a, b, 2.0 * math.pi / max(t_max, 1e-12))
 
@@ -493,7 +518,7 @@ def _seam_weights(params: LeeParams, edge: float, s: np.ndarray, wq: np.ndarray)
     equal reciprocals deep down the seam (at s = 1e8, kappa2 = 1e-4 the
     difference lost up to 2e-5 of its value)."""
     jump = 2j * math.pi * params.omega * params.kappa2
-    d1 = _denominator_first(params, edge - 1j * s)
+    d1 = params.denominator(edge - 1j * s)
     return wq * (-jump / (d1 * (d1 + jump)))
 
 
@@ -525,7 +550,7 @@ def amplitude_second_sheet(params: LeeParams, t) -> SecondSheetAmplitude:
         tail = 8.0 * math.pi * w * k2 * d / s_max**2
         if tail > 1e-9:
             raise QuadratureError("seam tail not negligible", tail)
-        a, b = params.cut
+        a, b = w - d, w + d
         s, wq = _seam_nodes(depth, d, s_max)
         g_a, g_b = _seam_weights(params, a, s, wq), _seam_weights(params, b, s, wq)
         sums = decay_sums(s, [g_a.real, g_a.imag, g_b.real, g_b.imag], times)
@@ -542,34 +567,27 @@ def amplitude_second_sheet(params: LeeParams, t) -> SecondSheetAmplitude:
 # method M-i: direct inversion along R + i eps
 
 
-def _direct_subtractions(params: LeeParams | WignerSemicircle) -> tuple[np.ndarray, np.ndarray]:
+def _direct_subtractions(params: Density) -> tuple[np.ndarray, np.ndarray]:
     """Simple poles whose inverse transforms are known exactly, as arrays of
     locations and weights.
 
     The real poles x_j go with their residues r_j. The rest of the measure has
     the central moments M_k = m_k - sum_j r_j (x_j - omega)^k, k = 0..3, where
-    m = (1, 0, b^2, 0) with b^2 = 2 delta omega kappa2 for the box (the 1/u
-    term of the level shift) and sigma^2 for the semicircle. The rest goes on
-    its two-node Gauss rule: the roots of its monic degree-2 orthogonal
+    m = (1, 0, b^2, 0) with b^2 the density's ``second_moment``. The rest goes
+    on its two-node Gauss rule: the roots of its monic degree-2 orthogonal
     polynomial, weighted to match M0 and M1. Four moments then match and the
     remaining integrand decays like 1/z^5.
 
     Where the Hankel determinant M0 M2 - M1^2 is at most 1e-12 b^2, the rest
     is too light to fix two nodes (kappa2 = 0; at strong coupling, where the
     real poles carry almost all the weight and M2 is a difference of numbers
-    of size b^2). There, and where a node falls outside the band's hull
-    [omega - delta, omega + delta] ([omega - 2 sigma, omega + 2 sigma]) or a
-    weight is not positive, the rest goes on one pole at omega + M1 / M0,
+    of size b^2). There, and where a node falls outside omega -+ ``half_width``
+    or a weight is not positive, the rest goes on one pole at omega + M1 / M0,
     which matches two moments and leaves a 1/z^3 decay.
     """
-    w = params.omega
-    if isinstance(params, WignerSemicircle):
-        xs, rs = np.array([]), np.array([])
-        b2, reach = params.sigma**2, 2.0 * params.sigma
-    else:
-        rp = real_poles(params)
-        xs, rs = np.array([p.location for p in rp]), np.array([p.residue for p in rp])
-        b2, reach = 2.0 * params.delta * w * params.kappa2, params.delta
+    w, b2, reach = params.omega, params.second_moment, params.half_width
+    rp = real_poles(params) if isinstance(params, LeeParams) else []
+    xs, rs = np.array([p.location for p in rp]), np.array([p.residue for p in rp])
     y = xs - w
     m0, m1, m2, m3 = 1.0 - rs.sum(), -float(rs @ y), b2 - float(rs @ y**2), -float(rs @ y**3)
     det = m0 * m2 - m1**2
@@ -586,19 +604,7 @@ def _direct_subtractions(params: LeeParams | WignerSemicircle) -> tuple[np.ndarr
     return np.append(xs, x_rest), np.append(rs, m0)
 
 
-def _direct_breakpoints(params: LeeParams | WignerSemicircle, eps: float, half_width: float, extra: list[float]):
-    w = params.omega
-    if isinstance(params, WignerSemicircle):
-        edges = [w - 2 * params.sigma, w + 2 * params.sigma]
-        width = max(params.sigma * 1e-3, eps)
-    else:
-        edges = list(params.cut)
-        width = max(math.pi * w * params.kappa2, eps)
-    return np.concatenate([_cluster(c, max(eps / 2.0, 1e-13), half_width) for c in edges + extra + [w]]
-                          + [_cluster(w, width / 8.0, half_width)])
-
-
-def amplitude_direct(params: LeeParams | WignerSemicircle, t):
+def amplitude_direct(params: Density, t):
     """Numerical inverse Laplace transform along a line just above the real
     axis: the amplitude at each time of scalar or array ``t`` and its achieved
     error estimate there.
@@ -606,8 +612,8 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t):
     The real poles and the two-node Gauss rule of the rest of the measure
     (:func:`_direct_subtractions`) are subtracted and restored analytically,
     so the integrand on the line decays like 1/z^5. The line height is
-    eps = min(1e-3 s, 0.2 / max(t_max, 1)), at least 1e-9 s, with s the box
-    half-width delta or the semicircle sigma and t_max the largest time. At
+    eps = min(1e-3 s, 0.2 / max(t_max, 1)), at least 1e-9 s, with s the
+    density's ``half_width`` and t_max the largest time. At
     each of the heights eps and eps / 2, every time widens its own window
     around omega until the tail estimate is below 1e-8. The times that
     end at the same half-width share one set of nodes by :func:`_panels`,
@@ -629,15 +635,14 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t):
     """
     times = np.atleast_1d(np.asarray(t, dtype=float))
     _check_times(times)
-    scale = params.sigma if isinstance(params, WignerSemicircle) else params.delta
-    eps = max(min(1e-3 * scale, 0.2 / max(times.max(initial=0.0), 1.0)), 1e-9 * scale)
+    w, s = params.omega, params.half_width
+    eps = max(min(1e-3 * s, 0.2 / max(times.max(initial=0.0), 1.0)), 1e-9 * s)
     xs, rs = _direct_subtractions(params)
-    w = params.omega
     late = times > 1.0
     unit = np.finfo(float).eps
 
     def remainder(z):
-        val = 1.0 / _denominator_first(params, z)
+        val = 1.0 / params.denominator(z)
         for x0, r0 in zip(xs, rs):
             val = val - r0 / (z - x0)
         return val
@@ -649,7 +654,7 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t):
         # twice that of the 1/z^5 decay after the two-node subtraction
         halves, tails = np.zeros(times.size), np.zeros(times.size)
         pending = np.ones(times.size, dtype=bool)
-        half = max(16.0 * params.sigma if isinstance(params, WignerSemicircle) else 8.0 * params.delta, 2.0)
+        half = max(8.0 * s, 2.0)
         while pending.any():
             g_hi = abs(complex(remainder(complex(w + half, eps_line))))
             g_lo = abs(complex(remainder(complex(w - half, eps_line))))
@@ -666,7 +671,8 @@ def amplitude_direct(params: LeeParams | WignerSemicircle, t):
         for half in np.unique(halves):
             share = halves == half
             shared = times[share]
-            pts = _direct_breakpoints(params, eps_line, half, list(xs))
+            pts = np.concatenate([_cluster(c, max(eps_line / 2.0, 1e-13), half) for c in [w - s, w + s, *xs, w]]
+                                 + [_cluster(w, max(params.center_width, eps_line) / 8.0, half)])
             x, wq = _panels(pts, w - half, w + half, 2.0 * math.pi / max(shared.max(), 1e-12))
             terms = wq * remainder(x + 1j * eps_line)
             growth = np.exp(eps_line * shared)
@@ -697,12 +703,6 @@ def _check_times(times: np.ndarray):
         raise ValueError("times must be finite and non-negative")
 
 
-def _wigner_closed_form(params: WignerSemicircle, times: np.ndarray) -> np.ndarray:
-    # amplitude e^{-i omega t} J1(2 sigma t)/(sigma t): the infinite chain's
-    # limit with g = sigma, whose probability is its square
-    return chain_bessel_limit(params.sigma, times).values
-
-
 def _probability_series(times: np.ndarray, amplitude, method: str) -> SurvivalSeries:
     """|amplitude|^2 on ``times``; a probability above unity beyond the
     route tolerance raises :class:`QuadratureError`."""
@@ -712,7 +712,7 @@ def _probability_series(times: np.ndarray, amplitude, method: str) -> SurvivalSe
     return series
 
 
-def direct_survival(params: LeeParams | WignerSemicircle, times) -> tuple[SurvivalSeries, float]:
+def direct_survival(params: Density, times) -> tuple[SurvivalSeries, float]:
     """Survival probability by one :func:`amplitude_direct` call on the whole
     grid, whose windows share nodes with panels one period of their largest
     time long (the ``direct`` route of :func:`survival`, which it runs for the
@@ -723,11 +723,11 @@ def direct_survival(params: LeeParams | WignerSemicircle, times) -> tuple[Surviv
     return _probability_series(times, amp, "direct"), float(achieved.max(initial=0.0))
 
 
-def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue_cut") -> SurvivalSeries:
+def survival(params: Density, times, method: str = "residue_cut") -> SurvivalSeries:
     """Survival probability on a grid by the chosen route.
 
-    For the semicircle every route reduces to the same function and
-    the curve is evaluated in closed form through J1, whatever ``method``
+    For the semicircle every route reduces to the infinite chain's limit with
+    g = sigma, evaluated in closed form through J1, whatever ``method``
     asks for; the series is then tagged ``closed-form`` (``amplitude_direct``
     with the Stieltjes level shift remains available as a cross-check).
     :func:`direct_survival` also returns the achieved quadrature error of
@@ -738,7 +738,7 @@ def survival(params: LeeParams | WignerSemicircle, times, method: str = "residue
     times = np.atleast_1d(np.asarray(times, dtype=float))
     _check_times(times)
     if isinstance(params, WignerSemicircle):
-        return SurvivalSeries(times, _wigner_closed_form(params, times), method="closed-form")
+        return SurvivalSeries(times, chain_bessel_limit(params.sigma, times).values, method="closed-form")
     if method == "direct":
         return direct_survival(params, times)[0]
     if method == "residue_cut":

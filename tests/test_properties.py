@@ -103,19 +103,30 @@ def test_bessel_j_matches_scipy(xs):
     assert np.max(np.abs(closedform.bessel_j(1, x) - j1(x))) <= BESSEL_TOL
 
 
-@given(st.floats(math.log(1e-4), math.log(10.0)).map(math.exp), st.floats(0.0, 2000.0))
+def log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def lee_boxes(draw):
+    """Boxes with omega log-uniform in [0.3, 10], delta / omega log-uniform in
+    [1e-2, 0.5] and kappa2 log-uniform in [1e-4, 10]."""
+    omega = draw(log_uniform(0.3, 10.0))
+    return lee.LeeParams(omega, omega * draw(log_uniform(1e-2, 0.5)), draw(log_uniform(1e-4, 10.0)))
+
+
+@given(lee_boxes(), st.floats(0.0, 1.0))
 @settings(max_examples=12, deadline=None)
-def test_lee_routes_agree(kappa2, t):
-    params = lee.LeeParams(1.0, 0.1, kappa2)
+def test_lee_routes_agree(params, fraction):
+    t = fraction * 200.0 / params.delta
     values = [lee.survival(params, [t], method=method).values[0] for method in lee.METHODS]
     assert max(values) - min(values) <= LEE_ROUTE_TOL
 
 
-@given(st.floats(math.log(1e-4), math.log(10.0)).map(math.exp))
+@given(lee_boxes())
 @settings(max_examples=20, deadline=None)
-def test_lee_direct_grid_agrees_with_second_sheet(kappa2):
-    params = lee.LeeParams(1.0, 0.1, kappa2)
-    times = np.linspace(0.0, 2000.0, 11)
+def test_lee_direct_grid_agrees_with_second_sheet(params):
+    times = np.linspace(0.0, 200.0 / params.delta, 11)
     direct = lee.direct_survival(params, times)[0].values
     second = lee.survival(params, times, method="second_sheet").values
     assert np.max(np.abs(direct - second)) <= LEE_ROUTE_TOL
