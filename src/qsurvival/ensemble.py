@@ -56,15 +56,20 @@ __all__ = ["Draw", "draw_realization", "realization_survival", "ensemble_mean"]
 # Route costs in multiply-adds of one product with the dense n x n matrix
 # (about 0.2 ns each), fitted on a 2-core Xeon with OpenBLAS at n = 200-2000
 # and 1 to 5001 time points, each rounded towards the eigensolve. The
-# eigensolve and phase sum cost n^2 (0.4 n + 550), the quadratic term from a
-# least-squares fit, in relative error, to eigh plus phase-sum timings at
-# n = 100-400 on 501 and 5001 points, which gave 577. Each Chebyshev node
-# costs half a product, the rest of a moment step and its share of the phase
-# sum: 6e4 + 5 per point.
+# eigensolve and phase sum cost n^2 (0.4 n + 550) plus n per point. The
+# quadratic term is from a least-squares fit, in relative error, to eigh plus
+# phase-sum timings at n = 100-400 on 501 and 5001 points, which gave 577;
+# three later runs of that fit gave 432-453, with the dense product measured
+# at 0.17-0.22 ns, but the Chebyshev constants share the first calibration,
+# so 550 stays. The per-point term is the phase sum's, 0.91 per level and
+# point in a fit to phase-sum timings alone (FULL and diagonal draws,
+# n = 100-400, 501, 2001 and 5001 points). Each Chebyshev node costs half a
+# product, the rest of a moment step and its share of the same phase sum:
+# 6e4 + 1 per point.
 _EIGENSOLVE_CUBIC = 0.4
 _EIGENSOLVE_QUADRATIC = 550.0
+_PHASE_POINT_COST = 1.0
 _ORDER_COST = 6e4
-_ORDER_POINT_COST = 5.0
 
 
 def _chebyshev_cheaper(
@@ -74,8 +79,8 @@ def _chebyshev_cheaper(
     than the eigensolve of the n x n draw; ``product`` is the cost of one
     product with its matrix, ``setup`` the products spent on the interval."""
     orders = chebyshev_orders(lo, hi, times)
-    chebyshev = setup * product + orders * (0.5 * product + _ORDER_COST + _ORDER_POINT_COST * times.size)
-    return chebyshev < n * n * (_EIGENSOLVE_CUBIC * n + _EIGENSOLVE_QUADRATIC)
+    chebyshev = setup * product + orders * (0.5 * product + _ORDER_COST + _PHASE_POINT_COST * times.size)
+    return chebyshev < n * n * (_EIGENSOLVE_CUBIC * n + _EIGENSOLVE_QUADRATIC) + _PHASE_POINT_COST * n * times.size
 
 
 @dataclass(frozen=True)

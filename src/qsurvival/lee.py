@@ -217,18 +217,37 @@ def van_hove_rate(params: LeeParams) -> float:
 # level-shift functions
 
 
+def _log_ratio(a, b, y, log, atan2):
+    """(Re, Im) of ln(a - iy) - ln(b - iy) on the principal branch, for real
+    a, b and y, from one real log of the squared-modulus ratio and two
+    ``atan2``: arg(a - iy) = -atan2(y, a), signed zeros included, so y = +0
+    is the limit from above and y = -0 the limit from below. ``log`` and
+    ``atan2`` are numpy's for arrays and ``math``'s for floats. The squares
+    keep every normal double for distances |a - iy| and |b - iy| between
+    1e-154 and 1e154."""
+    y2 = y * y
+    return 0.5 * log((a * a + y2) / (b * b + y2)), atan2(y, b) - atan2(y, a)
+
+
 def level_shift_first_sheet(params: LeeParams, z):
     """ln(omega+delta-z) - ln(omega-delta-z) on the principal branch.
 
     The principal complex logarithm reproduces the Heaviside-plus-arctan
     construction of the imaginary part; approaching the cut from above gives
-    Im -> +pi, from below -pi. Real z is treated as the limit from above.
+    Im -> +pi, from below -pi. Real z is the limit from the side of the sign
+    of its zero imaginary part: +0 (a float, or a complex such as
+    ``complex(x, 0.0)``) from above, -0 from below. Taken in real arithmetic
+    (:func:`_log_ratio`): one real log and two ``arctan2`` per point in place
+    of two complex logs, and ln|a/b| keeps its relative accuracy far from the
+    cut, where ln|a| - ln|b| cancels.
     """
     w, d = params.omega, params.delta
     z = np.asarray(z, dtype=complex)
     if np.any(z == w + d) or np.any(z == w - d):
         raise BranchPointError("level shift evaluated at a branch point")
-    return np.log(w + d - z) - np.log(w - d - z)
+    out = np.empty(z.shape, dtype=complex)
+    out.real, out.imag = _log_ratio(w + d - z.real, w - d - z.real, z.imag, np.log, np.arctan2)
+    return out
 
 
 def level_shift_second_sheet(params: LeeParams, z):
@@ -236,10 +255,10 @@ def level_shift_second_sheet(params: LeeParams, z):
 
     Crossing downward adds 2*pi*i, crossing upward subtracts it, so the
     second-sheet value just below the cut matches the first-sheet value just
-    above it.
+    above it. A zero imaginary part counts by its sign, as on the first sheet.
     """
     z = np.asarray(z, dtype=complex)
-    return level_shift_first_sheet(params, z) + np.where(z.imag < 0.0, 2j * math.pi, -2j * math.pi)
+    return level_shift_first_sheet(params, z) + 1j * np.copysign(2.0 * math.pi, -z.imag)
 
 
 def level_shift_derivative(params: LeeParams, z):
@@ -264,12 +283,17 @@ def stieltjes_wigner(z, omega: float, sigma: float):
     return -(w - root) / (2.0 * sigma**2)
 
 
-def _denominator_second(params: LeeParams, z):
-    return z - params.omega + params.omega * params.kappa2 * level_shift_second_sheet(params, z)
+def _denominator_second(params: LeeParams, z: complex) -> complex:
+    """The second-sheet denominator at the complex scalar ``z``: the formula of
+    :func:`level_shift_second_sheet` on Python floats, with no numpy call."""
+    w, d = params.omega, params.delta
+    re, im = _log_ratio(w + d - z.real, w - d - z.real, z.imag, math.log, math.atan2)
+    return z - w + w * params.kappa2 * complex(re, im + math.copysign(2.0 * math.pi, -z.imag))
 
 
-def _denominator_derivative(params: LeeParams, z):
-    return 1.0 + params.omega * params.kappa2 * level_shift_derivative(params, z)
+def _denominator_derivative(params: LeeParams, z: complex) -> complex:
+    w, d = params.omega, params.delta
+    return 1.0 + w * params.kappa2 * (1.0 / (w - d - z) - 1.0 / (w + d - z))
 
 
 # ----------------------------------------------------------------------
@@ -350,14 +374,17 @@ def second_sheet_pole(params: LeeParams) -> ResonancePole:
     Newton iteration with the analytic derivative at the requested coupling,
     starting from the weak-coupling location omega - i pi omega kappa2, at
     most 100 steps. Steps are halved whenever an iterate would leave the
-    lower half-plane.
+    lower half-plane. Every step runs on Python complex scalars: the
+    denominator through the real-arithmetic level shift of
+    :func:`level_shift_second_sheet` with ``math`` functions, where numpy's
+    0-d calls cost microseconds each.
     """
     w, k2 = params.omega, params.kappa2
     if k2 <= 0.0:
         raise ValueError("second_sheet_pole requires kappa2 > 0")
     z = complex(w, -math.pi * w * k2)
     for _ in range(_NEWTON_MAX_ITER):
-        step = complex(_denominator_second(params, z)) / complex(_denominator_derivative(params, z))
+        step = _denominator_second(params, z) / _denominator_derivative(params, z)
         z_new = z - step
         h = 1.0
         while z_new.imag >= 0.0 and h > 1e-12:
@@ -369,10 +396,10 @@ def second_sheet_pole(params: LeeParams) -> ResonancePole:
             break
     else:
         raise PoleSearchError(f"Newton did not converge at kappa2={k2:g}; last iterate {z}")
-    residual = abs(complex(_denominator_second(params, z)))
+    residual = abs(_denominator_second(params, z))
     if residual > _POLE_RESIDUAL_TOL * max(1.0, abs(z)):
         raise PoleSearchError(f"converged point has residual {residual:.2e}")
-    residue = 1.0 / complex(_denominator_derivative(params, z))
+    residue = 1.0 / _denominator_derivative(params, z)
     return ResonancePole(z, residue, residual)
 
 
@@ -613,20 +640,22 @@ def amplitude_direct(params: Density, t):
     (:func:`_direct_subtractions`) are subtracted and restored analytically,
     so the integrand on the line decays like 1/z^5. The line height is
     eps = min(1e-3 s, 0.2 / max(t_max, 1)), at least 1e-9 s, with s the
-    density's ``half_width`` and t_max the largest time. At
-    each of the heights eps and eps / 2, every time widens its own window
-    around omega until the tail estimate is below 1e-8. The times that
-    end at the same half-width share one set of nodes by :func:`_panels`,
-    with edges clustered geometrically around the density edges, the poles
-    and omega, and no panel longer than one period 2 pi / t of the largest
-    time in the set: 12 Gauss-Legendre nodes integrate e^{-ixt} over one
-    period to 8.8e-16 (2.9e-12 over two). On the line
-    e^{-izt} = e^{eps t} e^{-ixt}, so one :func:`phase_sum` at real
-    frequencies gives the set's integrals. The two heights are
-    Richardson-extrapolated to eps -> 0. The achieved estimate at each time
-    has three parts: the window tail, the disagreement of the two heights, and
-    a rounding bound, unit * sum |w_q R| e^{eps t} (1 + max|x| t) / (2 pi) for
-    each height (twice for eps / 2, which the extrapolation doubles) plus
+    density's ``half_width`` and t_max the largest time. Both heights eps and
+    eps / 2 are integrated on one set of nodes per window: every time widens
+    its window around omega until the tail estimate at both heights is below
+    1e-8. The times that end at the same half-width share one set of nodes by
+    :func:`_panels`, with edges clustered geometrically around the density
+    edges, the poles and omega (the clusters of the lower line, eps / 2), and
+    no panel longer than one period 2 pi / t of the largest time in the set:
+    12 Gauss-Legendre nodes integrate e^{-ixt} over one period to 8.8e-16
+    (2.9e-12 over two). On a line, e^{-izt} = e^{eps t} e^{-ixt}, so one
+    :func:`phase_sum` at the real nodes, with one row of weights per height,
+    gives the set's integrals at both heights from one table of phases. The
+    two heights are Richardson-extrapolated to eps -> 0. The achieved estimate
+    at each time has three parts: the window tail, the disagreement of the
+    two heights, and a rounding bound,
+    unit * sum |w_q R| e^{eps t} (1 + max|x| t) / (2 pi) for each height
+    (twice for eps / 2, which the extrapolation doubles) plus
     unit * sum |r| (1 + max|x| t) for the restored poles, with R the
     integrand, w_q the weights and unit the double-precision epsilon. Above
     1e-7 at any time it raises :class:`QuadratureError`, which carries the
@@ -637,6 +666,7 @@ def amplitude_direct(params: Density, t):
     _check_times(times)
     w, s = params.omega, params.half_width
     eps = max(min(1e-3 * s, 0.2 / max(times.max(initial=0.0), 1.0)), 1e-9 * s)
+    heights = np.array([eps, eps / 2.0])
     xs, rs = _direct_subtractions(params)
     late = times > 1.0
     unit = np.finfo(float).eps
@@ -647,45 +677,43 @@ def amplitude_direct(params: Density, t):
             val = val - r0 / (z - x0)
         return val
 
-    def integrate(eps_line: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # each time doubles its window's half-width until its tail is small;
-        # the tail estimate falls with t, so the half-widths grow as t falls.
-        # g half / 2 is the tail of a 1/z^3 decay (the single-pole fallback's),
-        # twice that of the 1/z^5 decay after the two-node subtraction
-        halves, tails = np.zeros(times.size), np.zeros(times.size)
-        pending = np.ones(times.size, dtype=bool)
-        half = max(8.0 * s, 2.0)
-        while pending.any():
-            g_hi = abs(complex(remainder(complex(w + half, eps_line))))
-            g_lo = abs(complex(remainder(complex(w - half, eps_line))))
-            tail = np.full(times.size, max(g_hi, g_lo) * half / 2.0)
-            tail[late] = np.minimum(tail[late], 2.0 * (g_hi + g_lo) / times[late])
-            done = pending & ((tail < _DIRECT_TOL / 10.0) | (half > 3e7))
-            halves[done], tails[done] = half, tail[done]
-            pending &= ~done
-            half *= 2.0
-        if np.any(tails >= _DIRECT_TOL):
-            raise QuadratureError("window tail did not converge", float(tails.max()))
-        integral = np.empty(times.size, dtype=complex)
-        rounding = np.empty(times.size)
-        for half in np.unique(halves):
-            share = halves == half
-            shared = times[share]
-            pts = np.concatenate([_cluster(c, max(eps_line / 2.0, 1e-13), half) for c in [w - s, w + s, *xs, w]]
-                                 + [_cluster(w, max(params.center_width, eps_line) / 8.0, half)])
-            x, wq = _panels(pts, w - half, w + half, 2.0 * math.pi / max(shared.max(), 1e-12))
-            terms = wq * remainder(x + 1j * eps_line)
-            growth = np.exp(eps_line * shared)
-            integral[share] = growth * phase_sum(x, terms, shared)
-            # rounding of the phases x t and of the sum over nodes
-            rounding[share] = unit * np.abs(terms).sum() * growth * (1.0 + np.abs(x).max() * shared)
-        return -(1.0 / (2j * math.pi)) * integral, tails, rounding / (2.0 * math.pi)
-
-    a1, tail1, round1 = integrate(eps)
-    a2, tail2, round2 = integrate(eps / 2.0)
+    # each time doubles its window's half-width until its tail is small at
+    # both heights; the tail estimate falls with t, so the half-widths grow as
+    # t falls. g half / 2 is the tail of a 1/z^3 decay (the single-pole
+    # fallback's), twice that of the 1/z^5 decay after the two-node subtraction
+    halves, tails = np.zeros(times.size), np.zeros(times.size)
+    pending = np.ones(times.size, dtype=bool)
+    half = max(8.0 * s, 2.0)
+    while pending.any():
+        # |R| at the window's ends on both lines, and each time's larger tail
+        g_hi, g_lo = np.abs(remainder(np.array([[w + half], [w - half]]) + 1j * heights))
+        far, near = np.maximum(g_hi, g_lo) * half / 2.0, 2.0 * (g_hi + g_lo)
+        tail = np.full(times.size, far.max())
+        tail[late] = np.minimum(far, near / times[late, None]).max(axis=1)
+        done = pending & ((tail < _DIRECT_TOL / 10.0) | (half > 3e7))
+        halves[done], tails[done] = half, tail[done]
+        pending &= ~done
+        half *= 2.0
+    if np.any(tails >= _DIRECT_TOL):
+        raise QuadratureError("window tail did not converge", float(tails.max()))
+    integral = np.empty((2, times.size), dtype=complex)
+    rounding = np.empty((2, times.size))
+    low = heights[1]
+    for half in np.unique(halves):
+        share = halves == half
+        shared = times[share]
+        pts = np.concatenate([_cluster(c, max(low / 2.0, 1e-13), half) for c in [w - s, w + s, *xs, w]]
+                             + [_cluster(w, max(params.center_width, low) / 8.0, half)])
+        x, wq = _panels(pts, w - half, w + half, 2.0 * math.pi / max(shared.max(), 1e-12))
+        terms = wq * remainder(x + 1j * heights[:, None])
+        growth = np.exp(np.multiply.outer(heights, shared))
+        integral[:, share] = growth * phase_sum(x, terms, shared)
+        # rounding of the phases x t and of the sum over nodes
+        rounding[:, share] = unit * np.abs(terms).sum(axis=1)[:, None] * growth * (1.0 + np.abs(x).max() * shared)
+    a1, a2 = -(1.0 / (2j * math.pi)) * integral
     # the extrapolation 2 a2 - a1 carries the rounding of a2 twice
-    rounding = round1 + 2.0 * round2 + unit * np.abs(rs).sum() * (1.0 + np.abs(xs).max() * times)
-    achieved = np.abs(a2 - a1) + np.maximum(tail1, tail2) + rounding
+    rounding = (rounding[0] + 2.0 * rounding[1]) / (2.0 * math.pi) + unit * np.abs(rs).sum() * (1.0 + np.abs(xs).max() * times)
+    achieved = np.abs(a2 - a1) + tails + rounding
     if np.any(achieved > _DIRECT_TOL):
         raise QuadratureError("line heights disagree beyond tolerance", float(achieved.max()))
     amp = phase_sum(xs, rs, times) + (2.0 * a2 - a1)

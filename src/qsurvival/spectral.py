@@ -43,6 +43,15 @@ _MERGE_REL_TOL = 1e-12
 # entries of one block of the direct one (4 MB; a real block holds twice as many)
 _CHUNK_ENTRIES = 4_000_000
 _DIRECT_ENTRIES = 250_000
+# entries of the three blocks of one chunk of terms in the blocked decay sums
+# (0.8 MB). One second-sheet amplitude, median over 8 kappa2 (one per eighth
+# of [1e-4, 10]) and interleaved repeats, 2-core Xeon: 501 points to
+# t = 2000 took 4.2-5.6 ms at 5e4 entries, 4.4-5.5 ms at 1e5, 5.8-6.4 ms at
+# 1.5e5-2e5, 7.7 ms at 5e5 and 7.0-8.4 ms at 4e6 (three runs); 4001 points
+# to t = 3.1e5 took 18.1, 17.0 and 19.9 ms at 5e4, 1e5 and 4e6
+_DECAY_CHUNK_ENTRIES = 100_000
+# rows of a blocked phase table taken by one exp each; the rows beyond are doubled
+_EXACT_ROWS = 16
 # exponents below this give decays under sqrt(tiny), which the decay sums drop
 _DECAY_FLOOR = 0.5 * math.log(np.finfo(float).tiny)
 # a Chebyshev moment beyond 1 + this (plus a round-off allowance) in modulus means
@@ -122,13 +131,16 @@ def decompose(h: np.ndarray) -> SpectralDecomposition:
 def _uniform_step(times: np.ndarray) -> float | None:
     """Step of an ascending grid t_0 + k * step that matches ``times`` within
     4 ulp of max |t|; None for any other grid."""
-    step = (times[-1] - times[0]) / (times.size - 1)
+    first = float(times[0])
+    step = (float(times[-1]) - first) / (times.size - 1)
     if not 0.0 < step < math.inf:
         return None
-    grid = times[0] + np.arange(times.size) * step
-    if not np.max(np.abs(times - grid)) <= 4.0 * np.spacing(np.max(np.abs(times))):
+    deviation = np.arange(times.size) * step
+    deviation += first
+    deviation -= times
+    if not np.abs(deviation, out=deviation).max() <= 4.0 * np.spacing(np.abs(times).max()):
         return None
-    return float(step)
+    return step
 
 
 def _blocks(times: np.ndarray) -> tuple[float, int] | None:
@@ -145,43 +157,83 @@ def _blocks(times: np.ndarray) -> tuple[float, int] | None:
     return None
 
 
+def _phase_table(rate: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
+    """The (count x terms) table T[m, j] = exp(rate_j (start + m step)).
+
+    The first min(count, 16) rows take one ``exp`` each; beyond them the table
+    doubles: rows [r, 2r) are rows [0, r) times the exact exp(rate_j r step),
+    for r = 16, 32, ... So an entry is the product of at most
+    1 + ceil(log2(count / 16)) exact exponentials, and a term costs
+    16 + ceil(log2(count / 16)) exponentials in place of ``count``. A table
+    of at most 16 rows is one ``exp`` call.
+    """
+    exact = min(count, _EXACT_ROWS)
+    offsets = np.arange(exact) * step
+    if start:
+        offsets += start
+    head = np.multiply.outer(offsets, rate)
+    if exact == count:
+        return np.exp(head, out=head)
+    table = np.empty((count, rate.size), dtype=complex)
+    np.exp(head, out=table[:exact])
+    # r step for r = 16, 32, ...: power-of-two multiples of 16 step, exact
+    spans = [exact * step * 2.0**k for k in range(((count - 1) // exact).bit_length())]
+    filled = exact
+    for factor in np.exp(np.multiply.outer(spans, rate)):
+        size = min(filled, count - filled)
+        np.multiply(table[:size], factor, out=table[filled : filled + size])
+        filled += size
+    return table
+
+
 def _blocked_phase_sum(freqs, weights, t0: float, step: float, n: int, width: int) -> np.ndarray:
-    """The phase sum on the grid t0 + k step, k < n, as one product per chunk of terms."""
-    offsets = np.arange(width) * step
-    starts = t0 + np.arange(0, n, width) * step
-    out = np.zeros((starts.size, width), dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // (width + starts.size))
+    """The phase sums of the rows of the 2-D ``weights`` on the grid
+    t0 + k step, k < n, as one product per row and chunk of terms."""
+    blocks = -(-n // width)
+    out = np.zeros((weights.shape[0], blocks, width), dtype=complex)
+    chunk = max(1, _CHUNK_ENTRIES // (width + blocks))
     for lo in range(0, freqs.size, chunk):
         rate = -1j * freqs[lo : lo + chunk]
-        inner = np.multiply.outer(rate, offsets)
-        outer = np.multiply.outer(starts, rate)
-        np.exp(inner, out=inner)
-        np.exp(outer, out=outer)
-        outer *= weights[lo : lo + chunk]
-        out += outer @ inner
-    return out.ravel()[:n]
+        inner = _phase_table(rate, 0.0, step, width).T
+        outer = _phase_table(rate, t0, width * step, blocks)
+        # one row scales the start table in place, several through one scratch block
+        scaled = outer if weights.shape[0] == 1 else np.empty_like(outer)
+        for row, total in zip(weights[:, lo : lo + chunk], out):
+            total += np.multiply(outer, row, out=scaled) @ inner
+    return out.reshape(weights.shape[0], -1)[:, :n]
 
 
 def phase_sum(freqs, weights, times) -> np.ndarray:
     """sum_j weights_j exp(-i freqs_j t) at each time of ``times``.
 
-    Frequencies and weights may be complex. Two paths give the same sums:
+    Frequencies and weights may be complex. A 2-D ``weights`` holds one sum
+    per row, which all share one table of phases, and gives a
+    (rows, times) array; a 1-D one gives the single sum. Two paths give the
+    same sums:
 
     - Blocked, on a uniform ascending grid t_k = t_0 + k step with t_0 >= 0
       and no frequency of positive imaginary part. With M = ceil(sqrt(points))
       and k = b M + m the sum is sum_j W[b, j] Z[j, m], where
       Z[j, m] = exp(-i freqs_j m step) and
       W[b, j] = weights_j exp(-i freqs_j (t_0 + b M step)). One complex
-      matrix product replaces points x terms exponentials with
-      (M + points / M) x terms. Every factor is an exact ``exp`` of modulus
-      at most |weights_j|, so no error builds up along the grid; the sums
-      differ from the direct ones by about the rounding of freqs * t.
+      matrix product per row replaces points x terms exponentials. Both
+      tables come from :func:`_phase_table`, 16 rows by ``exp`` and the rest
+      by doubling: with L(r) = ceil(log2(r / 16)) for a table of r > 16 rows
+      and 0 otherwise, a term costs min(M, 16) + min(B, 16) + L(M) + L(B)
+      exponentials for B = ceil(points / M) blocks (29 on 200 points, 34 in
+      place of 45 on 501, 46 in place of 2829 on 2e6). A table entry is the
+      product of at most 1 + L(rows) exact exponentials of modulus at most 1,
+      so a term of a sum carries at most 2 + L(M) + L(B) rounded complex
+      products (4 on 501 points, 16 on 2e6) of about one ulp each, whatever
+      the time: no error builds up along the grid, and the sums differ from
+      the direct ones by about the rounding of freqs * t.
     - Direct, on every other grid, and wherever the blocked path would not
       need fewer exponentials than there are points (up to five points):
       the (times x terms) phase matrix, built in chunks of times of at most
       2.5e5 complex entries and exponentiated in place.
 
-    The blocked path keeps each block within 4e6 entries, chunking over terms.
+    The blocked path keeps the two tables of a chunk of terms within 4e6
+    entries together.
     """
     freqs = np.asarray(freqs)
     weights = np.asarray(weights)
@@ -190,13 +242,15 @@ def phase_sum(freqs, weights, times) -> np.ndarray:
     blocks = None if np.any(freqs.imag > 0.0) else _blocks(times)
     if blocks is not None:
         step, width = blocks
-        return _blocked_phase_sum(freqs, weights, float(times[0]), step, n, width)
-    out = np.empty(n, dtype=complex)
+        rows = weights if weights.ndim == 2 else weights[None]
+        sums = _blocked_phase_sum(freqs, rows, float(times[0]), step, n, width)
+        return sums if weights.ndim == 2 else sums[0]
+    out = np.empty(weights.shape[:-1] + (n,), dtype=complex)
     rate = -1j * freqs
     step = max(1, _DIRECT_ENTRIES // max(freqs.size, 1))
     for lo in range(0, n, step):
         phases = np.multiply.outer(times[lo : lo + step], rate)
-        out[lo : lo + step] = np.exp(phases, out=phases) @ weights
+        out[..., lo : lo + step] = (np.exp(phases, out=phases) @ weights.T).T
     return out
 
 
@@ -225,7 +279,7 @@ def decay_sums(rates, weights, times) -> np.ndarray:
       Z[j, m] = exp(-rates_j m step) and E[b, j] = exp(-rates_j (t_0 + b M step)),
       then for each row in turn one real matrix product (E * weights[r]) Z,
       through one scratch block. Chunks of terms keep the three blocks within
-      4e6 entries.
+      1e5 entries together, which a cache holds.
     - Direct, on every other grid: the (times x terms) table in chunks of
       times of at most 5e5 entries, contracted with all rows in one real
       product.
@@ -242,7 +296,7 @@ def decay_sums(rates, weights, times) -> np.ndarray:
         offsets = -np.arange(width) * step
         starts = -(times[0] + np.arange(0, n, width) * step)
         out = np.zeros((weights.shape[0], starts.size, width))
-        chunk = max(1, _CHUNK_ENTRIES // (width + 2 * starts.size))
+        chunk = max(1, _DECAY_CHUNK_ENTRIES // (width + 2 * starts.size))
         for lo in range(0, rates.size, chunk):
             rate = rates[lo : lo + chunk]
             # built as (M x terms), whose rows are long: row by row an outer

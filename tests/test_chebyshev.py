@@ -286,6 +286,18 @@ class TestRouteTable:
         assert series.method == "chebyshev"
         assert np.max(np.abs(series.values - eigh_survival(ham.build(spec, 0), times))) <= 1e-12
 
+    @pytest.mark.parametrize("env, n", [(ham.Environment.DIAGONAL, 200), (ham.Environment.FULL, 300)],
+                             ids=["diagonal-200", "full-300"])
+    def test_draws_on_five_thousand_points_propagate(self, env, n):
+        # Chebyshev measured 0.47-0.55 (diagonal) and 0.64 (FULL) of the
+        # eigensolve here; without the per-point term of the phase sums the
+        # diagonal draw decomposed
+        spec = ham.HamiltonianSpec(ham.Experimental(n, 1.0, 0.1, 0.0122, env=env), seed=1)
+        times = np.linspace(0.0, 2000.0, 5001)
+        series = realization_survival(spec, times, stream=0)
+        assert series.method == "chebyshev"
+        assert np.max(np.abs(series.values - eigh_survival(ham.build(spec, 0), times))) <= 1e-12
+
     @pytest.mark.parametrize("n, route", [(20, "spectral"), (800, "chebyshev")])
     def test_unsorted_grid_gives_the_sorted_values_permuted(self, n, route):
         spec = ham.HamiltonianSpec(ham.Experimental(n, 1.0, 0.1, 0.05), seed=2)

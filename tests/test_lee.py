@@ -95,6 +95,72 @@ class TestLevelShift:
         with pytest.raises(lee.BranchPointError):
             lee.level_shift_first_sheet(REF, 1.1 + 0.0j)
 
+    # a box whose branch points 0.625 and 1.375 are doubles, so omega -+ delta
+    # - z rounds once, whatever the distance from them
+    DYADIC = lee.LeeParams(1.0, 0.375, 0.3)
+
+    @staticmethod
+    def fifty_digit_shifts(params, z):
+        """Both sheets at 50 digits; a zero imaginary part is the limit from
+        the side of its sign, 1e-60 away."""
+        with mpmath.workdps(50):
+            w, d = mpmath.mpf(params.omega), mpmath.mpf(params.delta)
+            below = math.copysign(1.0, z.imag) < 0.0
+            y = mpmath.mpf(z.imag) if z.imag != 0.0 else mpmath.mpf(-1e-60 if below else 1e-60)
+            zz = mpmath.mpc(z.real, y)
+            first = mpmath.log(w + d - zz) - mpmath.log(w - d - zz)
+            second = first + (2j if below else -2j) * mpmath.pi
+            return complex(first), complex(second)
+
+    @staticmethod
+    def points_near(center, radius):
+        angles = [0.0, 0.3, 1.0, 1.6, 2.5, math.pi, -0.3, -1.0, -1.6, -2.5]
+        points = [center + radius * complex(math.cos(a), math.sin(a)) for a in angles]
+        # on the real axis from both sides: +0 and -0 imaginary parts
+        return points + [complex(center + radius, -0.0), complex(center - radius, -0.0)]
+
+    def check_shifts(self, params, points):
+        eps = np.finfo(float).eps
+        z = np.array(points)
+        first = lee.level_shift_first_sheet(params, z)
+        second = lee.level_shift_second_sheet(params, z)
+        for k, point in enumerate(points):
+            ref_first, ref_second = self.fifty_digit_shifts(params, point)
+            assert abs(first[k] - ref_first) <= 8.0 * eps * (1.0 + abs(ref_first)), point
+            assert abs(second[k] - ref_second) <= 8.0 * eps * (1.0 + abs(ref_second)), point
+            # the resonance-pole Newton takes the same formula on Python complexes
+            if point.imag <= 0.0:
+                with mpmath.workdps(50):
+                    ref = complex(mpmath.mpc(point) - params.omega + mpmath.mpf(params.omega * params.kappa2) * mpmath.mpc(ref_second))
+                scale = abs(point) + params.omega + params.omega * params.kappa2 * (1.0 + abs(ref_second))
+                assert abs(lee._denominator_second(params, point) - ref) <= 8.0 * eps * scale, point
+
+    @pytest.mark.parametrize("radius", [1e-3, 0.2, 0.37, 0.5, 3.0, 1e3, 1e6, 1e8])
+    def test_matches_fifty_digit_logarithms_around_omega(self, radius):
+        # both half-planes, the real axis from both sides, and |z - omega| up to 1e8
+        self.check_shifts(self.DYADIC, self.points_near(self.DYADIC.omega, radius))
+
+    @pytest.mark.parametrize("side", [-1.0, 1.0])
+    def test_matches_fifty_digit_logarithms_beside_the_branch_points(self, side):
+        # 1e-15 delta from a branch point: ln|z - branch| is near -36
+        params = self.DYADIC
+        branch = params.omega + side * params.delta
+        self.check_shifts(params, self.points_near(branch, 1e-15 * params.delta))
+
+    def test_real_axis_is_the_limit_from_the_sign_of_zero(self):
+        inside = np.array([complex(1.0, 0.0), complex(1.0, -0.0)])
+        first = lee.level_shift_first_sheet(REF, inside)
+        assert first[0].imag == pytest.approx(math.pi) and first[1].imag == pytest.approx(-math.pi)
+        assert lee.level_shift_first_sheet(REF, 1.0).imag == pytest.approx(math.pi)
+        # the second sheet below the cut continues the first sheet above it
+        assert lee.level_shift_second_sheet(REF, inside[1]) == pytest.approx(first[0], abs=1e-15)
+
+    @pytest.mark.parametrize("z", [1.375, 0.625, complex(1.375, -0.0), complex(0.625, 0.0)])
+    def test_both_sheets_refuse_the_branch_points(self, z):
+        for shift in (lee.level_shift_first_sheet, lee.level_shift_second_sheet):
+            with pytest.raises(lee.BranchPointError):
+                shift(self.DYADIC, z)
+
     def test_derivative_consistent(self):
         z = 1.4 + 0.3j
         h = 1e-6

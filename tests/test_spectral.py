@@ -169,6 +169,41 @@ class TestBlockedPhaseSum:
         direct = np.exp(-1j * (times[:, None] * freqs[None, :])) @ weights
         np.testing.assert_array_equal(spectral.phase_sum(freqs, weights, times), direct)
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            pytest.param(np.linspace(0.0, 2000.0, 501), id="blocked"),
+            pytest.param(7.0 + np.arange(5001) * 0.4, id="blocked-doubled"),
+            pytest.param(np.geomspace(1e-3, 2000.0, 300), id="direct"),
+            pytest.param(np.float64(3.7), id="scalar"),
+            pytest.param(np.array([]), id="empty"),
+        ],
+    )
+    def test_rows_of_weights_are_the_row_sums(self, times):
+        rng = np.random.default_rng(13)
+        freqs = rng.uniform(-2.0, 2.0, size=40) - 1j * rng.uniform(0.0, 0.01, size=40)
+        weights = rng.normal(size=(3, 40)) + 1j * rng.normal(size=(3, 40))
+        sums = spectral.phase_sum(freqs, weights, times)
+        rows = np.array([spectral.phase_sum(freqs, row, times) for row in weights])
+        assert sums.shape == rows.shape == (3, np.size(times))
+        scale = 1.0 + np.abs(freqs).max() * np.abs(times).max(initial=0.0)
+        bound = self.ULPS * np.finfo(float).eps * scale * np.abs(weights).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(sums - rows) <= bound)
+
+    def test_deepest_doubling_matches_the_per_time_sum(self):
+        # 2e6 points: M = 1415 offsets and 1414 block starts, each table 16
+        # exact rows and seven doublings, so a term carries 16 rounded products;
+        # phases up to 12 radians keep the bound near 8 * 13 ulp of sum |w|
+        rng = np.random.default_rng(14)
+        freqs = rng.uniform(-1.2e-4, 1.2e-4, size=2000) - 1j * rng.uniform(0.0, 2e-5, size=2000)
+        weights = rng.normal(size=2000) + 1j * rng.normal(size=2000)
+        times = np.arange(2_000_000) * 0.05
+        blocked = spectral.phase_sum(freqs, weights, times)
+        picks = np.unique(np.concatenate([rng.integers(0, times.size, 200), [0, 15, 16, 1414, 1415, times.size - 1]]))
+        reference = np.exp(-1j * np.multiply.outer(times[picks], freqs)) @ weights
+        scale = 1.0 + np.abs(freqs).max() * times.max()
+        assert np.abs(blocked[picks] - reference).max() <= self.ULPS * np.finfo(float).eps * scale * np.abs(weights).sum()
+
     def test_peak_memory_is_bounded_by_the_term_chunks(self):
         # 10^4 terms x 2 * 10^6 points: the output, one block product and the
         # chunk's two factor tables (4e6 entries together) are 32 + 32 + 64 MB;
@@ -224,9 +259,9 @@ class TestDecaySums:
                                       spectral.decay_sums(rates, [weights.real], times))
 
     def test_chunks_of_terms_leave_the_sums(self):
-        # 501 points cut into chunks of 4e6 / (23 + 2 * 22) terms: 1.5e5 terms make three
+        # 501 points cut into chunks of 1e5 / (23 + 2 * 22) = 1492 terms: 5000 terms make four
         rng = np.random.default_rng(12)
-        rates, weights = rng.uniform(0.0, 0.05, size=150_000), rng.normal(size=(2, 150_000))
+        rates, weights = rng.uniform(0.0, 0.05, size=5000), rng.normal(size=(2, 5000))
         times = np.linspace(0.0, 2000.0, 501)
         chunked = spectral.decay_sums(rates, weights, times)
         direct = spectral.decay_sums(rates, weights, times[::-1])[:, ::-1]
