@@ -1,7 +1,9 @@
+import argparse
 import json
 import pathlib
 import re
 import shlex
+import sys
 import time
 import tracemalloc
 import types
@@ -713,3 +715,54 @@ class TestOptionDeclarations:
                                "observation_time", "low_statistics", "counting", "moments"}
         assert set(report["moments"]) == {"kappa", "big_gamma", "gamma", "kappa_star",
                                           "big_gamma_star", "gamma_star"}
+
+
+def _declared(parser: argparse.ArgumentParser) -> list[tuple]:
+    return [(a.option_strings, a.dest, a.type, a.default, a.choices, a.nargs, a.help) for a in parser._actions]
+
+
+def _outcome(call, argv, capsys) -> tuple:
+    """Exit status, standard output and standard error of ``call(argv)``."""
+    try:
+        status = call(argv)
+    except SystemExit as exc:
+        status = exc.code
+    captured = capsys.readouterr()
+    return status, captured.out, captured.err
+
+
+class TestParserPerCommand:
+    @pytest.mark.parametrize("command", sorted(OPTIONS))
+    def test_one_subcommand_is_declared_as_in_the_full_parser(self, command):
+        full = _subcommands(build_parser())[command]
+        (alone,) = _subcommands(build_parser(command)).values()
+        assert _declared(alone) == _declared(full)
+        assert alone.format_help() == full.format_help()
+
+    @pytest.mark.parametrize("argv", [
+        [], ["bogus"], ["-h"], ["--version"],
+        ["lee", "-h"], ["chain", "--bad"], ["--bogus", "chain"], ["-h", "chain"],
+        ["ensemble", "--threads", "-3"], ["poles", "extra"],
+    ])
+    def test_help_version_and_errors_match_the_full_parser(self, argv, capsys):
+        assert _outcome(main, argv, capsys) == _outcome(build_parser().parse_args, argv, capsys)
+
+    def test_main_reads_sys_argv_by_default(self, tmp_path, monkeypatch):
+        out = tmp_path / "p.json"
+        monkeypatch.setattr(sys, "argv", ["qsurvival", "poles", "--omega", "1", "--delta", "0.1",
+                                          "--kappa2-points", "2", "--out", str(out)])
+        assert main() == 0
+        assert len(json.loads(out.read_text())["sweep"]) == 2
+
+    def test_a_valid_argv_declares_only_its_subcommand(self, tmp_path, monkeypatch):
+        declared = []
+        add_parser = argparse._SubParsersAction.add_parser
+
+        def spy(self, name, **kwargs):
+            declared.append(name)
+            return add_parser(self, name, **kwargs)
+
+        monkeypatch.setattr(argparse._SubParsersAction, "add_parser", spy)
+        assert main(["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-2", "--tmax", "5",
+                     "--points", "4", "--out", str(tmp_path / "s.csv")]) == 0
+        assert declared == ["lee"]
