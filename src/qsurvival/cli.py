@@ -402,7 +402,7 @@ def cmd_bound(args) -> int:
     spec = _model_spec(args)
     times = _grid(args)
     draw = draw_realization(spec)
-    variance = draw.energy_variance()
+    variance = draw.variance
     survival = draw.survival(times)
     series = {"survival": survival, "bound": mandelstam_tamm_bound(variance, times)}
     tau = zeno_time(variance)

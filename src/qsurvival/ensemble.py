@@ -88,7 +88,9 @@ class Draw:
     """One realization, before its route is chosen.
 
     ``matvec`` is the product with the realization's matrix of size ``n``,
-    and ``build`` returns that matrix dense. A chain holds its analytic
+    and ``build`` returns that matrix dense. ``variance`` is the energy
+    variance <H^2> - <H>^2 in e_1, the squared norm of the first row's
+    couplings, taken once where the draw is made. A chain holds its analytic
     ``modes`` and is never built. A diagonal-environment draw is an arrowhead:
     ``bounds`` holds its Weyl interval, and ``build`` draws the matrix only
     where the eigensolve is the cheaper route. Every other draw is built once.
@@ -97,16 +99,9 @@ class Draw:
     n: int
     matvec: Callable[[np.ndarray], np.ndarray]
     build: Callable[[], np.ndarray]
+    variance: float
     bounds: tuple[float, float] | None = None
     modes: SpectralDecomposition | None = None
-
-    def energy_variance(self) -> float:
-        """<H^2> - <H>^2 in e_1, from one product: |H e_1|^2 - (H e_1)_0^2 is
-        the squared norm of the off-diagonal part of H e_1."""
-        e1 = np.zeros(self.n)
-        e1[0] = 1.0
-        column = self.matvec(e1)[1:]
-        return float(column @ column)
 
     def decompose(self) -> SpectralDecomposition:
         """Levels and weights: a chain's analytic modes, else the eigensolve of ``build()``."""
@@ -133,7 +128,7 @@ class Draw:
         product = n * n
         # the Ritz span is at least that of the first two Lanczos steps, which is at
         # least 2 sqrt(variance): no Lanczos run where even that span costs too much
-        floor = math.sqrt(self.energy_variance())
+        floor = math.sqrt(self.variance)
         if not _chebyshev_cheaper(n, -floor, floor, times, product, LANCZOS_STEPS):
             return None
         lo, hi = lanczos_bounds(self.matvec, n)
@@ -204,12 +199,13 @@ def draw_realization(spec: ham.HamiltonianSpec, stream: int = 0) -> Draw:
             y[:-1] += model.g * x[1:]
             return y
 
-        return Draw(model.n, matvec, lambda: ham.build(spec), modes=chain_modes(model))
+        variance = model.g * model.g if model.n > 1 else 0.0
+        return Draw(model.n, matvec, lambda: ham.build(spec), variance, modes=chain_modes(model))
     if isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL:
         matvec, lo, hi = _arrowhead(spec, stream)
-        return Draw(model.n, matvec, lambda: ham.build(spec, stream), (lo, hi))
+        return Draw(model.n, matvec, lambda: ham.build(spec, stream), float(matvec.g @ matvec.g), (lo, hi))
     h = ham.build(spec, stream)
-    return Draw(model.n, h.dot, lambda: h)
+    return Draw(model.n, h.dot, lambda: h, float(h[0, 1:] @ h[0, 1:]))
 
 
 def realization_survival(spec: ham.HamiltonianSpec, times: np.ndarray, stream: int) -> SurvivalSeries:

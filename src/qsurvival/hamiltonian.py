@@ -6,7 +6,7 @@ is fully determined by a 64-bit seed plus a stream index (the realization
 index), so any one realization can be redrawn alone, bit for bit.
 The draw order is part of that contract: the experimental model draws its
 environment splittings, its first-row couplings and then, with a fully
-coupled environment, the environment upper triangle row by row; the
+coupled environment, the environment upper triangle in row-major order; the
 Rosenzweig-Porter model draws its first-row couplings and then the GOE block.
 """
 
@@ -132,7 +132,8 @@ def _check_scale(name, value):
         raise ValueError(f"{name} must be finite and >= 0")
 
 
-# rows of one standard-normal call of a GOE draw, and the side of its symmetrised tiles
+# rows of one call of the generator in a dense draw (GOE or FULL environment),
+# and the side of its symmetrised tiles
 _BLOCK = 256
 
 
@@ -191,6 +192,30 @@ def _goe(rng: np.random.Generator, m: int, out: np.ndarray | None = None, scale:
     return out
 
 
+def _full_environment(rng: np.random.Generator, model: Experimental, out: np.ndarray) -> None:
+    """Draw the couplings of the m x m environment block ``out`` in place:
+    its strict upper triangle row-major, the stream of one row-by-row draw.
+
+    Each block of ``_BLOCK`` rows takes one coupling call, whose values fill
+    the block's upper entries in row-major order; then each tile pair (i, j),
+    (j, i) of the upper triangle is mirrored, the diagonal tiles below their
+    diagonal only. Beyond ``out`` the draw holds the couplings and the mask
+    of one block of rows.
+    """
+    m = out.shape[0]
+    columns = np.arange(m)
+    for lo in range(0, m - 1, _BLOCK):
+        upper = columns > np.arange(lo, min(lo + _BLOCK, m - 1))[:, None]
+        rows = out[lo : lo + upper.shape[0]]
+        rows[upper] = _draw_couplings(rng, model.off_diag, int(np.count_nonzero(upper)), model.sigma, model.n)
+    for i in range(0, m, _BLOCK):
+        tile = out[i : i + _BLOCK, i : i + _BLOCK]
+        above = columns[: tile.shape[0]] > columns[: tile.shape[0], None]
+        tile.T[above] = tile[above]
+        for j in range(i + _BLOCK, m, _BLOCK):
+            out[j : j + _BLOCK, i : i + _BLOCK] = out[i : i + _BLOCK, j : j + _BLOCK].T
+
+
 def build(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
     """The matrix of ``spec``; the random models draw from ``stream_rng(spec.seed, stream)``.
 
@@ -207,10 +232,11 @@ def build(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
       variance sigma^2 / n, then the GOE block G, which enters as
       omega*I + (sigma/sqrt(n))*G.
 
-    Both dense draws are written into the matrix in place: one row of
-    environment couplings at a time, or the GOE block by :func:`_goe`. Beyond
-    the n x n matrix a draw holds O(n) entries (FULL) or one block of GOE
-    rows (RP).
+    Both dense draws are written into the matrix in place, ``_BLOCK`` rows per
+    call of the generator: the environment couplings by
+    :func:`_full_environment`, or the GOE block by :func:`_goe`. Beyond the
+    n x n matrix a draw holds one block of rows of couplings (FULL) or of GOE
+    rows and one tile (RP).
     """
     model = spec.model
     n = model.n
@@ -224,10 +250,7 @@ def build(spec: HamiltonianSpec, stream: int = 0) -> np.ndarray:
         diag, g = draw_arrowhead(model, rng)
         np.fill_diagonal(h, diag)
         if model.env is Environment.FULL:
-            block = h[1:, 1:]
-            for i in range(n - 2):
-                row = _draw_couplings(rng, model.off_diag, n - 2 - i, model.sigma, n)
-                block[i, i + 1 :] = block[i + 1 :, i] = row
+            _full_environment(rng, model, h[1:, 1:])
     else:  # RosenzweigPorter
         scale = model.sigma / math.sqrt(n)
         g = rng.normal(0.0, scale, size=n - 1)

@@ -6,7 +6,8 @@ not the prefactor. A brute-force crossing counter over a long window provides
 the empirical cross-check. Counting convention: all sign changes of p(t) - p
 on [0, T], normalized by the two-sided window 2T (p(t) is even in t for real
 symmetric generators, so one-sided counting over a doubled window is
-equivalent).
+equivalent). The counter streams the uniform grid through the blocked phase
+sum of ``spectral.grid_phase_sum``, chunk by chunk, with no array of times.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectral import SpectralDecomposition, merge_close_frequencies, survival_amplitude
+from .spectral import SpectralDecomposition, grid_phase_sum, merge_close_frequencies
 
 __all__ = [
     "Moments",
@@ -135,27 +136,26 @@ def _span(merged: SpectralDecomposition) -> float:
 
 
 _SCAN_CHUNK = 262144  # even, so every chunk starts on an even grid index
-# largest grid a scan may take: about a minute on a 2-core Xeon (50-65 s per
-# 1e9 points for chains of 20 to 64 sites)
+# largest grid a scan may take. On a 2-core Xeon 2e7 points took 0.20-0.25 s
+# for chains of 20 to 64 sites, so the budget is 10-12 s there
 _SCAN_POINT_BUDGET = 1e9
 
 
-def _grid_values(decomp, times):
-    return np.abs(survival_amplitude(decomp, times)) ** 2
-
-
-def _sign_changes(vals, prev) -> int:
-    if prev is not None:
-        vals = np.concatenate([[prev], vals])
-    return int(np.sum(np.sign(vals[1:]) * np.sign(vals[:-1]) < 0))
+def _sign_changes(signs: np.ndarray, prev: float) -> int:
+    """Strict sign changes along ``signs``, with ``prev`` the sign before it
+    (0 at the start of the scan)."""
+    return int(np.count_nonzero(signs[1:] * signs[:-1] < 0.0)) + int(prev * signs[0] < 0.0)
 
 
 def _count_on_grid(decomp, p, total_time, step) -> tuple[int, int]:
     """Sign changes of p(t) - p on the grid k * step, 0 <= k * step <= T, and
     on its even-indexed samples, i.e. the grid at twice the step.
 
-    One streamed pass: (2j) * step equals j * (2 step) exactly in floating
-    point, so the subsampled count is the count on the coarse grid itself.
+    One streamed pass: each chunk of the grid is one :func:`grid_phase_sum`
+    from (lo * step, step, points), with no grid array, and one ``np.sign``
+    whose values give both counts. (2j) * step equals j * (2 step) exactly in
+    floating point, so the subsampled count is the count on the coarse grid
+    itself.
     """
     n_pts = int(math.floor(total_time / step)) + 1
     if n_pts > _SCAN_POINT_BUDGET:
@@ -164,13 +164,18 @@ def _count_on_grid(decomp, p, total_time, step) -> tuple[int, int]:
             f" budget of {_SCAN_POINT_BUDGET:.0e}; give a shorter --observation-time or a coarser --resolution"
         )
     count = coarse = 0
-    prev = prev_even = None
+    prev = prev_even = 0.0
     for lo in range(0, n_pts, _SCAN_CHUNK):
-        vals = _grid_values(decomp, np.arange(lo, min(lo + _SCAN_CHUNK, n_pts)) * step) - p
-        even = vals[0::2]
-        count += _sign_changes(vals, prev)
+        amplitude = grid_phase_sum(decomp.eigenvalues, decomp.weights, lo * step, step,
+                                   min(_SCAN_CHUNK, n_pts - lo))
+        values = np.abs(amplitude)
+        values *= values
+        values -= p
+        signs = np.sign(values, out=values)
+        even = signs[0::2]
+        count += _sign_changes(signs, prev)
         coarse += _sign_changes(even, prev_even)
-        prev, prev_even = vals[-1], even[-1]
+        prev, prev_even = signs[-1], even[-1]
     return count, coarse
 
 

@@ -326,7 +326,7 @@ class TestRouteTable:
         x = rng.standard_normal(n)
         # three terms per row, summed in another order than the matrix product
         np.testing.assert_allclose(draw.matvec(x), ham.build(spec) @ x, rtol=0.0, atol=1e-14 * np.abs(x).max())
-        assert draw.energy_variance() == (g * g if n > 1 else 0.0)
+        assert draw.variance == (g * g if n > 1 else 0.0)
 
     @given(finite_specs(st.integers(1, 700)), st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
@@ -336,7 +336,7 @@ class TestRouteTable:
         # the variance is shift-invariant; centring on omega spares the reference
         # sum_i w_i e_i^2 - (sum_i w_i e_i)^2 a cancellation of order omega^2 eps
         centred = h - h[0, 0] * np.eye(h.shape[0])
-        assert abs(draw.energy_variance() - spectral.energy_variance(spectral.decompose(centred))) <= 1e-14
+        assert abs(draw.variance - spectral.energy_variance(spectral.decompose(centred))) <= 1e-14
 
     @pytest.mark.parametrize("coupling", [0.0, 1e-12])
     def test_outlier_level_far_from_the_band(self, coupling):
@@ -348,7 +348,7 @@ class TestRouteTable:
         lo, hi = spectral.lanczos_bounds(h.dot, n)
         dense = spectral.chebyshev_amplitude(h.dot, n, lo, hi, times)
         assert np.max(np.abs(np.abs(dense.values) ** 2 - exact)) <= 1e-12
-        series = ensemble.Draw(n, h.dot, lambda: h).survival(times)
+        series = ensemble.Draw(n, h.dot, lambda: h, h[0, 1:] @ h[0, 1:]).survival(times)
         assert np.max(np.abs(series.values - exact)) <= 1e-12
         # the coupled level widens the interval about twenty-fold, past the eigensolve's cost
         assert (hi > 6.0, series.method) == ((True, "spectral") if coupling else (False, "chebyshev"))

@@ -306,7 +306,7 @@ class TestDrawOrder:
     @pytest.mark.parametrize("kind", ["rp", "full-gaussian", "full-uniform"])
     def test_dense_draw_holds_one_matrix(self, kind):
         """A dense draw allocates its n x n matrix and, beyond it, one block of
-        GOE rows and one tile (RP) or one row of couplings (FULL)."""
+        GOE rows and one tile (RP) or one block of rows of couplings (FULL)."""
         spec = ham.HamiltonianSpec(DRAW_KINDS[kind](2000), 5)
         tracemalloc.start()
         try:

@@ -297,14 +297,23 @@ class TestSurvivalOrder4:
 
 
 class TestAgainstReference:
+    # Both orders are phase sums; the references are per-time tables of sin.
+    # The sums round each phase f t, so they differ from the tables by a few
+    # ulp of (1 + max|f| max|t|) eps^2 sum_j a_j, plus one ulp of the leading 1.
+    # Over 3000 random instances and grids the largest ratio to that scale
+    # was 1.7 for order 2 and 2.9 for order 4.
+    TABLE_ULPS = 8.0
+
     @given(
         n=st.integers(1, 12),
         eps=st.floats(-0.03, 0.03),
         seed=st.integers(0, 2**32 - 1),
         hermitian=st.booleans(),
+        grid=st.sampled_from(["uniform", "late-start", "non-uniform"]),
+        points=st.integers(6, 400),
     )
     @settings(max_examples=60, deadline=None)
-    def test_orders_match_level_loop_and_pair_table(self, n, eps, seed, hermitian):
+    def test_orders_match_level_loop_and_pair_table(self, n, eps, seed, hermitian, grid, points):
         rng = np.random.default_rng(seed)
         d = np.linspace(0.6, 1.4, n) + rng.uniform(-0.2, 0.2, n) * 0.8 / max(n - 1, 1)
         m = rng.normal(0.0, 1.0, (n, n))
@@ -312,10 +321,19 @@ class TestAgainstReference:
             m = m + 1j * rng.normal(0.0, 1.0, (n, n))
         v = (m + m.conj().T) / 2.0
         np.fill_diagonal(v, 0.0)
-        times = np.linspace(0.0, 200.0, 101)
+        if grid == "non-uniform":
+            # negative and unsorted times take the direct sums
+            times = rng.uniform(-200.0, 200.0, points)
+        else:
+            start = 0.0 if grid == "uniform" else rng.uniform(0.0, 100.0)
+            times = start + np.arange(points) * rng.uniform(0.01, 5.0)
         split = PerturbationSplit(d, v, eps)
-        assert_matches_raw(perturbation.survival_order2(split, times), reference_order2(d, v, eps, times), 1e-12)
-        assert_matches_raw(perturbation.survival_order4(split, times), reference_order4(d, v, eps, times), 1e-12)
+        f = d[0] - d[1:]
+        a = np.abs(v[0, 1:]) ** 2 / f**2
+        scale = 1.0 + (1.0 + np.abs(f).max(initial=0.0) * np.abs(times).max()) * eps**2 * a.sum()
+        tol = self.TABLE_ULPS * np.finfo(float).eps * scale
+        assert_matches_raw(perturbation.survival_order2(split, times), reference_order2(d, v, eps, times), tol)
+        assert_matches_raw(perturbation.survival_order4(split, times), reference_order4(d, v, eps, times), tol)
 
     def test_order4_memory_is_linear_in_times(self):
         # a (times x pairs) table of sin^2 at this size would take 79 MB
@@ -329,3 +347,18 @@ class TestAgainstReference:
         finally:
             tracemalloc.stop()
         assert peak < 32 * 2**20
+
+    def test_order4_holds_no_per_time_table(self):
+        # one (times x levels) table here would take 320 MB; the phase sums'
+        # outputs and tables took 15.5 MB
+        d, v = well_spaced_instance(11, n=200)
+        split = PerturbationSplit(d, v, 1e-3)
+        times = np.linspace(0.0, 2000.0, 200_000)
+        tracemalloc.start()
+        try:
+            values = perturbation.survival_order4(split, times).values
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+        assert values[0] == pytest.approx(1.0, abs=1e-12)

@@ -149,11 +149,11 @@ class TestSinglePassScan:
     def test_stability_check_evaluates_the_fine_grid_once(self, monkeypatch):
         points = []
 
-        def counting(decomp, t):
-            points.append(np.size(t))
-            return spectral.survival_amplitude(decomp, t)
+        def counting(freqs, weights, start, step, count):
+            points.append(count)
+            return spectral.grid_phase_sum(freqs, weights, start, step, count)
 
-        monkeypatch.setattr(recurrence, "survival_amplitude", counting)
+        monkeypatch.setattr(recurrence, "grid_phase_sum", counting)
         total_time, step = 700.0, 0.03
         recurrence.count_crossings(chain_decomp(8), 0.5, total_time, step, check_stability=True)
         assert sum(points) == math.floor(total_time / (step / 2.0)) + 1

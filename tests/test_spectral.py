@@ -190,6 +190,50 @@ class TestBlockedPhaseSum:
         bound = self.ULPS * np.finfo(float).eps * scale * np.abs(weights).sum(axis=1, keepdims=True)
         assert np.all(np.abs(sums - rows) <= bound)
 
+    @pytest.mark.parametrize("rows", [1, 3])
+    def test_chunks_of_terms_and_rows_match_the_direct_sum(self, monkeypatch, rows):
+        # 501 points take M = 23 offsets and 22 block starts, so chunks of
+        # 1000 entries hold 22 terms: 100 terms make five chunks, the first
+        # written into the output and the other four added to it
+        monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 1000)
+        rng = np.random.default_rng(15)
+        freqs = rng.uniform(-2.0, 2.0, size=100) - 1j * rng.uniform(0.0, 0.01, size=100)
+        weights = rng.normal(size=(rows, 100)) + 1j * rng.normal(size=(rows, 100))
+        times = np.linspace(0.0, 2000.0, 501)
+        direct = (np.exp(-1j * np.multiply.outer(times, freqs)) @ weights.T).T
+        scale = 1.0 + np.abs(freqs).max() * times.max()
+        bound = self.ULPS * np.finfo(float).eps * scale * np.abs(weights).sum(axis=1, keepdims=True)
+        assert np.all(np.abs(spectral.phase_sum(freqs, weights, times) - direct) <= bound)
+        assert np.all(np.abs(spectral.grid_phase_sum(freqs, weights, 0.0, 4.0, 501) - direct) <= bound)
+        assert np.all(np.abs(spectral.phase_sum(freqs, weights[0], times) - direct[0]) <= bound[0])
+
+    def test_grid_entry_is_the_blocked_path_of_the_grid_it_names(self):
+        rng = np.random.default_rng(16)
+        freqs = rng.uniform(-2.0, 2.0, size=30) - 1j * rng.uniform(0.0, 0.1, size=30)
+        weights = rng.normal(size=30) + 1j * rng.normal(size=30)
+        for start, count in ((0.0, 6), (7.0, 37), (7.0, 1000)):
+            np.testing.assert_array_equal(spectral.grid_phase_sum(freqs, weights, start, 0.25, count),
+                                          spectral.phase_sum(freqs, weights, start + np.arange(count) * 0.25))
+        # a grid of one point, or a few, is still summed by blocks
+        np.testing.assert_allclose(spectral.grid_phase_sum(freqs, weights, 3.0, 0.5, 1),
+                                   [np.exp(-3j * freqs) @ weights], rtol=1e-14)
+        np.testing.assert_array_equal(spectral.grid_phase_sum([], [], 0.0, 1.0, 50), 0.0)
+
+    @pytest.mark.parametrize(
+        "freqs, start, step",
+        [
+            pytest.param([1.0], -1.0, 0.5, id="negative-start"),
+            pytest.param([1.0], 0.0, 0.0, id="zero-step"),
+            pytest.param([1.0], 0.0, -0.5, id="negative-step"),
+            pytest.param([1.0], math.inf, 0.5, id="infinite-start"),
+            pytest.param([1.0], 0.0, math.nan, id="nan-step"),
+            pytest.param([1.0 + 0.01j], 0.0, 0.5, id="growing-term"),
+        ],
+    )
+    def test_grid_entry_refuses_what_the_blocked_path_cannot_take(self, freqs, start, step):
+        with pytest.raises(ValueError):
+            spectral.grid_phase_sum(np.array(freqs), np.array([1.0]), start, step, 100)
+
     def test_deepest_doubling_matches_the_per_time_sum(self):
         # 2e6 points: M = 1415 offsets and 1414 block starts, each table 16
         # exact rows and seven doublings, so a term carries 16 rounded products;
