@@ -218,8 +218,9 @@ def _json_text(doc: dict) -> str:
 def write_series_csv(path: str, times: np.ndarray, series: dict, meta: dict):
     """The series as CSV, and ``meta`` beside it as ``<stem>.annotations.json``."""
     row = ",".join([_FLOAT_FMT] * (len(series) + 1)) + "\n"
-    rows = np.column_stack([times, *series.values()]).tolist()
-    _atomic_write(path, "t," + ",".join(series) + "\n" + "".join(row % tuple(r) for r in rows))
+    table = np.column_stack([times, *series.values()])
+    # one format over the whole table, row after row
+    _atomic_write(path, "t," + ",".join(series) + "\n" + row * len(table) % tuple(table.ravel().tolist()))
     stem, _ = os.path.splitext(path)
     _atomic_write(f"{stem}.annotations.json", _json_text(dict(meta, version=__version__)))
 

@@ -61,7 +61,30 @@ __all__ = [
 ]
 
 _GL_NODES = 12
-_GL_X, _GL_W = np.polynomial.legendre.leggauss(_GL_NODES)
+# longest panel of a capped rule, in periods of its fastest phase
+_PANEL_PERIODS = 8
+
+
+def _gl_orders(periods: int) -> list[int]:
+    """For k = 1 ... ``periods``, the fewest Gauss-Legendre nodes, at least 12,
+    whose remainder bound theta^(2n) 2^(2n+1) (n!)^4 / ((2n+1) ((2n)!)^3) for
+    e^{i theta u} on [-1, 1] is below the double epsilon at theta = k pi, the
+    phase of a panel k periods long: 12, 15, 18, 21, 23, 26, 28, 31."""
+    orders, n = [], _GL_NODES
+    for k in range(1, periods + 1):
+        theta = k * math.pi
+        while (2 * n * math.log(theta) + (2 * n + 1) * math.log(2.0) + 4.0 * math.lgamma(n + 1)
+               - math.log(2 * n + 1) - 3.0 * math.lgamma(2 * n + 1)) > math.log(np.finfo(float).eps):
+            n += 1
+        orders.append(n)
+    return orders
+
+
+# the rule of a panel k periods long is entry k - 1: its order, and its nodes
+# and weights on [-1, 1] at _GL_START[k - 1] of the flat _GL_X, _GL_W
+_GL_ORDER = np.array(_gl_orders(_PANEL_PERIODS))
+_GL_START = np.concatenate([[0], np.cumsum(_GL_ORDER)[:-1]])
+_GL_X, _GL_W = map(np.concatenate, zip(*[np.polynomial.legendre.leggauss(n) for n in _GL_ORDER]))
 # most Gauss-Legendre nodes one panel rule may build: about 300 MiB on the cut
 _NODE_BUDGET = 4_000_000
 # default spacing ratio of the breakpoints that ``_cluster`` puts around a center
@@ -422,23 +445,23 @@ def _cluster(center: float, inner: float, outer: float, ratio: float = _CLUSTER_
     return np.concatenate([center - steps, center + steps])
 
 
-def _panels(points, lo: float, hi: float, longest: float = math.inf):
-    """Gauss-Legendre nodes and weights on [lo, hi], the one panel rule of all
-    three routes: every point inside (lo, hi) is a panel edge, and each gap is
-    cut into ceil(gap / longest) equal panels with ``np.linspace`` arithmetic.
+def _panel_partition(points, lo: float, hi: float, longest: float = math.inf):
+    """The panels of :func:`_panels` on [lo, hi], as arrays of their left and
+    right ends and of their rule index k - 1 in the table of
+    :func:`_gl_orders`, for a panel at most k periods ``longest`` long.
 
-    The cut and the line pass one period 2 pi / t of their largest time as
-    ``longest``. By the Bernstein-ellipse bound 12 nodes integrate e^{-ixt}
-    over a period to round-off: on [-1, 1] the error for e^{i theta u} is
-    2.2e-16 at a quarter period, 8.8e-16 at one and 2.9e-12 at two.
-
-    More than 4e6 nodes (about 300 MiB at the cut's 80 bytes a node) raise
-    :class:`NodeBudgetError` before any node is built."""
+    Every point inside (lo, hi) is a panel edge, and each gap is cut into
+    ceil(gap / (8 longest)) equal panels with ``np.linspace`` arithmetic;
+    with no cap each gap is one panel of rule index 0. More than 4e6 nodes
+    (about 300 MiB at the cut's 80 bytes a node) raise
+    :class:`NodeBudgetError` before any panel is built."""
     pts = np.asarray(points, dtype=float)
     edges = np.unique(np.concatenate([[lo], pts[(pts > lo) & (pts < hi)], [hi]]))
     gaps = np.diff(edges)
-    count = np.maximum(np.ceil(gaps / longest), 1.0)
-    nodes = float(count.sum()) * _GL_NODES
+    count = np.maximum(np.ceil(gaps / (_PANEL_PERIODS * longest)), 1.0)
+    # periods per panel; gaps / count / longest may round to just above 8
+    rule = np.clip(np.ceil(gaps / count / longest), 1.0, _PANEL_PERIODS).astype(np.int64) - 1
+    nodes = float(count @ _GL_ORDER[rule])
     if not nodes <= _NODE_BUDGET:
         raise NodeBudgetError(
             f"the quadrature would need {nodes:.3g} nodes, over the budget of {_NODE_BUDGET:.3g};"
@@ -449,20 +472,39 @@ def _panels(points, lo: float, hi: float, longest: float = math.inf):
     k = np.arange(1, ends[-1] + 1) - np.repeat(ends - count, count)
     right = k * np.repeat(gaps / count, count) + np.repeat(edges[:-1], count)
     right[ends - 1] = edges[1:]
-    left = np.append(lo, right[:-1])
-    mid, half = 0.5 * (left + right), 0.5 * (right - left)
-    nodes = mid[:, None] + half[:, None] * _GL_X[None, :]
+    return np.append(lo, right[:-1]), right, np.repeat(rule, count)
+
+
+def _panels(points, lo: float, hi: float, longest: float = math.inf):
+    """Gauss-Legendre nodes and weights on the panels of
+    :func:`_panel_partition`, panel by panel from lo to hi: the one panel
+    rule of all three routes.
+
+    The cut and the line pass one period 2 pi / t of their largest time as
+    ``longest``. A panel at most k periods long, k = 1 ... 8, takes the
+    order of :func:`_gl_orders`, which integrates e^{-ixt} over it to
+    round-off: 12 nodes for one period (on [-1, 1] the error for
+    e^{i theta u} is 8.8e-16 at theta = pi), 31 for eight. With no cap, as on
+    the seams, every panel has 12."""
+    left, right, rule = _panel_partition(points, lo, hi, longest)
+    order = _GL_ORDER[rule]
+    # index of each node in the flat rule table
+    first = np.cumsum(order) - order
+    at = np.arange(first[-1] + order[-1]) + np.repeat(_GL_START[rule] - first, order)
+    half = np.repeat(0.5 * (right - left), order)
+    nodes = np.repeat(0.5 * (left + right), order) + half * _GL_X[at]
     # among subnormals mid and half round by a whole unit, enough to push a
     # node out of its panel and across a point
-    np.clip(nodes, left[:, None], right[:, None], out=nodes)
-    return nodes.ravel(), (half[:, None] * _GL_W[None, :]).ravel()
+    np.clip(nodes, np.repeat(left, order), np.repeat(right, order), out=nodes)
+    return nodes, half * _GL_W[at]
 
 
 def _cut_nodes(params: LeeParams, t_max: float):
     """Nodes on the cut by :func:`_panels`: edges graded geometrically toward
     both branch points, a cluster around the near-Lorentzian at the cut
-    center, and no panel longer than 2 pi / t_max, one period of the fastest
-    phase on the grid, which 12 Gauss-Legendre nodes integrate to round-off."""
+    center, and ``longest`` 2 pi / t_max, one period of the fastest phase on
+    the grid, so a panel of k periods takes the order that integrates that
+    phase over it to round-off."""
     w, d = params.omega, params.delta
     a, b = w - d, w + d
     width = max(params.center_width, 1e-13)
@@ -646,12 +688,13 @@ def amplitude_direct(params: Density, t):
     1e-8. The times that end at the same half-width share one set of nodes by
     :func:`_panels`, with edges clustered geometrically around the density
     edges, the poles and omega (the clusters of the lower line, eps / 2), and
-    no panel longer than one period 2 pi / t of the largest time in the set:
-    12 Gauss-Legendre nodes integrate e^{-ixt} over one period to 8.8e-16
-    (2.9e-12 over two). On a line, e^{-izt} = e^{eps t} e^{-ixt}, so one
-    :func:`phase_sum` at the real nodes, with one row of weights per height,
-    gives the set's integrals at both heights from one table of phases. The
-    two heights are Richardson-extrapolated to eps -> 0. The achieved estimate
+    ``longest`` one period 2 pi / t of the largest time in the set: a panel
+    of k periods takes the Gauss-Legendre order that integrates e^{-ixt} over
+    it to round-off, 12 nodes for one period and 31 for eight. On a line,
+    e^{-izt} = e^{eps t} e^{-ixt}, so one :func:`phase_sum` at the real
+    nodes, with one row of weights per height, gives the set's integrals at
+    both heights from one table of phases. The two heights are
+    Richardson-extrapolated to eps -> 0. The achieved estimate
     at each time has three parts: the window tail, the disagreement of the
     two heights, and a rounding bound,
     unit * sum |w_q R| e^{eps t} (1 + max|x| t) / (2 pi) for each height
@@ -742,10 +785,10 @@ def _probability_series(times: np.ndarray, amplitude, method: str) -> SurvivalSe
 
 def direct_survival(params: Density, times) -> tuple[SurvivalSeries, float]:
     """Survival probability by one :func:`amplitude_direct` call on the whole
-    grid, whose windows share nodes with panels one period of their largest
-    time long (the ``direct`` route of :func:`survival`, which it runs for the
-    semicircle too), and the largest achieved quadrature error over the grid,
-    0.0 on an empty grid."""
+    grid, whose windows share nodes on panels up to eight periods of their
+    largest time long (the ``direct`` route of :func:`survival`, which it
+    runs for the semicircle too), and the largest achieved quadrature error
+    over the grid, 0.0 on an empty grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     amp, achieved = amplitude_direct(params, times)
     return _probability_series(times, amp, "direct"), float(achieved.max(initial=0.0))

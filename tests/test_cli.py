@@ -95,6 +95,21 @@ def read_csv(path):
     return header, data
 
 
+class TestSeriesCsv:
+    @pytest.mark.parametrize("rows, columns", [(0, 1), (1, 1), (7, 3), (500, 10)])
+    def test_table_bytes_match_row_by_row_formatting(self, rows, columns, tmp_path):
+        rng = np.random.default_rng(rows + columns)
+        # signs, subnormals, large values, exact zeros of both signs
+        scale = rng.choice([5e-324, 1e-310, 1e-17, 1.0, 3e8, 1e300], size=(rows, columns + 1))
+        values = rng.choice([-1.0, 1.0], size=scale.shape) * scale * rng.uniform(0.0, 7.0, scale.shape)
+        values[rng.random(scale.shape) < 0.05] = -0.0
+        times, series = values[:, 0], {f"c{k}": values[:, k + 1] for k in range(columns)}
+        cli.write_series_csv(str(tmp_path / "s.csv"), times, series, {})
+        row = ",".join(["%.17g"] * (columns + 1)) + "\n"
+        expected = "t," + ",".join(series) + "\n" + "".join(row % tuple(r) for r in values.tolist())
+        assert (tmp_path / "s.csv").read_bytes() == expected.encode()
+
+
 class TestCommands:
     def test_chain_csv_schema_and_determinism(self, tmp_path):
         out = tmp_path / "chain.csv"

@@ -624,16 +624,27 @@ class TestPanelRule:
         longest = share * width
         points = [lo + f * width for f in fractions]
         x, wq = lee._panels(points, lo, hi, longest)
-        nodes, weights = x.reshape(-1, 12), wq.reshape(-1, 12)
-        lengths = weights.sum(axis=1)
+        rule = lee._panel_partition(points, lo, hi, longest)[2]
+        order = lee._GL_ORDER[rule]
+        assert order.sum() == x.size
+        starts = np.cumsum(order) - order
+        lengths = np.add.reduceat(wq, starts)
+        first, last = x[starts], x[starts + order - 1]
         # panel edges are doubles near lo and hi, so lengths carry their rounding
         rounding = 1e-12 * (abs(lo) + abs(hi))
-        assert np.all(lengths <= longest + rounding)
+        # a panel at most k periods long takes the table's entry k: no panel
+        # is longer than its order allows, nor short enough for a smaller one
+        if math.isinf(longest):
+            assert np.all(order == 12)
+        else:
+            assert np.all(lengths <= (rule + 1) * longest + rounding)
+            assert np.all(lengths >= rule * longest - rounding)
+            assert np.all(lengths <= lee._PANEL_PERIODS * longest + rounding)
         assert math.isclose(wq.sum(), hi - lo, rel_tol=1e-12)
-        left = nodes.mean(axis=1) - 0.5 * lengths
+        left = 0.5 * (first + last) - 0.5 * lengths
         for p in points:
             if lo < p < hi:
-                assert not np.any((nodes[:, 0] < p) & (nodes[:, -1] > p))
+                assert not np.any((first < p) & (last > p))
                 assert np.min(np.abs(left - p)) <= rounding
 
     @given(
@@ -653,10 +664,23 @@ class TestPanelRule:
         bound = 8.0 * np.finfo(float).eps * (hi - lo) * (1.0 + t * max(abs(lo), abs(hi)))
         assert abs(np.sum(wq * np.exp(-1j * x * t)) - exact) <= bound
 
+    @pytest.mark.parametrize("k", range(1, lee._PANEL_PERIODS + 1))
+    def test_each_order_integrates_the_phase_of_its_periods_to_round_off(self, k):
+        # a panel k periods long is [-1, 1] at theta up to k pi; the bound is
+        # that of the test above at lo = -1, hi = 1, t = theta
+        order, start = lee._GL_ORDER[k - 1], lee._GL_START[k - 1]
+        u, w = lee._GL_X[start:start + order], lee._GL_W[start:start + order]
+        np.testing.assert_allclose((u, w), np.polynomial.legendre.leggauss(order), rtol=0.0, atol=0.0)
+        theta = np.linspace(0.0, k * math.pi, 2001)
+        exact = 2.0 * np.sinc(theta / math.pi)
+        bound = 8.0 * np.finfo(float).eps * 2.0 * (1.0 + theta)
+        assert np.all(np.abs(np.exp(1j * np.outer(theta, u)) @ w - exact) <= bound)
+
     def test_cut_memory_at_long_times(self):
-        # the cut resolves one period of the largest time: 3.8e5 nodes and a
-        # traced peak of 29 MiB for these times, against 3.1e6 nodes and
-        # 233 MiB with panels a quarter period long
+        # the cut resolves one period of the largest time: 1.2e5 nodes and a
+        # traced peak of 14 MiB for these times, against 3.8e5 nodes and
+        # 29 MiB with 12 nodes a period, and 3.1e6 nodes and 233 MiB with
+        # panels a quarter period long
         params = lee.LeeParams(1.0, 0.1, 1e-4)
         lee.real_poles(params)
         tracemalloc.start()
@@ -668,17 +692,41 @@ class TestPanelRule:
         assert peak < 40 * 2**20
 
     def test_long_times_are_refused_before_the_nodes_are_built(self):
-        # at t = 1e9 the cut would need 3.8e8 nodes, some 30 GiB
+        # at t = 1e9 the cut would need 1.2e8 nodes, some 9 GiB, and the line 2.5e9
         params = lee.LeeParams(1.0, 0.1, 1e-4)
         lee.real_poles(params)
         tracemalloc.start()
         try:
             with pytest.raises(lee.NodeBudgetError, match="--method second_sheet"):
                 lee.amplitude_residue_cut(params, np.linspace(9e8, 1e9, 5))
+            with pytest.raises(lee.NodeBudgetError, match="--method second_sheet"):
+                lee.amplitude_direct(params, np.linspace(9e8, 1e9, 5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_node_counts_at_the_reference_coupling(self, monkeypatch):
+        # kappa2 = 7.5e-4 to t = 2000: 1125 nodes on the cut and 9460 on the
+        # line's two node sets, where 12 nodes a period took 1584 and 19,344
+        assert lee._cut_nodes(REF, 2000.0)[0].size <= 1125
+        sizes, panels = [], lee._panels
+
+        def counted(*args):
+            x, wq = panels(*args)
+            sizes.append(x.size)
+            return x, wq
+
+        monkeypatch.setattr(lee, "_panels", counted)
+        lee.amplitude_direct(REF, np.linspace(0.0, 2000.0, 501))
+        assert len(sizes) == 2 and sum(sizes) <= 9460
+
+    def test_line_runs_at_a_million(self):
+        # 2.5e6 nodes on the line, inside the 4e6 budget; 12 nodes a period
+        # needed 7.6e6, and the traced peak is 490 MiB
+        params = lee.LeeParams(1.0, 0.1, 1e-4)
+        amp, achieved = lee.amplitude_direct(params, 1e6)
+        assert abs(amp - lee.amplitude_second_sheet(params, 1e6).total) <= achieved
 
     @pytest.mark.parametrize("method", ["residue_cut", "direct"])
     def test_cli_refuses_long_times_with_exit_3(self, method, tmp_path, capsys):
