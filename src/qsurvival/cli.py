@@ -342,7 +342,7 @@ def cmd_ensemble(args) -> int:
     _require(args, ["out"])
     spec = _model_spec(args)
     times = _grid(args)
-    mean, draws = ensemble_mean(spec, times, args.realizations, args.threads)
+    mean, draws = ensemble_mean(spec, times, args.realizations)
     series = {"mean": SurvivalSeries(times, mean, method="ensemble")}
     for r, draw in enumerate(draws):
         series[f"r{r:03d}"] = draw
@@ -518,7 +518,7 @@ def _declare_ensemble(p):
     _add_model(p)
     p.add_argument("--realizations", type=_AT_LEAST_1, default=1, help="ensemble size")
     p.add_argument("--threads", type=_AT_LEAST_1, default=1,
-                   help="worker threads for the realizations; any count gives the same bytes")
+                   help="worker threads; changes no output or speed, since the realizations run one at a time")
     p.set_defaults(func=cmd_ensemble)
 
 

@@ -3,7 +3,7 @@ takes each realization by the cheaper exact route for its time grid.
 
 Each realization is drawn from its own stream (stream index = realization
 index), so a realization depends on its index alone, not on what was drawn
-before it, nor on which worker draws it.
+before it.
 :meth:`Draw.decompose` is the one way a draw gets its spectrum, and
 :meth:`Draw.survival` holds the one route table:
 
@@ -214,16 +214,15 @@ def realization_survival(spec: ham.HamiltonianSpec, times: np.ndarray, stream: i
 
 
 def ensemble_mean(
-    spec: ham.HamiltonianSpec, times: np.ndarray, realizations: int, threads: int = 1
+    spec: ham.HamiltonianSpec, times: np.ndarray, realizations: int
 ) -> tuple[np.ndarray, list[SurvivalSeries]]:
     """Mean curve over ``realizations`` streams plus each stream's :class:`SurvivalSeries`.
 
-    The streams run in a pool of ``threads`` workers, one by default: on 2
-    cores more workers were slower on every route (BLAS threads inside the
-    pool threads on the dense route, the GIL held by the Chebyshev moment
-    loop between its small products on the arrowhead route). The reduction
-    is performed in stream order after all workers finish, so the output is
-    bit-identical for any worker count.
+    The streams run one at a time, in stream order, on one worker thread, so
+    one draw's matrix is held at a time. On 2 cores concurrent draws were
+    slower on every route (BLAS threads inside the pool threads on the dense
+    route, the GIL held by the Chebyshev moment loop between its small
+    products on the arrowhead route) and held one matrix per worker.
     """
     # imported here: only the pool needs it, and it costs every start of the command line
     from concurrent.futures import ThreadPoolExecutor
@@ -231,8 +230,6 @@ def ensemble_mean(
     if realizations < 1:
         raise ValueError("realizations must be >= 1")
     times = np.asarray(times, dtype=float)
-    threads = max(1, min(threads, realizations))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        futures = [pool.submit(realization_survival, spec, times, r) for r in range(realizations)]
-        draws = [f.result() for f in futures]
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        draws = list(pool.map(lambda r: realization_survival(spec, times, r), range(realizations)))
     return np.vstack([d.values for d in draws]).mean(axis=0), draws

@@ -85,7 +85,8 @@ def _gl_orders(periods: int) -> list[int]:
 _GL_ORDER = np.array(_gl_orders(_PANEL_PERIODS))
 _GL_START = np.concatenate([[0], np.cumsum(_GL_ORDER)[:-1]])
 _GL_X, _GL_W = map(np.concatenate, zip(*[np.polynomial.legendre.leggauss(n) for n in _GL_ORDER]))
-# most Gauss-Legendre nodes one panel rule may build: about 300 MiB on the cut
+# most Gauss-Legendre nodes one panel rule may build: about 300 MiB at the 80
+# bytes a node of the cut and the line, plus at most 61 MiB of phase table
 _NODE_BUDGET = 4_000_000
 # default spacing ratio of the breakpoints that ``_cluster`` puts around a center
 _CLUSTER_RATIO = 2.0
@@ -96,6 +97,9 @@ _POLE_RESIDUAL_TOL = 1e-10
 _NEWTON_MAX_ITER = 100
 # largest achieved error ``amplitude_direct`` accepts
 _DIRECT_TOL = 1e-7
+# line nodes whose integrand ``amplitude_direct`` evaluates at once: the level
+# shift's temporaries on both heights then stay within a few MiB
+_DIRECT_CHUNK_NODES = 2**15
 # Log-offset below which a real pole is unrepresentable in doubles; its
 # residue is then far below any tolerance and the pole list is empty.
 _LOG_OFFSET_FLOOR = -745.0
@@ -453,8 +457,9 @@ def _panel_partition(points, lo: float, hi: float, longest: float = math.inf):
     Every point inside (lo, hi) is a panel edge, and each gap is cut into
     ceil(gap / (8 longest)) equal panels with ``np.linspace`` arithmetic;
     with no cap each gap is one panel of rule index 0. More than 4e6 nodes
-    (about 300 MiB at the cut's 80 bytes a node) raise
-    :class:`NodeBudgetError` before any panel is built."""
+    (about 300 MiB at the 80 bytes a node of the cut and the line, plus the
+    phase sum's table of at most 4e6 entries) raise :class:`NodeBudgetError`
+    before any panel is built."""
     pts = np.asarray(points, dtype=float)
     edges = np.unique(np.concatenate([[lo], pts[(pts > lo) & (pts < hi)], [hi]]))
     gaps = np.diff(edges)
@@ -748,7 +753,10 @@ def amplitude_direct(params: Density, t):
         pts = np.concatenate([_cluster(c, max(low / 2.0, 1e-13), half) for c in [w - s, w + s, *xs, w]]
                              + [_cluster(w, max(params.center_width, low) / 8.0, half)])
         x, wq = _panels(pts, w - half, w + half, 2.0 * math.pi / max(shared.max(), 1e-12))
-        terms = wq * remainder(x + 1j * heights[:, None])
+        terms = np.empty((2, x.size), dtype=complex)
+        for at in range(0, x.size, _DIRECT_CHUNK_NODES):
+            part = slice(at, at + _DIRECT_CHUNK_NODES)
+            np.multiply(wq[part], remainder(x[part] + 1j * heights[:, None]), out=terms[:, part])
         growth = np.exp(np.multiply.outer(heights, shared))
         integral[:, share] = growth * phase_sum(x, terms, shared)
         # rounding of the phases x t and of the sum over nodes

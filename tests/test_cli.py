@@ -4,6 +4,7 @@ import pathlib
 import re
 import shlex
 import sys
+import threading
 import time
 import tracemalloc
 import types
@@ -67,25 +68,53 @@ class TestEnsembleRunner:
     def test_mean_is_mean_of_stack(self):
         spec = ham.HamiltonianSpec(ham.Experimental(20, 1.0, 0.1, 0.3), seed=5)
         times = np.linspace(0.0, 10.0, 30)
-        mean, draws = ensemble_mean(spec, times, realizations=6, threads=3)
+        mean, draws = ensemble_mean(spec, times, realizations=6)
         stack = np.vstack([d.values for d in draws])
         np.testing.assert_array_equal(mean, stack.mean(axis=0))
         assert stack.shape == (6, 30)
         assert {d.method for d in draws} == {"spectral"}
 
-    def test_worker_count_does_not_change_result(self):
-        spec = ham.HamiltonianSpec(ham.Experimental(15, 1.0, 0.1, 0.3), seed=9)
-        times = np.linspace(0.0, 5.0, 20)
-        serial, _ = ensemble_mean(spec, times, realizations=5, threads=1)
-        parallel, _ = ensemble_mean(spec, times, realizations=5, threads=4)
-        assert serial.tobytes() == parallel.tobytes()
+    def test_realizations_run_in_stream_order_on_one_thread(self, monkeypatch):
+        calls, original = [], ensemble.realization_survival
 
-    def test_worker_count_does_not_change_the_chebyshev_route(self):
-        spec = ham.HamiltonianSpec(ham.Experimental(700, 1.0, 0.1, 0.05), seed=9)
-        times = np.linspace(0.0, 300.0, 40)
-        serial, _ = ensemble_mean(spec, times, realizations=4, threads=1)
-        parallel, _ = ensemble_mean(spec, times, realizations=4, threads=3)
-        assert serial.tobytes() == parallel.tobytes()
+        def recorded(spec, times, stream):
+            calls.append((stream, threading.get_ident()))
+            return original(spec, times, stream)
+
+        monkeypatch.setattr(ensemble, "realization_survival", recorded)
+        spec = ham.HamiltonianSpec(ham.Experimental(12, 1.0, 0.1, 0.3), seed=2)
+        ensemble_mean(spec, np.linspace(0.0, 5.0, 11), realizations=7)
+        assert [stream for stream, _ in calls] == list(range(7))
+        assert len({thread for _, thread in calls}) == 1
+
+    def test_one_dense_draw_in_memory_at_a_time(self):
+        # four FULL draws on the Chebyshev route held 1.32 matrices at their
+        # traced peak; two concurrent draws held 2.63
+        model = ham.Experimental(800, 1.0, 0.1, 0.05, env=ham.Environment.FULL)
+        spec = ham.HamiltonianSpec(model, seed=3)
+        times = np.linspace(0.0, 2000.0, 501)
+        ensemble_mean(spec, times, realizations=1)  # what a first call imports is not traced
+        tracemalloc.start()
+        try:
+            _, draws = ensemble_mean(spec, times, realizations=4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {d.method for d in draws} == {"chebyshev"}
+        assert peak < 1.5 * 800 * 800 * 8
+
+    @pytest.mark.parametrize("n, sigma, tmax, points, route", [
+        (15, "0.3", 5.0, 20, "spectral"), (700, "0.05", 300.0, 40, "chebyshev")])
+    def test_threads_do_not_change_the_files(self, n, sigma, tmax, points, route, tmp_path):
+        files = []
+        for threads in ("1", "4"):
+            out = tmp_path / f"t{threads}.csv"
+            assert main(["ensemble", "--n", str(n), "--omega", "1", "--delta", "0.1", "--sigma", sigma,
+                         "--realizations", "4", "--seed", "9", "--threads", threads, "--tmax", str(tmax),
+                         "--points", str(points), "--out", str(out)]) == 0
+            files.append((out.read_bytes(), (tmp_path / f"t{threads}.annotations.json").read_bytes()))
+        assert files[0] == files[1]
+        assert json.loads(files[0][1])["route"] == route
 
 
 def read_csv(path):

@@ -691,6 +691,28 @@ class TestPanelRule:
             tracemalloc.stop()
         assert peak < 40 * 2**20
 
+    def test_direct_memory_per_node(self, monkeypatch):
+        # the line's integrand is evaluated in chunks of nodes: 81 bytes a node
+        # at the traced peak for these 2.5e5 nodes, against 208 in one piece
+        params = lee.LeeParams(1.0, 0.1, 1e-4)
+        lee.real_poles(params)
+        sizes, panels = [], lee._panels
+
+        def counted(*args):
+            x, wq = panels(*args)
+            sizes.append(x.size)
+            return x, wq
+
+        monkeypatch.setattr(lee, "_panels", counted)
+        tracemalloc.start()
+        try:
+            lee.amplitude_direct(params, np.array([1e5]))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sizes[0] > 2e5
+        assert peak < 120 * sum(sizes)
+
     def test_long_times_are_refused_before_the_nodes_are_built(self):
         # at t = 1e9 the cut would need 1.2e8 nodes, some 9 GiB, and the line 2.5e9
         params = lee.LeeParams(1.0, 0.1, 1e-4)
