@@ -91,14 +91,15 @@ class Draw:
     and ``build`` returns that matrix dense. ``variance`` is the energy
     variance <H^2> - <H>^2 in e_1, the squared norm of the first row's
     couplings, taken once where the draw is made. A chain holds its analytic
-    ``modes`` and is never built. A diagonal-environment draw is an arrowhead:
-    ``bounds`` holds its Weyl interval, and ``build`` draws the matrix only
-    where the eigensolve is the cheaper route. Every other draw is built once.
+    ``modes``, and None for ``matvec`` and ``build``. A diagonal-environment
+    draw is an arrowhead: ``bounds`` holds its Weyl interval, and ``build``
+    draws the matrix only where the eigensolve is the cheaper route. Every
+    other draw is built once.
     """
 
     n: int
-    matvec: Callable[[np.ndarray], np.ndarray]
-    build: Callable[[], np.ndarray]
+    matvec: Callable[[np.ndarray], np.ndarray] | None
+    build: Callable[[], np.ndarray] | None
     variance: float
     bounds: tuple[float, float] | None = None
     modes: SpectralDecomposition | None = None
@@ -193,14 +194,8 @@ def draw_realization(spec: ham.HamiltonianSpec, stream: int = 0) -> Draw:
     arrowhead product for the diagonal environment, the built matrix otherwise."""
     model = spec.model
     if isinstance(model, ham.Chain):
-        def matvec(x: np.ndarray) -> np.ndarray:
-            y = model.omega * x
-            y[1:] += model.g * x[:-1]
-            y[:-1] += model.g * x[1:]
-            return y
-
         variance = model.g * model.g if model.n > 1 else 0.0
-        return Draw(model.n, matvec, lambda: ham.build(spec), variance, modes=chain_modes(model))
+        return Draw(model.n, None, None, variance, modes=chain_modes(model))
     if isinstance(model, ham.Experimental) and model.env is ham.Environment.DIAGONAL:
         matvec, lo, hi = _arrowhead(spec, stream)
         return Draw(model.n, matvec, lambda: ham.build(spec, stream), float(matvec.g @ matvec.g), (lo, hi))

@@ -86,7 +86,8 @@ _GL_ORDER = np.array(_gl_orders(_PANEL_PERIODS))
 _GL_START = np.concatenate([[0], np.cumsum(_GL_ORDER)[:-1]])
 _GL_X, _GL_W = map(np.concatenate, zip(*[np.polynomial.legendre.leggauss(n) for n in _GL_ORDER]))
 # most Gauss-Legendre nodes one panel rule may build: about 300 MiB at the 80
-# bytes a node of the cut and the line, plus at most 61 MiB of phase table
+# bytes a node of the cut and the line, plus at most 61 MiB for the phase
+# sum's two tables and scaled copy
 _NODE_BUDGET = 4_000_000
 # default spacing ratio of the breakpoints that ``_cluster`` puts around a center
 _CLUSTER_RATIO = 2.0
@@ -290,13 +291,6 @@ def level_shift_second_sheet(params: LeeParams, z):
     return level_shift_first_sheet(params, z) + 1j * np.copysign(2.0 * math.pi, -z.imag)
 
 
-def level_shift_derivative(params: LeeParams, z):
-    """d/dz of the level shift; identical on both sheets."""
-    w, d = params.omega, params.delta
-    z = np.asarray(z, dtype=complex)
-    return 1.0 / (w - d - z) - 1.0 / (w + d - z)
-
-
 def stieltjes_wigner(z, omega: float, sigma: float):
     """Stieltjes transform of the semicircle level density centered at omega.
 
@@ -321,6 +315,7 @@ def _denominator_second(params: LeeParams, z: complex) -> complex:
 
 
 def _denominator_derivative(params: LeeParams, z: complex) -> complex:
+    """d/dz of the denominator, the same on both sheets: 1 + omega kappa2 L'(z)."""
     w, d = params.omega, params.delta
     return 1.0 + w * params.kappa2 * (1.0 / (w - d - z) - 1.0 / (w + d - z))
 
@@ -460,8 +455,8 @@ def _panel_partition(points, lo: float, hi: float, longest: float = math.inf):
     ceil(gap / (8 longest)) equal panels with ``np.linspace`` arithmetic;
     with no cap each gap is one panel of rule index 0. More than 4e6 nodes
     (about 300 MiB at the 80 bytes a node of the cut and the line, plus the
-    phase sum's table of at most 4e6 entries) raise :class:`NodeBudgetError`
-    before any panel is built."""
+    phase sum's two tables and scaled copy, at most 4e6 entries together)
+    raise :class:`NodeBudgetError` before any panel is built."""
     pts = np.asarray(points, dtype=float)
     edges = np.unique(np.concatenate([[lo], pts[(pts > lo) & (pts < hi)], [hi]]))
     gaps = np.diff(edges)

@@ -40,16 +40,17 @@ __all__ = [
 _WEIGHT_NORMALIZATION_TOL = 1e-10
 # eigenvalues closer than this fraction of the spectral span are merged
 _MERGE_REL_TOL = 1e-12
-# entries of one (times x terms) block in the blocked phase sum, and complex
-# entries of one block of the direct one (4 MB; a real block holds twice as many)
+# entries of the three blocks (two tables and one scaled copy) of one chunk of
+# terms in the blocked phase sums, and complex entries of one block of the
+# direct sums (4 MB; a real block holds twice as many)
 _CHUNK_ENTRIES = 4_000_000
 _DIRECT_ENTRIES = 250_000
-# entries of the three blocks of one chunk of terms in the blocked decay sums
-# (0.8 MB). One second-sheet amplitude, median over 8 kappa2 (one per eighth
-# of [1e-4, 10]) and interleaved repeats, 2-core Xeon: 501 points to
-# t = 2000 took 4.2-5.6 ms at 5e4 entries, 4.4-5.5 ms at 1e5, 5.8-6.4 ms at
-# 1.5e5-2e5, 7.7 ms at 5e5 and 7.0-8.4 ms at 4e6 (three runs); 4001 points
-# to t = 3.1e5 took 18.1, 17.0 and 19.9 ms at 5e4, 1e5 and 4e6
+# the same three blocks in the blocked decay sums (0.8 MB). One second-sheet
+# amplitude, median over 8 kappa2 (one per eighth of [1e-4, 10]) and
+# interleaved repeats, 2-core Xeon: 501 points to t = 2000 took 4.2-5.6 ms at
+# 5e4 entries, 4.4-5.5 ms at 1e5, 5.8-6.4 ms at 1.5e5-2e5, 7.7 ms at 5e5 and
+# 7.0-8.4 ms at 4e6 (three runs); 4001 points to t = 3.1e5 took 18.1, 17.0
+# and 19.9 ms at 5e4, 1e5 and 4e6
 _DECAY_CHUNK_ENTRIES = 100_000
 # rows of a blocked phase table taken by one exp each; the rows beyond are doubled
 _EXACT_ROWS = 16
@@ -144,9 +145,10 @@ def _uniform_step(times: np.ndarray) -> float | None:
     return step
 
 
-def _width(count: int) -> int:
-    """M = ceil(sqrt(count)) of the blocked sums: offsets per block."""
-    return math.isqrt(count - 1) + 1 if count else 1
+def _shape(count: int) -> tuple[int, int]:
+    """M = ceil(sqrt(count)) offsets and ceil(count / M) blocks of the blocked sums."""
+    width = math.isqrt(count - 1) + 1 if count else 1
+    return width, -(-count // width)
 
 
 def _blocks(times: np.ndarray) -> float | None:
@@ -155,8 +157,7 @@ def _blocks(times: np.ndarray) -> float | None:
     fewer exponentials than there are points; None for every other grid,
     which takes the direct sum."""
     n = times.size
-    width = _width(n)
-    if width + math.ceil(n / width) < n and times[0] >= 0.0:
+    if sum(_shape(n)) < n and times[0] >= 0.0:
         return _uniform_step(times)
     return None
 
@@ -190,33 +191,21 @@ def _phase_table(rate: np.ndarray, start: float, step: float, count: int) -> np.
     return table
 
 
-def grid_phase_sum(freqs, weights, start: float, step: float, count: int) -> np.ndarray:
-    """The sums of :func:`phase_sum` on the uniform grid start + k step,
-    k < ``count``, by its blocked path, with no grid array built or checked.
-
-    The grid needs start >= 0 and step > 0, both finite, and no frequency
-    may have a positive imaginary part (its factors would grow with the
-    block start); otherwise the call raises ``ValueError``. ``weights`` is
-    1-D for one sum or 2-D for one sum per row, as in :func:`phase_sum`.
-    Each row and chunk of terms takes one matrix product: the first chunk's
-    products are written straight into the output, the later ones added to it.
-    """
-    freqs = np.asarray(freqs)
-    weights = np.asarray(weights)
-    if not (0.0 <= start < math.inf and 0.0 < step < math.inf):
-        raise ValueError(f"need a finite start >= 0 and step > 0, got {start!r} and {step!r}")
-    if np.any(freqs.imag > 0.0):
-        raise ValueError("frequencies with a positive imaginary part have growing terms")
+def _blocked_sum(table, rate, weights, start: float, step: float, count: int, entries: int) -> np.ndarray:
+    """The blocked path of :func:`phase_sum` for sum_j weights_j exp(rate_j t)
+    on t = start + k step, k < ``count``, per row of a 2-D ``weights``, with
+    tables from ``table(rate, start, step, rows)``. A chunk of terms keeps its
+    three blocks (both tables, and the start table scaled by a row: in place
+    for one row) within ``entries``. The first chunk writes its products into
+    the output, which is never zero-filled; each later chunk adds its own."""
     rows = weights if weights.ndim == 2 else weights[None]
-    width = _width(count)
-    blocks = -(-count // width)
-    out = (np.empty if freqs.size else np.zeros)((rows.shape[0], blocks, width), dtype=complex)
-    chunk = max(1, _CHUNK_ENTRIES // (width + blocks))
-    for lo in range(0, freqs.size, chunk):
-        rate = -1j * freqs[lo : lo + chunk]
-        inner = _phase_table(rate, 0.0, step, width).T
-        outer = _phase_table(rate, start, width * step, blocks)
-        # one row scales the start table in place, several through one scratch block
+    width, blocks = _shape(count)
+    out = (np.empty if rate.size else np.zeros)((rows.shape[0], blocks, width), dtype=np.result_type(rate, rows))
+    chunk = max(1, entries // (width + 2 * blocks))
+    for lo in range(0, rate.size, chunk):
+        part = rate[lo : lo + chunk]
+        inner = table(part, 0.0, step, width).T
+        outer = table(part, start, width * step, blocks)
         scaled = outer if rows.shape[0] == 1 else np.empty_like(outer)
         for row, total in zip(rows[:, lo : lo + chunk], out):
             np.multiply(outer, row, out=scaled)
@@ -226,6 +215,39 @@ def grid_phase_sum(freqs, weights, start: float, step: float, count: int) -> np.
                 np.matmul(scaled, inner, out=total)
     sums = out.reshape(rows.shape[0], -1)[:, :count]
     return sums if weights.ndim == 2 else sums[0]
+
+
+def _sums(table, exp, rate, weights, times, entries: int) -> np.ndarray:
+    """sum_j weights_j exp(rate_j t) at each time of ``times``: by
+    :func:`_blocked_sum` where :func:`_blocks` takes the grid and no rate has
+    a positive real part, else from the (times x terms) table that ``exp``
+    makes in place of rate_j t, in chunks of times of 4 MB."""
+    times = np.atleast_1d(np.asarray(times, dtype=float))
+    step = None if np.any(rate.real > 0.0) else _blocks(times)
+    if step is not None:
+        return _blocked_sum(table, rate, weights, float(times[0]), step, times.size, entries)
+    out = np.empty(weights.shape[:-1] + times.shape, dtype=np.result_type(rate, weights))
+    chunk = max(1, _DIRECT_ENTRIES * 16 // (rate.itemsize * max(rate.size, 1)))
+    for lo in range(0, times.size, chunk):
+        block = exp(np.multiply.outer(times[lo : lo + chunk], rate))
+        out[..., lo : lo + chunk] = (block @ weights.T).T
+    return out
+
+
+def grid_phase_sum(freqs, weights, start: float, step: float, count: int) -> np.ndarray:
+    """The sums of :func:`phase_sum` on the uniform grid start + k step,
+    k < ``count``, by its blocked path, with no grid array built or checked.
+
+    The grid needs start >= 0 and step > 0, both finite, and no frequency
+    may have a positive imaginary part (its factors would grow with the
+    block start); otherwise the call raises ``ValueError``. ``weights`` is
+    1-D for one sum or 2-D for one sum per row, as in :func:`phase_sum`.
+    """
+    if not (0.0 <= start < math.inf and 0.0 < step < math.inf):
+        raise ValueError(f"need a finite start >= 0 and step > 0, got {start!r} and {step!r}")
+    if np.any(np.imag(freqs) > 0.0):
+        raise ValueError("frequencies with a positive imaginary part have growing terms")
+    return _blocked_sum(_phase_table, -1j * np.asarray(freqs), np.asarray(weights), start, step, count, _CHUNK_ENTRIES)
 
 
 def phase_sum(freqs, weights, times) -> np.ndarray:
@@ -260,26 +282,12 @@ def phase_sum(freqs, weights, times) -> np.ndarray:
       the (times x terms) phase matrix, built in chunks of times of at most
       2.5e5 complex entries and exponentiated in place.
 
-    The blocked path keeps the two tables of a chunk of terms within 4e6
-    entries together. The first chunk's products are written straight into
-    the output, which is neither zero-filled nor added to; each later chunk
-    adds its products. On 262,144 points and 12 terms that took 0.55 ms in
-    place of 2.4-3.0 ms (medians, 2-core Xeon), with the same sums.
+    Chunks of terms keep the blocked path's three blocks within 4e6 entries
+    (:func:`_blocked_sum`). On 262,144 points and 12 terms it took 0.55 ms
+    in place of 2.4-3.0 ms (medians, 2-core Xeon), with the same sums.
     """
-    freqs = np.asarray(freqs)
-    weights = np.asarray(weights)
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    n = times.size
-    step = None if np.any(freqs.imag > 0.0) else _blocks(times)
-    if step is not None:
-        return grid_phase_sum(freqs, weights, float(times[0]), step, n)
-    out = np.empty(weights.shape[:-1] + (n,), dtype=complex)
-    rate = -1j * freqs
-    step = max(1, _DIRECT_ENTRIES // max(freqs.size, 1))
-    for lo in range(0, n, step):
-        phases = np.multiply.outer(times[lo : lo + step], rate)
-        out[..., lo : lo + step] = (np.exp(phases, out=phases) @ weights.T).T
-    return out
+    rate = -1j * np.asarray(freqs)
+    return _sums(_phase_table, lambda x: np.exp(x, out=x), rate, np.asarray(weights), times, _CHUNK_ENTRIES)
 
 
 def _decays(arguments: np.ndarray) -> np.ndarray:
@@ -294,6 +302,11 @@ def _decays(arguments: np.ndarray) -> np.ndarray:
     return np.maximum(arguments, 0.0, out=arguments)
 
 
+def _decay_table(rate: np.ndarray, start: float, step: float, count: int) -> np.ndarray:
+    """The table of :func:`_phase_table` for the decay sums, by :func:`_decays`."""
+    return _decays(np.multiply.outer(np.arange(count) * step + start, rate))
+
+
 def decay_sums(rates, weights, times) -> np.ndarray:
     """sum_j weights[r, j] exp(-rates_j t) for each row r of the real 2-D
     ``weights`` at each time of ``times``, as a (rows, times) array: the sums
@@ -301,51 +314,13 @@ def decay_sums(rates, weights, times) -> np.ndarray:
     arithmetic from one table of exponentials that every row shares.
 
     Rates and weights are real. The paths are those of :func:`phase_sum`:
-
-    - Blocked, on a uniform ascending grid with t_0 >= 0 and no negative
-      rate, so that no factor exceeds 1: the tables
-      Z[j, m] = exp(-rates_j m step) and E[b, j] = exp(-rates_j (t_0 + b M step)),
-      then for each row in turn one real matrix product (E * weights[r]) Z,
-      through one scratch block, written straight into the output for the
-      first chunk of terms and added to it for the others. Chunks of terms
-      keep the three blocks within 1e5 entries together, which a cache holds.
-    - Direct, on every other grid: the (times x terms) table in chunks of
-      times of at most 5e5 entries, contracted with all rows in one real
-      product.
-
+    blocked where no rate is negative (no factor then exceeds 1), on tables
+    of one exponential an entry, in chunks of terms whose three blocks a
+    cache holds (1e5 entries); direct in chunks of times of 5e5 entries.
     Table entries below 1.5e-154 count as 0 (:func:`_decays`).
     """
-    rates = np.asarray(rates, dtype=float)
     weights = np.atleast_2d(np.asarray(weights, dtype=float))
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    n = times.size
-    step = None if np.any(rates < 0.0) else _blocks(times)
-    if step is not None:
-        width = _width(n)
-        offsets = -np.arange(width) * step
-        starts = -(times[0] + np.arange(0, n, width) * step)
-        out = (np.empty if rates.size else np.zeros)((weights.shape[0], starts.size, width))
-        chunk = max(1, _DECAY_CHUNK_ENTRIES // (width + 2 * starts.size))
-        for lo in range(0, rates.size, chunk):
-            rate = rates[lo : lo + chunk]
-            # built as (M x terms), whose rows are long: row by row an outer
-            # product of terms x M costs more than its exponentials
-            inner = _decays(np.multiply.outer(offsets, rate)).T
-            outer = _decays(np.multiply.outer(starts, rate))
-            scaled = np.empty_like(outer)
-            for row, total in zip(weights[:, lo : lo + chunk], out):
-                np.multiply(outer, row, out=scaled)
-                if lo:
-                    total += scaled @ inner
-                else:
-                    np.matmul(scaled, inner, out=total)
-        return out.reshape(weights.shape[0], -1)[:, :n]
-    out = np.empty((weights.shape[0], n))
-    step = max(1, 2 * _DIRECT_ENTRIES // max(rates.size, 1))
-    for lo in range(0, n, step):
-        table = _decays(np.multiply.outer(-times[lo : lo + step], rates))
-        out[:, lo : lo + step] = weights @ table.T
-    return out
+    return _sums(_decay_table, _decays, -np.asarray(rates, dtype=float), weights, times, _DECAY_CHUNK_ENTRIES)
 
 
 @dataclass(frozen=True)

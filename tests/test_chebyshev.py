@@ -318,16 +318,6 @@ class TestRouteTable:
         series = realization_survival(spec, np.linspace(0.0, 2000.0, 501), stream=0)
         assert series.method == "spectral"
 
-    @pytest.mark.parametrize("n", [1, 2, 7])
-    def test_chain_product_is_the_built_matrix_product(self, n, rng):
-        g = -0.3
-        spec = ham.HamiltonianSpec(ham.Chain(n, 1.25, g))
-        draw = ensemble.draw_realization(spec)
-        x = rng.standard_normal(n)
-        # three terms per row, summed in another order than the matrix product
-        np.testing.assert_allclose(draw.matvec(x), ham.build(spec) @ x, rtol=0.0, atol=1e-14 * np.abs(x).max())
-        assert draw.variance == (g * g if n > 1 else 0.0)
-
     @given(finite_specs(st.integers(1, 700)), st.integers(0, 50))
     @settings(max_examples=40, deadline=None)
     def test_variance_of_one_product_is_the_spectral_variance(self, spec, stream):

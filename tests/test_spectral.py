@@ -193,8 +193,9 @@ class TestBlockedPhaseSum:
     @pytest.mark.parametrize("rows", [1, 3])
     def test_chunks_of_terms_and_rows_match_the_direct_sum(self, monkeypatch, rows):
         # 501 points take M = 23 offsets and 22 block starts, so chunks of
-        # 1000 entries hold 22 terms: 100 terms make five chunks, the first
-        # written into the output and the other four added to it
+        # 1000 entries hold 1000 // (23 + 2 * 22) = 14 terms: 100 terms make
+        # eight chunks, the first written into the output and the other seven
+        # added to it
         monkeypatch.setattr(spectral, "_CHUNK_ENTRIES", 1000)
         rng = np.random.default_rng(15)
         freqs = rng.uniform(-2.0, 2.0, size=100) - 1j * rng.uniform(0.0, 0.01, size=100)
@@ -249,9 +250,11 @@ class TestBlockedPhaseSum:
         assert np.abs(blocked[picks] - reference).max() <= self.ULPS * np.finfo(float).eps * scale * np.abs(weights).sum()
 
     def test_peak_memory_is_bounded_by_the_term_chunks(self):
-        # 10^4 terms x 2 * 10^6 points: the output, one block product and the
-        # chunk's two factor tables (4e6 entries together) are 32 + 32 + 64 MB;
-        # unchunked factor tables alone would take 450 MB
+        # 10^4 terms x 2 * 10^6 points: M = 1415 offsets and 1414 block starts,
+        # so a chunk holds 4e6 // (1415 + 2 * 1414) = 942 terms; the output,
+        # one block product and the chunk's two factor tables are 32 + 32 + 43 MB
+        # (102 MiB traced; 123 MiB when the chunk rule counted two blocks).
+        # Unchunked factor tables alone would take 450 MB
         rng = np.random.default_rng(6)
         freqs = rng.uniform(0.9, 1.1, size=10_000)
         weights = np.full(10_000, 1e-4)
@@ -262,8 +265,28 @@ class TestBlockedPhaseSum:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 160 * 2**20
+        assert peak < 115 * 2**20
         assert abs(values[0] - 1.0) < 1e-12
+
+    def test_peak_memory_counts_the_scratch_block_of_several_rows(self):
+        # two rows of 2e5 terms on 501 points: M = 23 offsets and 22 block
+        # starts, so a chunk holds 4e6 // (23 + 2 * 22) = 59,701 terms, whose
+        # two tables and the start table scaled by a row stay within 4e6
+        # entries (101 MiB traced with the tables' transients; 148 MiB when
+        # the chunk rule left the scaled copy out)
+        rng = np.random.default_rng(17)
+        freqs = rng.uniform(-1.0, 1.0, size=200_000)
+        weights = rng.normal(size=(2, 200_000)) / 200_000
+        times = np.linspace(0.0, 2000.0, 501)
+        tracemalloc.start()
+        try:
+            values = spectral.phase_sum(freqs, weights, times)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 120 * 2**20
+        bound = 8.0 * np.finfo(float).eps * np.abs(weights).sum(axis=1)
+        assert np.all(np.abs(values[:, 0] - weights.sum(axis=1)) <= bound)
 
 
 class TestDecaySums:
@@ -310,6 +333,19 @@ class TestDecaySums:
         chunked = spectral.decay_sums(rates, weights, times)
         direct = spectral.decay_sums(rates, weights, times[::-1])[:, ::-1]
         assert np.abs(chunked - direct).max() <= 8.0 * np.finfo(float).eps * np.abs(weights).sum()
+
+    @pytest.mark.parametrize("rates", [[-0.01, 0.5], [-0.01]], ids=["mixed", "negative"])
+    def test_negative_rates_take_the_direct_sum(self, monkeypatch, rates):
+        # a negative rate grows with the block start, which the blocked path must not take
+        def refuse(*args):
+            raise AssertionError("a growing term took the blocked path")
+
+        monkeypatch.setattr(spectral, "_blocked_sum", refuse)
+        rates = np.array(rates)
+        weights = np.random.default_rng(18).normal(size=(2, rates.size))
+        times = np.linspace(0.0, 100.0, 501)
+        sums = spectral.decay_sums(rates, weights, times)
+        np.testing.assert_allclose(sums, weights @ np.exp(-np.outer(times, rates)).T, rtol=1e-14, atol=1e-15)
 
     def test_decays_below_the_square_root_of_tiny_are_zero(self):
         # e^{-300} survives, e^{-400} would be squared into the subnormals
