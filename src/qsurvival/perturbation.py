@@ -1,9 +1,11 @@
-"""Perturbative survival probabilities from a diagonal + hollow split.
+"""Perturbative survival probabilities of a Hermitian matrix h.
 
-The second-order formula is the textbook leading term; the fourth-order one
-carries weight corrections, a third-order interference sum, counter-term
-corrected quadruple sums, a renormalized-frequency term (evaluated exactly,
-which preserves the secular-term cancellation), and an environment pair term.
+The orders expand in the couplings, the hollow interaction v = h - diag(d),
+about the unperturbed levels d = diag(h). The second-order formula is the
+textbook leading term; the fourth-order one carries weight corrections, a
+third-order interference sum, counter-term corrected quadruple sums, a
+renormalized-frequency term (evaluated exactly, which preserves the
+secular-term cancellation), and an environment pair term.
 
 Level sums are array algebra on one checked matrix of inverse gaps, O(n^3)
 once. Every time-dependent addend is a phase sum (``spectral.phase_sum``),
@@ -18,17 +20,13 @@ the direct sums, O(n) complex exponentials per time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .series import SurvivalSeries
 from .spectral import phase_sum
 
 __all__ = [
-    "PerturbationSplit",
     "DegenerateLevels",
-    "split_hamiltonian",
     "second_order_energy_shift",
     "survival_order2",
     "survival_order4",
@@ -47,47 +45,29 @@ class DegenerateLevels(ValueError):
         )
 
 
-@dataclass(frozen=True)
-class PerturbationSplit:
-    """Diagonal energies, hollow symmetric interaction, and strength eps."""
+def _split(h) -> tuple[np.ndarray, np.ndarray]:
+    """The diagonal d of h and its hollow interaction v = h - diag(d).
 
-    diag: np.ndarray
-    v: np.ndarray
-    eps: float
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=float)
-        v = np.asarray(self.v)
-        if d.ndim != 1 or v.shape != (d.size, d.size):
-            raise ValueError("diag must be 1-D and v square of matching size")
-        if np.any(np.diag(v) != 0.0):
-            raise ValueError("v must have an exactly zero diagonal")
-        if not np.array_equal(v, v.conj().T):
-            raise ValueError("v must be self-adjoint")
-        object.__setattr__(self, "diag", d)
-        object.__setattr__(self, "v", v)
-
-    @property
-    def n(self) -> int:
-        return self.diag.size
+    h must be square, finite and exactly self-adjoint, real or complex.
+    """
+    h = np.asarray(h)
+    if h.ndim != 2 or h.shape[0] != h.shape[1]:
+        raise ValueError(f"h must be a square matrix, got shape {h.shape}")
+    if not np.all(np.isfinite(h)):
+        raise ValueError("h must be finite")
+    if not np.array_equal(h, h.conj().T):
+        raise ValueError("h must be self-adjoint")
+    v = h.copy()
+    np.fill_diagonal(v, 0.0)
+    return np.diag(h).real.astype(float), v
 
 
-def split_hamiltonian(h: np.ndarray, eps: float) -> PerturbationSplit:
-    """Split h into its diagonal and (off-diagonal / eps) interaction part."""
-    h = np.asarray(h, dtype=float)
-    if eps == 0.0:
-        raise ValueError("eps must be nonzero")
-    v = h - np.diag(np.diag(h))
-    return PerturbationSplit(np.diag(h).copy(), v / eps, eps)
-
-
-def _inverse_gaps(split: PerturbationSplit, rows) -> np.ndarray:
+def _inverse_gaps(d: np.ndarray, rows) -> np.ndarray:
     """1 / (d_i - d_j) for each i in ``rows`` and every level j, zero at j = i.
 
     Raises ``DegenerateLevels`` for the first pair, in row-major order, whose
     gap is below the tolerance relative to the spread of the levels.
     """
-    d = split.diag
     rows = np.asarray(rows)
     gaps = d[rows, None] - d[None, :]
     own = rows[:, None] == np.arange(d.size)
@@ -103,27 +83,29 @@ def _level_shifts(v_rows: np.ndarray, inv: np.ndarray) -> np.ndarray:
     return np.sum(np.abs(v_rows) ** 2 * inv, axis=1)
 
 
-def second_order_energy_shift(split: PerturbationSplit, i: int) -> float:
+def second_order_energy_shift(h, i: int) -> float:
     """Leading correction to level i: sum_j |v_ij|^2 / (d_i - d_j)."""
-    return float(_level_shifts(split.v[[i]], _inverse_gaps(split, [i]))[0])
+    d, v = _split(h)
+    return float(_level_shifts(v[[i]], _inverse_gaps(d, [i]))[0])
 
 
-def survival_order2(split: PerturbationSplit, times) -> SurvivalSeries:
-    """1 - 4 eps^2 sum_j sin^2(gap_1j t / 2) |v_1j|^2 / gap_1j^2.
+def survival_order2(h, times) -> SurvivalSeries:
+    """1 - 4 sum_j sin^2(gap_1j t / 2) |v_1j|^2 / gap_1j^2.
 
-    By sin^2(x / 2) = (1 - cos x) / 2 this is 1 - 2 eps^2 (sum_j a_j - Re P(t))
+    By sin^2(x / 2) = (1 - cos x) / 2 this is 1 - 2 (sum_j a_j - Re P(t))
     with a_j = |v_1j|^2 / gap_1j^2 and P(t) = sum_j a_j e^{-i gap_1j t}, one
     ``spectral.phase_sum``.
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    _inverse_gaps(split, [0])                          # refuses a degenerate pair in row 0
-    f = split.diag[0] - split.diag[1:]
-    a = np.abs(split.v[0, 1:]) ** 2 / f**2
-    values = 1.0 - 2.0 * split.eps**2 * (np.sum(a) - phase_sum(f, a, times).real)
+    d, v = _split(h)
+    _inverse_gaps(d, [0])                              # refuses a degenerate pair in row 0
+    f = d[0] - d[1:]
+    a = np.abs(v[0, 1:]) ** 2 / f**2
+    values = 1.0 - 2.0 * (np.sum(a) - phase_sum(f, a, times).real)
     return SurvivalSeries(times, values, method="perturbation-o2")
 
 
-def survival_order4(split: PerturbationSplit, times) -> SurvivalSeries:
+def survival_order4(h, times) -> SurvivalSeries:
     """Fourth-order survival probability with counter-term corrections.
 
     Addend groups, in order: weight-corrected second order, third-order
@@ -135,18 +117,17 @@ def survival_order4(split: PerturbationSplit, times) -> SurvivalSeries:
 
     The time dependence is three phase sums: a two-row sum over the f_j with
     weights a_j and u_j, where u_j collects every sin^2(f_j t / 2)-weighted
-    addend, and one sum over the 2(n - 1) frequencies f_j -+ eps^2 shift_1j / 2
+    addend, and one sum over the 2(n - 1) frequencies f_j -+ shift_1j / 2
     for the renormalized-frequency term. Cost: O(n^3) once for the level
     sums, then the phase sums; memory O(n^2 + T) for T times on a uniform
     grid (n = 200 on 2e5 times peaks at 15.5 MB).
     """
     times = np.atleast_1d(np.asarray(times, dtype=float))
-    eps = split.eps
-    v = split.v
-    inv = _inverse_gaps(split, np.arange(split.n))     # 1 / gap_ij, zero at i = j
+    d, v = _split(h)
+    inv = _inverse_gaps(d, np.arange(d.size))          # 1 / gap_ij, zero at i = j
 
-    f = split.diag[0] - split.diag[1:]                 # gap_{1,j}
-    to_first = split.diag[1:] - split.diag[0]          # gap_{j,1}
+    f = d[0] - d[1:]                                   # gap_{1,j}
+    to_first = d[1:] - d[0]                            # gap_{j,1}
     a = np.abs(v[0, 1:]) ** 2 / f**2                   # |v_1j|^2 / gap^2
     shift = _level_shifts(v, inv)                      # second-order level shifts
     s_first = float(np.sum(a))                         # sum_k |v_1k|^2/gap_1k^2
@@ -160,7 +141,7 @@ def survival_order4(split: PerturbationSplit, times) -> SurvivalSeries:
     c = (v[0] @ (inv.T * (v @ q)))[1:] / to_first
 
     prefac = v[0, 1:] / to_first                       # v_1j / gap_j1
-    counter = shift[1:] * v[0, 1:] / to_first**2       # eps_j^(2) v_1j / gap_j1^2
+    counter = shift[1:] * v[0, 1:] / to_first**2       # shift_j v_1j / gap_j1^2
     shift_1j = shift[0] - shift[1:]                    # renormalized frequency shifts
 
     # every addend weighted by sin^2(f_j t / 2): weight-corrected second order,
@@ -168,25 +149,25 @@ def survival_order4(split: PerturbationSplit, times) -> SurvivalSeries:
     # the squared interference; with sin^2(x / 2) = (1 - cos x) / 2 their sum
     # is (sum_j u_j - Re U(t)) / 2, U(t) = sum_j u_j e^{-i f_j t}
     u = (
-        -4.0 * eps**2 * a * (1.0 - eps**2 * s_first - eps**2 * s_env)
-        - 8.0 * eps**3 * np.real(prefac * np.conj(b))
-        - 8.0 * eps**4 * np.real(prefac * np.conj(c - counter))
-        - 4.0 * eps**4 * np.abs(b) ** 2
+        -4.0 * a * (1.0 - s_first - s_env)
+        - 8.0 * np.real(prefac * np.conj(b))
+        - 8.0 * np.real(prefac * np.conj(c - counter))
+        - 4.0 * np.abs(b) ** 2
     )
     pair, weighted = phase_sum(f, np.stack([a, u]), times)
-    # renormalized-frequency term -4 eps^2 sum_j a_j sin(f_j t) sin(eps^2 shift_1j t / 2):
-    # the eps^2 prefactor with the sin(eps^2 ...) factor keeps it fourth order
-    # at fixed t while resumming the secular drift at long times (an eps^4
-    # prefactor here fails the order-scaling check against exact dynamics).
-    # By sin A sin B = [cos(A - B) - cos(A + B)] / 2 it is one phase sum over
-    # the frequencies f_j -+ eps^2 shift_1j / 2
-    half = 0.5 * eps**2 * shift_1j
+    # renormalized-frequency term -4 sum_j a_j sin(f_j t) sin(shift_1j t / 2):
+    # the second-order prefactor a_j with the sin(shift_1j ...) factor holds it at
+    # fourth order in v at fixed t while resumming the secular drift at long
+    # times (a fourth-order prefactor here fails the order-scaling check
+    # against exact dynamics). By sin A sin B = [cos(A - B) - cos(A + B)] / 2
+    # it is one phase sum over the frequencies f_j -+ shift_1j / 2
+    half = 0.5 * shift_1j
     beats = phase_sum(np.concatenate([f - half, f + half]), np.concatenate([a, -a]), times)
-    renormalized = -2.0 * eps**2 * beats.real
+    renormalized = -2.0 * beats.real
     values = (
         1.0
         + 0.5 * (np.sum(u) - weighted.real)
         + renormalized
-        - eps**4 * (s_first**2 - np.abs(pair) ** 2)
+        - (s_first**2 - np.abs(pair) ** 2)
     )
     return SurvivalSeries(times, values, method="perturbation-o4")

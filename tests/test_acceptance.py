@@ -163,10 +163,9 @@ class TestAcceptance:
             for eps in (eps0, eps0 / 2.0):
                 h = np.diag(d) + eps * v
                 exact = spectral.survival_probability(spectral.decompose(h), times).values
-                split = perturbation.PerturbationSplit(d, v, eps)
                 errs[eps] = (
-                    np.max(np.abs(perturbation.survival_order2(split, times).values - exact)),
-                    np.max(np.abs(perturbation.survival_order4(split, times).values - exact)),
+                    np.max(np.abs(perturbation.survival_order2(h, times).values - exact)),
+                    np.max(np.abs(perturbation.survival_order4(h, times).values - exact)),
                 )
             ratios2.append(errs[eps0][0] / errs[eps0 / 2.0][0])
             ratios4.append(errs[eps0][1] / errs[eps0 / 2.0][1])

@@ -3,12 +3,13 @@
 A fresh ``qsurvival`` call is mostly import time, and scipy was most of that.
 Only the full-space operators of ``fock_oracle`` (``scipy.sparse``) use it,
 imported inside the function that needs it. So ``import qsurvival.cli``, every
-``lee`` route of both densities, a ``poles`` sweep and Chebyshev propagation
-in ``ensemble`` and ``bound`` load no scipy module, and ``oracle-check``
-loads only ``scipy.sparse``. Nor does ``import qsurvival.cli`` load
-``hashlib`` (a failed eigensolve's fingerprint) or ``concurrent.futures``
-(the realization pool). Each check runs in a fresh interpreter, where no
-other test has imported these modules.
+``lee`` route of both densities, a ``poles`` sweep, Chebyshev propagation in
+``ensemble`` and ``bound``, and the README's ``chain``, ``perturbation`` and
+``recurrence --empirical`` calls (scaled down) load no scipy module, and
+``oracle-check`` loads only ``scipy.sparse``. Nor does ``import
+qsurvival.cli`` load ``hashlib`` (a failed eigensolve's fingerprint) or
+``concurrent.futures`` (the realization pool). Each check runs in a fresh
+interpreter, where no other test has imported these modules.
 """
 
 import json
@@ -83,6 +84,27 @@ print(json.dumps(report))
 """
 
 
+README_SCRIPT = """
+import json, os, sys
+
+import qsurvival.cli as cli
+
+
+out = sys.argv[1]
+grid = ["--tmax", "200", "--points", "101"]
+calls = {
+    "chain.csv": ["chain", "--sizes", "10,20", "--omega", "1", "--g", "0.70710678", "--tmax", "14", "--points", "101"],
+    "pt.csv": ["perturbation", "--model", "experimental", "--n", "8", "--omega", "1", "--delta", "0.1",
+               "--sigma", "0.0012", "--eps", "1.0", "--seed", "1", *grid],
+    "recurrence.json": ["recurrence", "--model", "chain", "--n", "10", "--omega", "1", "--g", "0.70710678",
+                        "--threshold", "0.5", "--empirical"],
+}
+report = {"codes": [cli.main([*argv, "--out", os.path.join(out, name)]) for name, argv in calls.items()]}
+report["run"] = sorted(name for name in sys.modules if name.split(".")[0] == "scipy")
+print(json.dumps(report))
+"""
+
+
 def fresh_report(script, tmp_path):
     src = os.path.dirname(os.path.dirname(os.path.abspath(qsurvival.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -107,6 +129,12 @@ def test_chebyshev_propagation_loads_no_scipy(tmp_path):
     assert report["propagate"] == []
     assert "scipy.sparse" in report["oracle"]
     assert [name for name in report["oracle"] if name.startswith(("scipy.special", "scipy.fft"))] == []
+
+
+def test_readme_chain_perturbation_and_recurrence_load_no_scipy(tmp_path):
+    report = fresh_report(README_SCRIPT, tmp_path)
+    assert report["codes"] == [0, 0, 0]
+    assert report["run"] == []
 
 
 def test_max_qubits_choices_read_the_oracle_guard():
