@@ -262,18 +262,28 @@ def _flag_values():
         raise ConfigError(str(exc)) from exc
 
 
+# the options each --model reads besides --n, --omega and --seed
+_MODEL_READS = {"chain": ("g",), "experimental": ("delta", "sigma", "offdiag", "env"),
+                "rp": ("sigma",), "rosenzweig-porter": ("sigma",)}
+
+
 def _model_spec(args) -> ham.HamiltonianSpec:
+    """The model of ``--model``; an option it does not read exits 2, where
+    --offdiag and --env count as given once off their defaults."""
+    given = {"g": args.g is not None, "delta": args.delta is not None, "sigma": args.sigma is not None,
+             "offdiag": args.offdiag != ham.GaussianCouplings(), "env": args.env != "diagonal"}
+    unread = [f"--{name}" for name, is_given in given.items() if is_given and name not in _MODEL_READS[args.model]]
+    if unread:
+        raise ConfigError(f"the {args.model} model takes no {', '.join(unread)}")
+    _require(args, ["n", "omega", *_MODEL_READS[args.model]])
     with _flag_values():
         if args.model == "chain":
-            _require(args, ["n", "omega", "g"])
             model = ham.Chain(args.n, args.omega, args.g)
         elif args.model == "experimental":
-            _require(args, ["n", "omega", "delta", "sigma"])
             model = ham.Experimental(
                 args.n, args.omega, args.delta, args.sigma, args.offdiag, ham.Environment(args.env)
             )
         else:  # rp, rosenzweig-porter
-            _require(args, ["n", "omega", "sigma"])
             model = ham.RosenzweigPorter(args.n, args.omega, args.sigma)
         return ham.HamiltonianSpec(model, args.seed)
 
@@ -355,18 +365,13 @@ def cmd_ensemble(args) -> int:
 def cmd_lee(args) -> int:
     _require(args, ["out"])
     params = _lee_params(args)
-    times = _grid(args)
-    error = None
-    if args.method == "direct" and isinstance(params, lee.LeeParams):
-        curve, error = lee.direct_survival(params, times)
-    else:
-        curve = lee.survival(params, times, method=args.method)
+    curve = lee.survival(params, _grid(args), method=args.method)
     annotations = {}
     if isinstance(params, lee.LeeParams):
         annotations = {"van_hove_rate": lee.van_hove_rate(params), **_pole_fields(lee.poles(params))}
     meta = {"spec": repr(params), "seed": None, "method": curve.method, "annotations": annotations}
-    if error is not None:
-        meta["quadrature_error"] = error
+    if curve.quadrature_error is not None:
+        meta["quadrature_error"] = curve.quadrature_error
     _emit_series(args, {"survival": curve}, meta)
     return EXIT_OK
 
@@ -470,9 +475,6 @@ def cmd_oracle_check(args) -> int:
 # ----------------------------------------------------------------------
 # parser: each subcommand declares exactly the options its cmd_* reads
 
-_MODELS = ("chain", "experimental", "rp", "rosenzweig-porter")
-
-
 def _add_output(p, formats: bool = True):
     p.add_argument("--config", help="flat key = value config file; flags win")
     p.add_argument("--out", help="output file path")
@@ -492,7 +494,7 @@ def _add_seed(p):
 
 def _add_model(p):
     _add_seed(p)
-    p.add_argument("--model", type=str.lower, choices=_MODELS, default="experimental", help="model family")
+    p.add_argument("--model", type=str.lower, choices=_MODEL_READS, default="experimental", help="model family")
     p.add_argument("--n", type=int, help="number of qubits")
     p.add_argument("--omega", type=_FLOAT, help="central splitting")
     p.add_argument("--g", type=_FLOAT, help="chain coupling")

@@ -1,8 +1,9 @@
 """Survival probability of the central qubit in the infinite-environment limit.
 
-Each environment density is one type (``Density``) that carries the four
+Each environment density is one type (``Density``) that carries the five
 members ``amplitude_direct`` reads: ``half_width``, ``second_moment``,
-``center_width`` and ``denominator``, so a new density is one new type.
+``center_width``, ``denominator`` and ``real_poles``, so a new density is one
+new type.
 ``LeeParams`` is a uniform box of levels; the Laplace-transformed amplitude is
 1 / (z - omega + omega*kappa2*L(z)) with L a two-branch-point logarithm.
 ``WignerSemicircle`` is a GOE environment, the infinite-size limit of
@@ -56,7 +57,6 @@ __all__ = [
     "amplitude_residue_cut",
     "amplitude_second_sheet",
     "SecondSheetAmplitude",
-    "direct_survival",
     "survival",
 ]
 
@@ -165,6 +165,9 @@ class LeeParams:
     def denominator(self, z):
         return np.asarray(z, dtype=complex) - self.omega + self.omega * self.kappa2 * level_shift_first_sheet(self, z)
 
+    def real_poles(self) -> list[RealPole]:
+        return real_poles(self)
+
 
 @dataclass(frozen=True)
 class WignerSemicircle:
@@ -196,6 +199,10 @@ class WignerSemicircle:
 
     def denominator(self, z):
         return np.asarray(z, dtype=complex) - self.omega + self.sigma**2 * stieltjes_wigner(z, self.omega, self.sigma)
+
+    def real_poles(self) -> list[RealPole]:
+        """Coupled at its own scale (b0^2 = sigma^2), the semicircle holds no state outside its band."""
+        return []
 
 
 Density = LeeParams | WignerSemicircle
@@ -683,7 +690,7 @@ def _direct_subtractions(params: Density) -> tuple[np.ndarray, np.ndarray]:
     which matches two moments and leaves a 1/z^3 decay.
     """
     w, b2, reach = params.omega, params.second_moment, params.half_width
-    rp = real_poles(params) if isinstance(params, LeeParams) else []
+    rp = params.real_poles()
     xs, rs = np.array([p.location for p in rp]), np.array([p.residue for p in rp])
     y = xs - w
     m0, m1, m2, m3 = 1.0 - rs.sum(), -float(rs @ y), b2 - float(rs @ y**2), -float(rs @ y**3)
@@ -805,26 +812,6 @@ def _check_times(times: np.ndarray):
         raise ValueError("times must be finite and non-negative")
 
 
-def _probability_series(times: np.ndarray, amplitude, method: str) -> SurvivalSeries:
-    """|amplitude|^2 on ``times``; a probability above unity beyond the
-    route tolerance raises :class:`QuadratureError`."""
-    series = SurvivalSeries(times, np.abs(np.atleast_1d(amplitude)) ** 2, method=method)
-    if series.clip_excess > 1e-6:
-        raise QuadratureError("survival exceeded unity beyond method tolerance", series.clip_excess)
-    return series
-
-
-def direct_survival(params: Density, times) -> tuple[SurvivalSeries, float]:
-    """Survival probability by one :func:`amplitude_direct` call on the whole
-    grid, whose windows share nodes on panels up to eight periods of their
-    largest time long (the ``direct`` route of :func:`survival`, which it
-    runs for the semicircle too), and the largest achieved quadrature error
-    over the grid, 0.0 on an empty grid."""
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    amp, achieved = amplitude_direct(params, times)
-    return _probability_series(times, amp, "direct"), float(achieved.max(initial=0.0))
-
-
 def survival(params: Density, times, method: str = "residue_cut") -> SurvivalSeries:
     """Survival probability on a grid by the chosen route.
 
@@ -832,8 +819,11 @@ def survival(params: Density, times, method: str = "residue_cut") -> SurvivalSer
     g = sigma, evaluated in closed form through J1, whatever ``method``
     asks for; the series is then tagged ``closed-form`` (``amplitude_direct``
     with the Stieltjes level shift remains available as a cross-check).
-    :func:`direct_survival` also returns the achieved quadrature error of
-    ``direct``. An empty grid gives an empty series on every route.
+    ``direct`` runs one :func:`amplitude_direct` call on the whole grid and
+    sets ``quadrature_error`` to the largest achieved error, 0.0 on an empty
+    grid. A probability above unity beyond the route tolerance raises
+    :class:`QuadratureError`. An empty grid gives an empty series on every
+    route.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -841,10 +831,15 @@ def survival(params: Density, times, method: str = "residue_cut") -> SurvivalSer
     _check_times(times)
     if isinstance(params, WignerSemicircle):
         return SurvivalSeries(times, chain_bessel_limit(params.sigma, times).values, method="closed-form")
+    error = None
     if method == "direct":
-        return direct_survival(params, times)[0]
-    if method == "residue_cut":
+        amp, achieved = amplitude_direct(params, times)
+        error = float(achieved.max(initial=0.0))
+    elif method == "residue_cut":
         amp = amplitude_residue_cut(params, times)
     else:  # second_sheet
         amp = amplitude_second_sheet(params, times).total
-    return _probability_series(times, amp, method)
+    series = SurvivalSeries(times, np.abs(amp) ** 2, method=method, quadrature_error=error)
+    if series.clip_excess > 1e-6:
+        raise QuadratureError("survival exceeded unity beyond method tolerance", series.clip_excess)
+    return series

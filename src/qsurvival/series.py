@@ -31,6 +31,9 @@ class SurvivalSeries:
     terms, tail_bound : int or None, float or None
         On a Chebyshev route, those of :class:`spectral.ChebyshevAmplitude`;
         ``None`` elsewhere.
+    quadrature_error : float or None
+        On the line inversion of :func:`lee.survival`, the largest achieved
+        error of :func:`lee.amplitude_direct` over the grid; ``None`` elsewhere.
     clip_excess : float
         Largest distance of the raw values outside [0, 1]; not a
         constructor argument.
@@ -41,6 +44,7 @@ class SurvivalSeries:
     method: str = ""
     terms: int | None = None
     tail_bound: float | None = None
+    quadrature_error: float | None = None
     clip_excess: float = field(init=False)
 
     def __post_init__(self):

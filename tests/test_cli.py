@@ -435,13 +435,17 @@ class TestCommands:
             "route": "chebyshev+spectral", "chebyshev_terms": 55, "bessel_tail_bound": 1e-17}
         assert cli._route_fields([spectral_curve]) == {"route": "spectral"}
 
-    @pytest.mark.parametrize("method", ["direct", "residue_cut"])
-    def test_lee_direct_meta_carries_the_quadrature_error(self, method, tmp_path):
-        out = tmp_path / "lee.csv"
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("method", lee.METHODS)
+    def test_lee_direct_meta_carries_the_quadrature_error(self, method, fmt, tmp_path):
+        out = tmp_path / f"lee.{fmt}"
         argv = ["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "7.5e-4", "--method", method,
-                "--tmax", "200", "--points", "3", "--out", str(out)]
+                "--tmax", "200", "--points", "3", "--format", fmt, "--out", str(out)]
         assert main(argv) == 0
-        meta = json.loads((tmp_path / "lee.annotations.json").read_text())
+        if fmt == "csv":
+            meta = json.loads((tmp_path / "lee.annotations.json").read_text())
+        else:
+            meta = json.loads(out.read_text())["meta"]
         if method == "direct":
             params = lee.LeeParams(1.0, 0.1, 7.5e-4)
             achieved = [lee.amplitude_direct(params, t)[1] for t in (0.0, 100.0, 200.0)]
@@ -724,6 +728,24 @@ class TestOptionDeclarations:
     def test_option_a_subcommand_does_not_read_exits_2(self, argv, tmp_path, capsys):
         assert exit_status([*argv, "--out", str(tmp_path / "x.out")]) == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("model, option, value", [
+        ("chain", "delta", "0.1"), ("chain", "sigma", "0.1"), ("chain", "offdiag", "uniform:2"),
+        ("chain", "env", "full"), ("experimental", "g", "0.5"), ("rp", "g", "0.5"), ("rp", "delta", "0.1"),
+        ("rp", "offdiag", "uniform:2"), ("rosenzweig-porter", "env", "full"),
+    ])
+    def test_model_option_the_model_does_not_read_exits_2(self, model, option, value, tmp_path, capsys):
+        reads = {"chain": ["--g", "0.5"], "experimental": ["--delta", "0.1", "--sigma", "0.1"]}
+        argv = ["bound", "--model", model, "--n", "4", "--omega", "1", *reads.get(model, ["--sigma", "0.1"]),
+                "--tmax", "5", "--out", str(tmp_path / "x.csv")]
+        assert exit_status(argv) == 0
+        config = tmp_path / "model.cfg"
+        config.write_text(f"{option} = {value}\n")
+        for extra in [f"--{option}", value], ["--config", str(config)]:
+            (tmp_path / "x.csv").unlink(missing_ok=True)
+            assert exit_status([*argv, *extra]) == 2
+            assert f"the {model} model takes no --{option}" in capsys.readouterr().err
+            assert not (tmp_path / "x.csv").exists()
 
     def test_readme_examples_parse(self):
         """Every ``qsurvival`` command in the README's sh blocks parses; none is run."""

@@ -928,10 +928,12 @@ class TestSurvival:
 
     def test_direct_route_reports_its_largest_quadrature_error(self):
         times = np.array([0.0, 35.0, 80.0])
-        series, error = lee.direct_survival(REF, times)
-        assert series.values.tobytes() == lee.survival(REF, times, method="direct").values.tobytes()
+        series = lee.survival(REF, times, method="direct")
+        amp, achieved = lee.amplitude_direct(REF, times)
+        assert series.values.tobytes() == np.clip(np.abs(amp) ** 2, 0.0, 1.0).tobytes()
         assert series.method == "direct" and series.tail_bound is None
-        assert error == lee.amplitude_direct(REF, times)[1].max() and 0.0 <= error <= 1e-7
+        error = series.quadrature_error
+        assert error == achieved.max() and 0.0 <= error <= 1e-7
 
     def test_wigner_equals_bessel_limit(self):
         sigma = 0.37
@@ -946,7 +948,8 @@ class TestSurvival:
     @pytest.mark.parametrize("method", ["direct", "residue_cut", "second_sheet"])
     def test_wigner_tagged_closed_form(self, method, tmp_path):
         params = lee.WignerSemicircle(1.0, 0.2)
-        assert lee.survival(params, np.linspace(0.0, 5.0, 4), method=method).method == "closed-form"
+        series = lee.survival(params, np.linspace(0.0, 5.0, 4), method=method)
+        assert series.method == "closed-form" and series.quadrature_error is None
         with pytest.raises(ValueError, match="cauchy"):
             lee.survival(params, np.linspace(0.0, 5.0, 4), method="cauchy")
         out = tmp_path / "lee.json"
@@ -954,7 +957,8 @@ class TestSurvival:
             "lee", "--omega", "1", "--density", "wigner:0.2",
             "--method", method, "--tmax", "5", "--points", "4", "--format", "json", "--out", str(out),
         ]) == 0
-        assert json.loads(out.read_text())["meta"]["method"] == "closed-form"
+        meta = json.loads(out.read_text())["meta"]
+        assert meta["method"] == "closed-form" and meta["annotations"] == {} and "quadrature_error" not in meta
 
     def test_box_tag_is_the_method(self, tmp_path):
         out = tmp_path / "lee.json"
@@ -968,8 +972,7 @@ class TestSurvival:
     def test_empty_grid_gives_an_empty_series(self, method):
         series = lee.survival(REF, [], method)
         assert series.times.size == 0 and series.values.size == 0 and series.method == method
-        if method == "direct":
-            assert lee.direct_survival(REF, [])[1] == 0.0
+        assert series.quadrature_error == (0.0 if method == "direct" else None)
 
     def test_unknown_method_rejected(self):
         with pytest.raises(ValueError):

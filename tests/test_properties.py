@@ -127,7 +127,7 @@ def test_lee_routes_agree(params, fraction):
 @settings(max_examples=20, deadline=None)
 def test_lee_direct_grid_agrees_with_second_sheet(params):
     times = np.linspace(0.0, 200.0 / params.delta, 11)
-    direct = lee.direct_survival(params, times)[0].values
+    direct = lee.survival(params, times, method="direct").values
     second = lee.survival(params, times, method="second_sheet").values
     assert np.max(np.abs(direct - second)) <= LEE_ROUTE_TOL
 
