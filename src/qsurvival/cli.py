@@ -183,6 +183,16 @@ def _require(args, names):
             raise ConfigError(f"missing required option --{name.replace('_', '-')}")
 
 
+def _check_out(path: str | None):
+    """An ``--out`` in a directory that does not exist is a ConfigError, raised
+    before any computation."""
+    if not path:
+        return
+    directory = os.path.dirname(os.path.abspath(path))
+    if not os.path.isdir(directory):
+        raise ConfigError(f"--out {path}: directory {directory} does not exist")
+
+
 def _grid(args) -> np.ndarray:
     _require(args, ["tmax"])
     if not (args.tmax > args.tmin >= 0.0):
@@ -637,6 +647,7 @@ def main(argv=None) -> int:
             _subcommands(parser)[args.command].set_defaults(
                 **_config_values(args.config, args.command, parser))
             args = parser.parse_args(argv)
+        _check_out(args.out)
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

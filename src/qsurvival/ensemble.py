@@ -16,15 +16,16 @@ before it.
   desk-scale;
 - every other model (fully coupled environment, Rosenzweig-Porter) is built
   once and propagates from its dense product, inside the Ritz bounds of
-  :func:`spectral.lanczos_bounds`; should the moment check refuse them,
-  inside Gershgorin bounds instead.
+  :func:`spectral.lanczos_bounds`.
 
 The last two propagate where the cost model of :func:`_chebyshev_cheaper`
 puts Chebyshev below the dense eigensolve, and decompose otherwise. The
 Chebyshev cost grows with its order count, about the spectral half-width
 times max|t|, while the eigensolve costs the same for any parameters; so the
 choice follows the size, the interval and the grid together. Both routes
-work on any time grid and agree to round-off.
+work on any time grid and agree to round-off. Should the moment check refuse
+an interval, the draw takes the eigensolve too: a dense draw's matrix is
+already in memory, and an arrowhead's is one build away.
 """
 
 from __future__ import annotations
@@ -46,7 +47,6 @@ from .spectral import (
     chebyshev_amplitude,
     chebyshev_orders,
     decompose,
-    gershgorin_bounds,
     lanczos_bounds,
     survival_probability,
 )
@@ -93,7 +93,7 @@ class Draw:
     couplings, taken once where the draw is made. A chain holds its analytic
     ``modes``, and None for ``matvec`` and ``build``. A diagonal-environment
     draw is an arrowhead: ``bounds`` holds its Weyl interval, and ``build``
-    draws the matrix only where the eigensolve is the cheaper route. Every
+    draws the matrix only where the draw takes the eigensolve. Every
     other draw is built once.
     """
 
@@ -119,30 +119,27 @@ class Draw:
                               amplitude.terms, amplitude.tail_bound)
 
     def _chebyshev(self, times: np.ndarray) -> ChebyshevAmplitude | None:
-        """The amplitude by Chebyshev propagation, or None where the eigensolve costs less."""
+        """The amplitude by Chebyshev propagation, or None, meaning the eigensolve,
+        where that costs less or the moment check refuses the interval."""
         n = self.n
         if self.bounds is not None:
             # an arrowhead product is about 4n multiply-adds
-            if not _chebyshev_cheaper(n, *self.bounds, times, product=4 * n):
+            product, (lo, hi) = 4 * n, self.bounds
+        else:
+            product = n * n
+            # the Ritz span is at least that of the first two Lanczos steps, which is at
+            # least 2 sqrt(variance): no Lanczos run where even that span costs too much
+            floor = math.sqrt(self.variance)
+            if not _chebyshev_cheaper(n, -floor, floor, times, product, LANCZOS_STEPS):
                 return None
-            return chebyshev_amplitude(self.matvec, n, *self.bounds, times)
-        product = n * n
-        # the Ritz span is at least that of the first two Lanczos steps, which is at
-        # least 2 sqrt(variance): no Lanczos run where even that span costs too much
-        floor = math.sqrt(self.variance)
-        if not _chebyshev_cheaper(n, -floor, floor, times, product, LANCZOS_STEPS):
-            return None
-        lo, hi = lanczos_bounds(self.matvec, n)
-        # the Lanczos products are spent by now: price only the propagation
+            lo, hi = lanczos_bounds(self.matvec, n)
+        # any Lanczos products are spent by now: price only the propagation
         if not _chebyshev_cheaper(n, lo, hi, times, product):
             return None
         try:
             return chebyshev_amplitude(self.matvec, n, lo, hi, times)
         except BoundsError:
-            lo, hi = gershgorin_bounds(self.build())
-            if not _chebyshev_cheaper(n, lo, hi, times, product):
-                return None
-            return chebyshev_amplitude(self.matvec, n, lo, hi, times)
+            return None
 
 
 class _Arrowhead:

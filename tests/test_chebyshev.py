@@ -166,6 +166,10 @@ class TestChebyshevAmplitude:
         with pytest.raises(ValueError, match="finite"):
             spectral.chebyshev_amplitude(lambda x: x, 3, -1.0, 1.0, np.array([0.0, np.nan]))
 
+    def test_rejects_an_inverted_interval(self):
+        with pytest.raises(ValueError, match="need hi >= lo"):
+            spectral.chebyshev_amplitude(lambda x: x, 3, 1.0, -1.0, np.array([0.0, 1.0]))
+
 
 class TestFoldedProduct:
     @given(arrowhead_draws(), st.integers(1, 400))
@@ -372,22 +376,27 @@ class TestRouteTable:
             spectral.chebyshev_amplitude(h.dot, h.shape[0], *narrow, times)
         monkeypatch.setattr(ensemble, "lanczos_bounds", lambda matvec, n: narrow)
         fallback = ensemble.draw_realization(spec).survival(times)
-        wide = spectral.chebyshev_amplitude(h.dot, h.shape[0], *spectral.gershgorin_bounds(h), times)
-        assert fallback.method == "chebyshev" and fallback.terms == wide.terms
-        assert np.max(np.abs(fallback.values - eigh_survival(h, times))) <= 1e-12
+        # the refused interval takes the eigensolve, whose curve it then is exactly
+        assert fallback.method == "spectral"
+        np.testing.assert_array_equal(fallback.values, eigh_survival(h, times))
 
     def test_refused_interval_whose_fallback_costs_more_takes_the_eigensolve(self, monkeypatch):
         model = ham.Experimental(600, 1.0, 0.1, 0.0122, ham.UniformCouplings(0.02), env=ham.Environment.FULL)
         spec = ham.HamiltonianSpec(model, seed=1)
         h = ham.build(spec)
         times = np.linspace(0.0, 2000.0, 501)
-        fallbacks = []
+        calls = []
+        cheaper, amplitude = ensemble._chebyshev_cheaper, ensemble.chebyshev_amplitude
+        gershgorin = spectral.gershgorin_bounds
         monkeypatch.setattr(ensemble, "lanczos_bounds", lambda matvec, n: (0.999, 1.001))
-        monkeypatch.setattr(ensemble, "gershgorin_bounds",
-                            lambda matrix: fallbacks.append(spectral.gershgorin_bounds(matrix)) or fallbacks[-1])
+        monkeypatch.setattr(ensemble, "_chebyshev_cheaper", lambda *a, **k: calls.append("price") or cheaper(*a, **k))
+        monkeypatch.setattr(ensemble, "chebyshev_amplitude", lambda *a, **k: calls.append("propagate") or amplitude(*a, **k))
+        monkeypatch.setattr(spectral, "gershgorin_bounds", lambda matrix: calls.append("gershgorin") or gershgorin(matrix))
         series = ensemble.draw_realization(spec).survival(times)
-        # the couplings' row sums widen the Gershgorin interval far past the band
-        assert len(fallbacks) == 1 and fallbacks[0][0] < -5.0 and fallbacks[0][1] > 7.0
+        # the couplings' row sums would widen a Gershgorin interval far past the band;
+        # none is computed: the floor price, the Ritz interval's price, one refused run
+        assert not hasattr(ensemble, "gershgorin_bounds")
+        assert calls == ["price", "price", "propagate"]
         assert series.method == "spectral"
         np.testing.assert_array_equal(series.values, eigh_survival(h, times))
 

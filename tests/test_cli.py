@@ -65,6 +65,11 @@ class TestEnsembleRunner:
             eigenvalues = np.linalg.eigvalsh(h)
             assert lo <= eigenvalues[0] and eigenvalues[-1] <= hi
 
+    def test_zero_realizations_are_refused(self):
+        spec = ham.HamiltonianSpec(ham.Experimental(4, 1.0, 0.1, 0.1), seed=1)
+        with pytest.raises(ValueError, match="realizations must be >= 1"):
+            ensemble_mean(spec, np.linspace(0.0, 5.0, 11), 0)
+
     def test_mean_is_mean_of_stack(self):
         spec = ham.HamiltonianSpec(ham.Experimental(20, 1.0, 0.1, 0.3), seed=5)
         times = np.linspace(0.0, 10.0, 30)
@@ -453,6 +458,14 @@ class TestCommands:
         else:
             assert "quadrature_error" not in meta
 
+    def test_lee_direct_quadrature_error_exits_3_and_writes_nothing(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(lee, "_DIRECT_TOL", 1e-20)
+        argv = ["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "0.05", "--method", "direct",
+                "--tmax", "5", "--points", "3", "--out", str(tmp_path / "lee.csv")]
+        assert main(argv) == 3
+        assert "QuadratureError" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # neither the CSV nor its sidecar
+
     def test_recurrence_report(self, tmp_path):
         out = tmp_path / "rec.json"
         assert main([
@@ -627,6 +640,27 @@ class TestValidationAndConfig:
         ]) == 0
         doc = json.loads((tmp_path / "lee.annotations.json").read_text())
         assert doc["annotations"]["second_sheet_pole"]["residual"] <= 1e-10
+
+    def test_unreadable_config_exits_2_naming_the_path(self, tmp_path, capsys):
+        config = tmp_path / "absent.cfg"
+        code = main(["chain", "--config", str(config), "--out", str(tmp_path / "x.csv")])
+        assert code == 2
+        assert f"cannot read config file {config}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-3", "--tmax", "5", "--points", "4"],
+        ["poles", "--omega", "1", "--delta", "0.1"],
+        ["recurrence", "--model", "chain", "--n", "4", "--omega", "1", "--g", "0.5", "--threshold", "0.5"],
+        ["oracle-check", "--count", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_out_in_a_missing_directory_exits_2_before_computing(self, argv, tmp_path, monkeypatch, capsys):
+        calls = []
+        monkeypatch.setattr(cli, f"cmd_{argv[0].replace('-', '_')}", calls.append)
+        missing = tmp_path / "missing"
+        assert main([*argv, "--out", str(missing / "x.csv")]) == 2
+        err = capsys.readouterr().err
+        assert f"--out {missing / 'x.csv'}: directory {missing} does not exist" in err
+        assert calls == [] and not missing.exists()
 
     def test_malformed_config_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"

@@ -127,6 +127,11 @@ class TestSectorBlocks:
         idx2 = fock_oracle.sector_indices(4, 2)
         assert np.max(np.abs(h[np.ix_(idx1, idx2)])) == 0.0
 
+    @pytest.mark.parametrize("k", [-1, 5])
+    def test_sector_indices_refuse_a_count_outside_0_to_n(self, k):
+        with pytest.raises(ValueError, match="k must be between 0 and n"):
+            fock_oracle.sector_indices(4, k)
+
 
 class TestFullSurvival:
     def test_non_interacting_stays_put(self):

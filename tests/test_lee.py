@@ -257,7 +257,8 @@ class TestRealPoles:
         assert abs(poles[0].location - 1.0 + expected) / expected < 0.05
 
     def test_residual_of_found_roots(self):
-        for k2 in (1e-3, 0.05, 1.0, 30.0):
+        # at kappa2 = 0 the one "pole" is omega itself, at an infinite cut offset
+        for k2 in (0.0, 1e-3, 0.05, 1.0, 30.0):
             for pole in lee.real_poles(lee.LeeParams(1.0, 0.1, k2)):
                 assert abs(lee.real_pole_equation(lee.LeeParams(1.0, 0.1, k2), pole)) <= 1e-10
 
@@ -934,6 +935,18 @@ class TestSurvival:
         assert series.method == "direct" and series.tail_bound is None
         error = series.quadrature_error
         assert error == achieved.max() and 0.0 <= error <= 1e-7
+
+    @pytest.mark.parametrize("kappa2, refusal", [
+        (0.05, "window tail did not converge"),
+        (1e-3, "line heights disagree beyond tolerance"),
+    ])
+    def test_direct_route_refuses_an_error_above_its_tolerance(self, kappa2, refusal, monkeypatch):
+        # at kappa2 = 0.05 the tail estimate stays near 3e-17 up to the widest
+        # window; at 1e-3 it falls below 1e-21, and the two line heights refuse instead
+        monkeypatch.setattr(lee, "_DIRECT_TOL", 1e-20)
+        with pytest.raises(lee.QuadratureError, match=refusal) as info:
+            lee.amplitude_direct(lee.LeeParams(1.0, 0.1, kappa2), np.array([0.0, 5.0]))
+        assert info.value.achieved >= 1e-20
 
     def test_wigner_equals_bessel_limit(self):
         sigma = 0.37

@@ -105,6 +105,11 @@ class TestCountCrossings:
         with pytest.raises(ValueError, match=f"^{name} must be finite and > 0"):
             recurrence.count_crossings(chain_decomp(10), 0.5, total_time, resolution)
 
+    @pytest.mark.parametrize("p", [0.0, 1.0, -0.5, 1.5])
+    def test_refuses_a_threshold_outside_the_open_unit_interval(self, p):
+        with pytest.raises(ValueError, match="strictly between 0 and 1"):
+            recurrence.count_crossings(chain_decomp(10), p, 100.0, 0.01)
+
     def test_refuses_a_count_that_moves_under_step_halving(self):
         # p(t) = cos^2(t / 2) stays above 1 - 1e-4 for only 0.04 around each
         # recurrence, so the 0.1 grid misses about half the crossings its half-step grid sees

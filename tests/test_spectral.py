@@ -1,3 +1,4 @@
+import hashlib
 import math
 import tracemalloc
 
@@ -55,6 +56,28 @@ class TestDecompose:
         # every ordering and sum check compares false against NaN
         with pytest.raises(ValueError, match="finite"):
             spectral.SpectralDecomposition(np.array(eigenvalues), np.array(weights), 2)
+
+    @pytest.mark.parametrize("eigenvalues, weights, message", [
+        ([[0.0, 1.0]], [[0.5, 0.5]], "1-D arrays of equal length"),
+        ([0.0, 1.0, 2.0], [0.5, 0.5], "1-D arrays of equal length"),
+        ([1.0, 0.0], [0.5, 0.5], "sorted ascending"),
+        ([0.0, 1.0], [1.5, -0.5], "non-negative"),
+        ([0.0, 1.0], [0.5, 0.6], "sum to 1"),
+    ], ids=["2-D", "unequal", "unsorted", "negative-weight", "unnormalized"])
+    def test_rejects_malformed_levels_and_weights(self, eigenvalues, weights, message):
+        with pytest.raises(ValueError, match=message):
+            spectral.SpectralDecomposition(np.array(eigenvalues), np.array(weights), 2)
+
+    def test_failed_eigensolve_names_the_matrix_fingerprint(self, monkeypatch):
+        def fail(matrix):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        h = chain_matrix(5, 1.0, 0.3)
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        with pytest.raises(spectral.EigensolverError, match="did not converge") as info:
+            spectral.decompose(h)
+        assert hashlib.sha256(h.tobytes()).hexdigest()[:16] in str(info.value)
+        assert isinstance(info.value.__cause__, np.linalg.LinAlgError)
 
     def test_nan_matrix_gives_no_spectrum_or_report(self):
         with pytest.raises(ValueError, match="finite"):
@@ -450,6 +473,10 @@ class TestMandelstamTamm:
     def test_zeno_time_chain_value(self):
         # variance 1/2 for the chain at g = 1/sqrt(2)
         assert spectral.zeno_time(0.5) == pytest.approx(math.pi / math.sqrt(2.0), abs=1e-12)
+
+    def test_negative_variance_is_refused(self):
+        with pytest.raises(ValueError, match="variance must be >= 0"):
+            spectral.zeno_time(-1.0)
 
     def test_zero_variance_never_decays(self):
         assert math.isinf(spectral.zeno_time(0.0))
