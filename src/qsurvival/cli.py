@@ -2,9 +2,10 @@
 data files, and run seeded ensemble averages.
 
 Config handling: an optional INI-like flat file of ``key = value`` lines
-(``#`` comments allowed) provides defaults; command-line flags win. Output
-files are written atomically. Exit codes: 0 success, 2 configuration error,
-3 numerical failure.
+(``#`` comments allowed) is read as flags, each line the flag ``--key=value``
+placed before the command line's own flags, so argparse checks it exactly as
+the flag and the command line wins. Output files are written atomically.
+Exit codes: 0 success, 2 configuration error, 3 numerical failure.
 
 Each call of :func:`main` builds its parser afresh, and where argv opens with
 a subcommand's name it declares that subcommand alone: the parser of all
@@ -71,11 +72,27 @@ _OPEN_UNIT = _checked(float, lambda v: 0.0 < v < 1.0, "in (0, 1)")
 
 
 def _sizes(text: str) -> list[int]:
-    """Comma list of chain sizes, each >= 1."""
+    """Comma list of distinct chain sizes, each >= 1."""
     try:
-        return [_AT_LEAST_1(s) for s in text.split(",")]
+        sizes = [_AT_LEAST_1(s) for s in text.split(",")]
     except (ValueError, argparse.ArgumentTypeError) as exc:
         raise argparse.ArgumentTypeError(f"{text!r} is not a comma list of integers >= 1") from exc
+    if len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(f"{text!r} repeats a size")
+    return sizes
+
+
+def _out_path(text: str) -> str:
+    """A file path to write: it names a file (not empty, no trailing separator),
+    not a directory, in a directory that exists."""
+    if not os.path.basename(text):
+        raise argparse.ArgumentTypeError(f"{text!r} names no file")
+    if os.path.isdir(text):
+        raise argparse.ArgumentTypeError(f"{text} is a directory")
+    directory = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"directory {directory} does not exist")
+    return text
 
 
 def _named(usage: str, **makers):
@@ -99,7 +116,7 @@ _density = _named("box or wigner:<sigma > 0>", box=lambda: None, wigner=_POSITIV
 
 
 # ----------------------------------------------------------------------
-# config file
+# config file: each line is read as the flag --key=value
 
 # config values accepted for on/off flags
 _FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
@@ -107,6 +124,8 @@ _FLAG_WORDS = {"1": True, "true": True, "yes": True, "on": True,
 
 
 def _read_config_file(path: str) -> dict:
+    """key -> value text of each ``key = value`` line, a ``-`` in a key read as ``_``;
+    the last line of a key wins."""
     values = {}
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -137,34 +156,18 @@ def _option_actions(parser: argparse.ArgumentParser) -> dict:
     }
 
 
-def _coerce(action: argparse.Action, key: str, raw: str):
-    """Config value typed and checked as the flag ``action`` would be."""
-    if action.nargs == 0:  # store_true flag
-        if raw.lower() not in _FLAG_WORDS:
-            raise ConfigError(f"config key {key}: {raw!r} is not one of {', '.join(_FLAG_WORDS)}")
-        return _FLAG_WORDS[raw.lower()]
-    try:
-        value = raw if action.type is None else action.type(raw)
-    except argparse.ArgumentTypeError as exc:
-        raise ConfigError(f"config key {key}: {exc}") from exc
-    except ValueError as exc:
-        raise ConfigError(f"config key {key}: invalid value {raw!r}") from exc
-    if action.choices is not None and value not in action.choices:
-        choices = ", ".join(map(str, action.choices))
-        raise ConfigError(f"config key {key}: {raw!r} is not one of {choices}")
-    return value
+def _config_words(path: str, command: str, parser: argparse.ArgumentParser) -> list[str]:
+    """The lines of the file at ``path`` as flag words of ``command``: ``--key=value``,
+    and ``--key`` or nothing for an on/off flag.
 
-
-def _config_values(path: str, command: str, parser: argparse.ArgumentParser) -> dict:
-    """The options of ``command`` that the file at ``path`` sets, typed as flags.
-
-    Every value goes through the subcommand's own argparse ``type`` and
-    ``choices``, also where a flag overrides it. A key no subcommand defines
-    is an error; a key that only other subcommands define draws a warning and
-    is ignored, so one file can serve several subcommands.
+    ``main`` puts these words before the command line's own, so argparse
+    types and checks every value as it checks the flag, also where a flag
+    overrides it, and the flag wins. A key no subcommand defines is an error;
+    a key that only other subcommands define draws a warning and is ignored,
+    so one file can serve several subcommands.
     """
     actions = _option_actions(parser)
-    values = {}
+    words = []
     for key, raw in _read_config_file(path).items():
         action = actions[command].get(key)
         if action is None:
@@ -172,25 +175,19 @@ def _config_values(path: str, command: str, parser: argparse.ArgumentParser) -> 
                 raise ConfigError(f"{path}: unknown config key {key!r}")
             print(f"warning: config key {key!r} is not used by {command!r}; ignored",
                   file=sys.stderr)
-            continue
-        values[key] = _coerce(action, key, raw)
-    return values
+        elif action.nargs != 0:
+            words.append(f"{action.option_strings[0]}={raw}")
+        elif raw.lower() not in _FLAG_WORDS:
+            raise ConfigError(f"config key {key}: {raw!r} is not one of {', '.join(_FLAG_WORDS)}")
+        elif _FLAG_WORDS[raw.lower()]:
+            words.append(action.option_strings[0])
+    return words
 
 
 def _require(args, names):
     for name in names:
         if getattr(args, name) is None:
             raise ConfigError(f"missing required option --{name.replace('_', '-')}")
-
-
-def _check_out(path: str | None):
-    """An ``--out`` in a directory that does not exist is a ConfigError, raised
-    before any computation."""
-    if not path:
-        return
-    directory = os.path.dirname(os.path.abspath(path))
-    if not os.path.isdir(directory):
-        raise ConfigError(f"--out {path}: directory {directory} does not exist")
 
 
 def _grid(args) -> np.ndarray:
@@ -487,7 +484,7 @@ def cmd_oracle_check(args) -> int:
 
 def _add_output(p, formats: bool = True):
     p.add_argument("--config", help="flat key = value config file; flags win")
-    p.add_argument("--out", help="output file path")
+    p.add_argument("--out", type=_out_path, help="output file path")
     if formats:
         p.add_argument("--format", choices=["csv", "json"], default="csv", help="output file format")
 
@@ -635,19 +632,17 @@ def main(argv=None) -> int:
     # subcommand's name is that subcommand's, and its parser alone can read it
     command = argv[0] if argv and argv[0] in _COMMANDS else None
     if command is not None:
-        parser = build_parser(command)
-        args, unrecognized = parser.parse_known_args(argv)
-    # the full parser: its messages name every subcommand, and a config key is
-    # checked against the options of all of them
-    if command is None or unrecognized or args.config:
-        parser = build_parser()
-        args = parser.parse_args(argv)
+        args, unrecognized = build_parser(command).parse_known_args(argv)
+    # the full parser: its messages name every subcommand
+    if command is None or unrecognized:
+        args = build_parser().parse_args(argv)
     try:
         if args.config:
-            _subcommands(parser)[args.command].set_defaults(
-                **_config_values(args.config, args.command, parser))
-            args = parser.parse_args(argv)
-        _check_out(args.out)
+            # a config key is checked against the options of every subcommand;
+            # the file's words go first, so the command line's win
+            parser = build_parser()
+            words = _config_words(args.config, args.command, parser)
+            args = parser.parse_args([args.command, *words, *argv[1:]])
         return args.func(args)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

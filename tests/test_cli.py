@@ -1,4 +1,5 @@
 import argparse
+import hashlib
 import json
 import pathlib
 import re
@@ -531,6 +532,36 @@ class TestCommands:
         assert diffs[1] is None and diffs[0] <= 1e-10 and diffs[2] <= 1e-10
 
 
+EMPIRICAL_RUN = ["recurrence", "--model", "chain", "--n", "6", "--omega", "1", "--g", "0.5", "--threshold", "0.5",
+                 "--observation-time", "200", "--empirical"]
+# one run of each subcommand
+SAME_RUNS = [
+    ["chain", "--sizes", "4,6", "--omega", "1", "--g", "0.5", "--tmax", "5", "--points", "7"],
+    ["ensemble", "--model", "experimental", "--n", "30", "--omega", "1", "--delta", "0.1", "--sigma", "0.3",
+     "--realizations", "3", "--seed", "7", "--tmax", "20", "--points", "11", "--format", "json"],
+    ["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "7.5e-4", "--method", "second_sheet",
+     "--tmax", "50", "--points", "11"],
+    ["poles", "--omega", "1", "--delta", "0.1", "--kappa2-min", "1e-3", "--kappa2-max", "1",
+     "--kappa2-points", "4"],
+    ["perturbation", "--n", "8", "--omega", "1", "--delta", "0.1", "--sigma", "0.05", "--eps", "1",
+     "--seed", "2", "--tmax", "20", "--points", "11"],
+    ["bound", "--model", "rp", "--n", "40", "--omega", "1", "--sigma", "0.05", "--seed", "3",
+     "--tmax", "20", "--points", "11"],
+    EMPIRICAL_RUN,
+    ["oracle-check", "--count", "2", "--max-qubits", "3", "--seed", "4", "--tmax", "5", "--points", "11"],
+]
+
+
+def _config_lines(words: list[str]) -> str:
+    """The options of ``words`` as ``key = value`` lines; a bare on/off flag is ``key = yes``."""
+    lines, words = [], list(words)
+    while words:
+        key = words.pop(0).removeprefix("--")
+        value = words.pop(0) if words and not words[0].startswith("--") else "yes"
+        lines.append(f"{key} = {value}\n")
+    return "".join(lines)
+
+
 class TestValidationAndConfig:
     def test_missing_grid_is_config_error(self, tmp_path):
         code = main(["chain", "--omega", "1", "--g", "0.5", "--out", str(tmp_path / "x.csv")])
@@ -577,25 +608,44 @@ class TestValidationAndConfig:
         header, data = read_csv(out)
         assert data.shape[0] == 7  # flag wins over the file's 12
 
+    @pytest.mark.parametrize("argv, lines, flags", [
+        *[(argv, _config_lines(argv[1:]), []) for argv in SAME_RUNS],
+        (EMPIRICAL_RUN, _config_lines(EMPIRICAL_RUN[1:-1]) + "empirical = no\n", ["--empirical"]),
+    ], ids=[*(argv[0] for argv in SAME_RUNS), "empirical-flag-wins"])
+    def test_config_file_writes_the_bytes_of_its_flags(self, argv, lines, flags, tmp_path):
+        config = tmp_path / "run.cfg"
+        config.write_text(lines)
+        digests = []
+        for run, words in ("flags", argv), ("config", [argv[0], "--config", str(config), *flags]):
+            (tmp_path / run).mkdir()
+            assert main([*words, "--out", str(tmp_path / run / "out")]) == 0
+            digests.append({path.name: hashlib.sha256(path.read_bytes()).hexdigest()
+                            for path in (tmp_path / run).iterdir()})
+        assert digests[0] == digests[1]
+        csv = "--format" not in argv and argv[0] in ("chain", "lee", "perturbation", "bound")
+        assert set(digests[0]) == ({"out", "out.annotations.json"} if csv else {"out"})
+
     @pytest.mark.parametrize("command", ["lee", "bound"])
-    def test_config_format_outside_choices_exits_2(self, command, tmp_path):
+    def test_config_format_outside_choices_exits_2(self, command, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text("format = xml\n")
         model = (["--omega", "1", "--delta", "0.1", "--kappa2", "1e-2"] if command == "lee"
                  else ["--model", "chain", "--n", "4", "--omega", "1", "--g", "0.5"])
         out = tmp_path / "x.csv"
-        code = main([command, "--config", str(config), *model, "--tmax", "5", "--points", "4",
-                     "--out", str(out)])
-        assert code == 2
+        assert exit_status([command, "--config", str(config), *model, "--tmax", "5", "--points", "4",
+                            "--out", str(out)]) == 2
+        assert "--format" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("line", ["method = foo", "points = 7.5", "kappa2 = big", "kappa2 = nan"])
-    def test_config_bad_value_exits_2(self, line, tmp_path):
+    def test_config_bad_value_exits_2(self, line, tmp_path, capsys):
         config = tmp_path / "run.cfg"
         config.write_text(line + "\n")
-        code = main(["lee", "--config", str(config), "--omega", "1", "--delta", "0.1",
-                     "--kappa2", "1e-2", "--tmax", "5", "--out", str(tmp_path / "x.csv")])
-        assert code == 2
+        out = tmp_path / "x.csv"
+        assert exit_status(["lee", "--config", str(config), "--omega", "1", "--delta", "0.1",
+                            "--kappa2", "1e-2", "--tmax", "5", "--out", str(out)]) == 2
+        assert f"--{line.split()[0]}" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_config_unknown_key_exits_2(self, tmp_path, capsys):
         config = tmp_path / "run.cfg"
@@ -647,20 +697,32 @@ class TestValidationAndConfig:
         assert code == 2
         assert f"cannot read config file {config}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("path", ["missing/x.csv", "", "existing", "missing/"],
+                             ids=["missing-dir", "empty", "dir", "trailing-sep"])
     @pytest.mark.parametrize("argv", [
         ["lee", "--omega", "1", "--delta", "0.1", "--kappa2", "1e-3", "--tmax", "5", "--points", "4"],
         ["poles", "--omega", "1", "--delta", "0.1"],
         ["recurrence", "--model", "chain", "--n", "4", "--omega", "1", "--g", "0.5", "--threshold", "0.5"],
         ["oracle-check", "--count", "1"],
     ], ids=lambda argv: argv[0])
-    def test_out_in_a_missing_directory_exits_2_before_computing(self, argv, tmp_path, monkeypatch, capsys):
+    def test_out_in_a_missing_directory_exits_2_before_computing(self, argv, path, given, tmp_path,
+                                                                 monkeypatch, capsys):
+        # a file in a missing directory, an empty path, an existing directory, a path that ends in a separator
         calls = []
         monkeypatch.setattr(cli, f"cmd_{argv[0].replace('-', '_')}", calls.append)
-        missing = tmp_path / "missing"
-        assert main([*argv, "--out", str(missing / "x.csv")]) == 2
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "existing").mkdir()
+        config = tmp_path / "run.cfg"
+        config.write_text(f"out = {path}\n")
+        out = ["--out", path] if given == "flag" else ["--config", str(config)]
+        assert exit_status([*argv, *out]) == 2
         err = capsys.readouterr().err
-        assert f"--out {missing / 'x.csv'}: directory {missing} does not exist" in err
-        assert calls == [] and not missing.exists()
+        assert "argument --out" in err
+        if path == "missing/x.csv":
+            assert f"directory {tmp_path / 'missing'} does not exist" in err
+        assert calls == [] and not (tmp_path / "missing").exists()
+        assert not list(tmp_path.rglob(".tmp-*"))
 
     def test_malformed_config_rejected(self, tmp_path):
         config = tmp_path / "bad.cfg"
@@ -717,6 +779,7 @@ class TestOptionDeclarations:
     @pytest.mark.parametrize("argv, flag", [
         ([*CHAIN, "--sizes", "4,x"], "--sizes"),
         ([*CHAIN, "--sizes", "0"], "--sizes"),
+        ([*CHAIN, "--sizes", "4,4"], "--sizes"),
         ([*ENSEMBLE, "--realizations", "0"], "--realizations"),
         ([*ENSEMBLE, "--threads", "-3"], "--threads"),
         (["oracle-check", "--count", "0"], "--count"),
